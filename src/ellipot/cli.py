@@ -436,13 +436,19 @@ def cmd_blowup(cfg, emit):
     return EXIT_OK
 
 
-def _truncation_ops(cfg, dim, coeffs, scheme):
+def _truncation_ops(cfg, dim, coeffs, scheme, odd=False):
     shape = cfg.get("geometry", "shape", default=33)
     if isinstance(shape, list):
         raise ConfigError("truncation families use a single odd shape value")
+    if odd and int(shape) % 2 == 0:
+        raise ConfigError(
+            "[geometry] shape must be odd so the origin is a lattice point"
+        )
     half_widths = [
         float(v) for v in cfg.get("geometry", "half_widths", kind="list")
     ]
+    if not half_widths:
+        raise ConfigError("[geometry] half_widths: at least one value required")
     ops = []
     for R in half_widths:
         grid = build_grid(dim, int(shape), (-R, R))
@@ -563,38 +569,36 @@ def cmd_checks(cfg, emit):
 
 def cmd_dichotomy(cfg, emit):
     dim = cfg.get("geometry", "dim", kind="int")
-    shape = cfg.get("geometry", "shape", default=33)
-    if isinstance(shape, list):
-        raise ConfigError("truncation families use a single odd shape value")
-    half_widths = [
-        float(v) for v in cfg.get("geometry", "half_widths", kind="list")
-    ]
     n_levels = cfg.get("geometry", "levels", default=3, kind="int")
     coeffs, scheme = _build_coeffs(cfg, dim)
     phi, p = _build_phi(cfg, dim)
     params = _build_params(cfg)
     c = cfg.get("experiment", "c", default=1.0, kind="float")
 
+    # each cube is assembled once and factored by its first solve; the
+    # study, the sweep and the Green sums all reuse those operators
+    half_widths, ops = _truncation_ops(cfg, dim, coeffs, scheme, odd=True)
     study = cube_truncation_study(
         half_widths,
         phi,
         c,
-        dim=dim,
-        shape=int(shape),
         n_levels=n_levels,
         coeffs=coeffs,
         scheme=scheme,
         params=params,
         sup_bands=_sup_bands(cfg),
+        ops=ops,
     )
 
     sweep_R = cfg.get("experiment", "sweep_half_width", default=half_widths[0],
                       kind="float")
-    grid = build_grid(dim, int(shape), (-sweep_R, sweep_R))
-    op = assemble(box_mask(grid), coeffs, scheme)
+    if sweep_R in half_widths:
+        op = ops[half_widths.index(sweep_R)]
+    else:
+        grid = build_grid(dim, ops[0].mask.grid.shape, (-sweep_R, sweep_R))
+        op = assemble(box_mask(grid), coeffs, scheme)
     sweep = blowup_sweep(op, phi, _m_values(cfg), None, params)
 
-    _, ops = _truncation_ops(cfg, dim, coeffs, scheme)
     diag = green_potential_diagnostic(ops, half_widths, p)
 
     sample = op.mask.interior_points()[:: max(1, op.mask.n_interior // 256)]

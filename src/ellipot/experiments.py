@@ -509,25 +509,40 @@ class TruncationStudy:
 
 def cube_truncation_study(half_widths, phi, c=1.0, dim=3, shape=33,
                           n_levels=3, coeffs=None, scheme=None, params=None,
-                          sup_bands=None):
+                          sup_bands=None, ops=None):
     """Run exhaustions on concentric cubes of doubling half-width.
 
     Each cube uses the same lattice shape (so larger cubes are coarser),
     an odd point count keeps the origin on the lattice, and the origin is
     the common probe.
+
+    ``ops`` optionally supplies the assembled operator of each whole cube
+    (one per half-width, assembled with ``coeffs``/``scheme``); each cube's
+    lattice is then read from its operator and ``dim``/``shape`` are not
+    used.  Without ``ops`` each whole cube is assembled here from
+    ``dim``/``shape`` and released with its run.  The whole cube serves as
+    the outermost exhaustion level and only the inner levels are assembled
+    here, so a caller that reuses ``ops`` for a sweep or Green sums on the
+    same cubes factors each cube once.
     """
-    if int(shape) % 2 == 0:
+    if ops is not None and len(ops) != len(half_widths):
+        raise ValueError("one operator per half-width required")
+    shapes = [(int(shape),)] if ops is None else [op.mask.grid.shape for op in ops]
+    if any(n % 2 == 0 for s in shapes for n in s):
         raise ValueError("shape must be odd so the origin is a lattice point")
     bands = sup_bands or {}
     records = []
-    origin = np.zeros(dim)
-    for R in half_widths:
-        grid = build_grid(dim, int(shape), (-float(R), float(R)))
-        omega = box_mask(grid)
-        exh = build_exhaustion(omega, n_levels)
+    for i, R in enumerate(half_widths):
+        outer = ops[i] if ops is not None else assemble(
+            box_mask(build_grid(dim, int(shape), (-float(R), float(R)))),
+            coeffs, scheme,
+        )
+        grid = outer.mask.grid
+        inner = build_exhaustion(outer.mask, n_levels).levels[:-1]
+        levels = [assemble(m, coeffs, scheme) for m in inner] + [outer]
+        origin = np.zeros(grid.dim)
         run = run_exhaustion(
-            exh, phi, c, params=params, coeffs=coeffs, scheme=scheme,
-            ref_point=origin, keep_fields=False
+            levels, phi, c, params=params, ref_point=origin, keep_fields=False
         )
         rep = check_sup_identity(run, **bands)
         records.append(

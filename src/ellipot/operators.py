@@ -20,6 +20,22 @@ import scipy.sparse.linalg as spla
 from .errors import EllipticityError, StencilError
 from .geometry import BOUNDARY, INTERIOR
 
+# Lattice matrices are structurally symmetric, so SuperLU's minimum-degree
+# ordering on the pattern of A^T + A keeps far less fill than its default
+# COLAMD, which targets unsymmetric patterns (about half the fill on 17^3
+# and 25^3 boxes).
+_PERMC_SPEC = "MMD_AT_PLUS_A"
+
+
+def _sparse_lu(matrix):
+    """SuperLU factorization with the lattice ordering; every sparse LU of
+    the package goes through here.
+
+    ``spla.splu`` is looked up at call time so that a profiler patching
+    ``scipy.sparse.linalg.splu`` sees every factorization.
+    """
+    return spla.splu(sp.csc_matrix(matrix), permc_spec=_PERMC_SPEC)
+
 
 class CoefficientSet:
     """Coefficients (a, b, c) of the operator, constant or position-dependent.
@@ -208,10 +224,21 @@ class AssembledOperator:
         )
         return sp.vstack([top, bottom], format="csr")
 
+    @property
+    def is_factored(self):
+        """Whether :meth:`factor` has already built and cached its LU."""
+        return self._lu is not None
+
     def factor(self):
-        """Cached sparse LU of minus the interior block."""
+        """Cached sparse LU of minus the interior block.
+
+        Built once per operator with SuperLU under the minimum-degree
+        ordering of A^T + A (see ``_sparse_lu``) and reused by every later
+        harmonic extension, Green potential and certificate solve on this
+        operator; callers that share an operator share its factor.
+        """
         if self._lu is None:
-            self._lu = spla.splu(sp.csc_matrix(-self._A_II))
+            self._lu = _sparse_lu(-self._A_II)
         return self._lu
 
     def apply(self, values):

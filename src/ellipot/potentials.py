@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
@@ -188,8 +189,10 @@ def interior_values(mask, g):
 class LinearSolverParams:
     """How interior linear systems are solved.
 
-    method : 'direct' (sparse LU, cached on the operator) or 'cg' /
-        'bicgstab' (matrix-free Krylov with an incomplete-LU preconditioner).
+    method : 'direct' (sparse LU, cached on the operator), 'cg'
+        (conjugate gradients with a Jacobi preconditioner; only for a
+        symmetric -A_II, i.e. no drift and a constant diffusion matrix) or
+        'bicgstab' (with an incomplete-LU preconditioner; any operator).
     """
 
     method: str = "direct"
@@ -214,12 +217,22 @@ def solve_interior(op, source=0.0, boundary=0.0, params=None):
     if params.method == "direct":
         u = op.factor().solve(rhs)
     elif params.method in ("cg", "bicgstab"):
-        krylov = spla.cg if params.method == "cg" else spla.bicgstab
-        try:
-            ilu = spla.spilu(B.tocsc(), drop_tol=1e-5, fill_factor=10)
-            M = spla.LinearOperator(B.shape, ilu.solve)
-        except RuntimeError:
-            M = None
+        if params.method == "cg":
+            # CG needs a symmetric matrix and a symmetric preconditioner;
+            # an incomplete LU is not one, the diagonal is
+            if not _is_symmetric(B):
+                raise ValueError(
+                    "cg needs a symmetric operator (no drift, constant a); "
+                    "use 'bicgstab' or 'direct'"
+                )
+            krylov, M = spla.cg, sp.diags(1.0 / B.diagonal())
+        else:
+            krylov = spla.bicgstab
+            try:
+                ilu = spla.spilu(B.tocsc(), drop_tol=1e-5, fill_factor=10)
+                M = spla.LinearOperator(B.shape, ilu.solve)
+            except RuntimeError:
+                M = None
         u, info = krylov(B, rhs, rtol=params.tol, maxiter=params.maxiter, M=M)
         if info != 0:
             raise LinearSolveError(
@@ -237,6 +250,12 @@ def solve_interior(op, source=0.0, boundary=0.0, params=None):
             f"linear residual {np.max(np.abs(res)):.3e} exceeds tolerance"
         )
     return Field.from_active(mask, u, f)
+
+
+def _is_symmetric(B):
+    scale = float(np.max(np.abs(B.data), initial=0.0))
+    asym = abs(B - B.T)
+    return float(asym.max()) <= 1e-12 * max(1.0, scale)
 
 
 def harmonic_extension(op, boundary, params=None):

@@ -13,19 +13,33 @@ nonnegative for nonnegative data, so the limit is the largest solution
 below the harmonic extension; convergence is geometric.  The shift is
 re-estimated as the iterates shrink, which matters for reactions whose
 slope varies strongly over the range.
+
+Linear algebra.  Every system is solved with a sparse LU from SuperLU
+under the minimum-degree ordering of A^T + A, which suits the
+structurally symmetric lattice matrices (``operators._sparse_lu``).  The
+harmonic extension and the identity certificate share the operator's
+cached factor (``AssembledOperator.factor``), so an operator reused
+across solves is factored once; only the shifted matrix B + Lambda is
+factored per solve, again at each shift refresh.  The report counts the
+factorizations a solve built and their fill, and each solve logs one
+DEBUG line on the ``ellipot.solver`` logger.
 """
 
 from __future__ import annotations
 
 import json
+import logging
+import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NonConvergenceError, SolverBreakdownError
+from .operators import _sparse_lu
 from .potentials import Field, boundary_values, interior_values
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -61,7 +75,13 @@ class SemilinearParams:
 
 @dataclass
 class SolveReport:
-    """Outcome of one semilinear solve."""
+    """Outcome of one semilinear solve.
+
+    ``factorizations`` counts the sparse LUs the solve built: the shifted
+    matrix at the start and at each refresh, plus the operator's own
+    factor when it was not cached yet.  ``factor_nnz`` sums their fill as
+    SuperLU reports it (``SuperLU.nnz``).
+    """
 
     converged: bool
     iterations: int
@@ -75,6 +95,8 @@ class SolveReport:
     tol: float
     message: str = ""
     method: str = "shifted-picard"
+    factorizations: int = 0
+    factor_nnz: int = 0
 
     def as_dict(self):
         return asdict(self)
@@ -128,6 +150,7 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     """
     if params is None:
         params = SemilinearParams()
+    t_start = time.perf_counter()
     mask = op.mask
     f = boundary_values(mask, boundary)
     pts = mask.interior_points()
@@ -135,7 +158,18 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
 
     B = sp.csc_matrix(-op.interior_matrix)
     rhs_b = op.boundary_matrix @ f
-    harm = op.factor().solve(rhs_b)
+    fresh = not op.is_factored
+    lu = op.factor()
+    factorizations, factor_nnz = (1, int(lu.nnz)) if fresh else (0, 0)
+
+    def shifted_factor(lam):
+        nonlocal factorizations, factor_nnz
+        shifted_lu = _sparse_lu(B + sp.diags(lam))
+        factorizations += 1
+        factor_nnz += int(shifted_lu.nnz)
+        return shifted_lu
+
+    harm = lu.solve(rhs_b)
     if not np.all(np.isfinite(harm)):
         raise SolverBreakdownError("harmonic extension is not finite")
 
@@ -150,7 +184,7 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
         params.ladder_size,
         params.lambda_safety,
     )
-    shifted = spla.splu(B + sp.diags(lam).tocsc())
+    shifted = shifted_factor(lam)
     refreshes = 0
 
     # solutions cannot dip below the boundary minimum (or zero, whichever
@@ -212,20 +246,20 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
             old_mean = float(lam.mean()) if lam.size else 0.0
             if np.any(lam_new > 1.05 * lam):
                 np.maximum(lam, lam_new, out=lam)
-                shifted = spla.splu(B + sp.diags(lam).tocsc())
+                shifted = shifted_factor(lam)
                 refreshes += 1
             elif (
                 float(lam_new.max(initial=0.0)) <= 0.5 * old_max
                 or (lam.size and float(lam_new.mean()) <= 0.5 * old_mean)
             ):
                 lam = lam_new
-                shifted = spla.splu(B + sp.diags(lam).tocsc())
+                shifted = shifted_factor(lam)
                 refreshes += 1
 
     if not np.isfinite(res):
         res = float(np.max(np.abs(B @ u + phi_b(u) - rhs_b)))
 
-    gphi = op.factor().solve(phi_b(u))
+    gphi = lu.solve(phi_b(u))
     identity_residual = float(np.max(np.abs(harm - u - gphi), initial=0.0))
 
     report = SolveReport(
@@ -240,6 +274,17 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
         min_solution=float(u.min(initial=0.0)),
         tol=params.tol,
         message=message,
+        factorizations=factorizations,
+        factor_nnz=factor_nnz,
+    )
+    log.debug(
+        "solve: %s after %d iterations, %d factorizations (fill %d), %.3f s%s",
+        "converged" if converged else "not converged",
+        k,
+        factorizations,
+        factor_nnz,
+        time.perf_counter() - t_start,
+        f"; {message}" if message else "",
     )
     if not converged and params.raise_on_fail:
         raise NonConvergenceError(
@@ -261,8 +306,8 @@ def solve_linear_reaction(op, density, boundary):
     if np.any(q < 0):
         raise ValueError("linear reaction density must be nonnegative")
     f = boundary_values(mask, boundary)
-    B = sp.csc_matrix(-op.interior_matrix) + sp.diags(q).tocsc()
-    u = spla.splu(B).solve(op.boundary_matrix @ f)
+    B = -op.interior_matrix + sp.diags(q)
+    u = _sparse_lu(B).solve(op.boundary_matrix @ f)
     if not np.all(np.isfinite(u)):
         raise SolverBreakdownError("linear-reaction solve produced non-finite values")
     return Field.from_active(mask, u, f)

@@ -2,12 +2,17 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from ellipot import ConfigError, RunConfig
+import ellipot
+from ellipot import AssembledOperator, ConfigError, RunConfig
 from ellipot.cli import main
 
 
@@ -114,6 +119,9 @@ class TestCliSolve:
         assert report["converged"] is True
         assert report["dim"] == 1
         assert report["identity_residual"] < 1e-8
+        # the operator's factor plus the shifted one and its refreshes
+        assert report["factorizations"] == 2 + report["lambda_refreshes"]
+        assert report["factor_nnz"] > 0
         manifest = json.loads((out / "manifest.json").read_text())
         names = [a["name"] for a in manifest["artifacts"]]
         assert names == sorted(names)
@@ -166,6 +174,99 @@ class TestCliSolve:
         out = tmp_path / "out"
         assert main(["solve", "--config", str(cfg), "--out", str(out),
                      "--verbose"]) == 0
+
+    def test_verbose_streams_solver_progress(self, tmp_path):
+        cfg = _write(tmp_path, SOLVE_CFG)
+        src = str(Path(ellipot.__file__).resolve().parent.parent)
+        cmd = [sys.executable, "-m", "ellipot.cli", "solve", "--config",
+               str(cfg), "--out", str(tmp_path / "out")]
+        env = {**os.environ, "PYTHONPATH": src}
+        quiet = subprocess.run(cmd, env=env, capture_output=True, text=True,
+                               timeout=120)
+        loud = subprocess.run(cmd + ["--verbose"], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert quiet.returncode == loud.returncode == 0
+        assert "factorizations" not in quiet.stderr
+        assert "factorizations (fill" in loud.stderr
+
+
+DICHOTOMY_CFG = """\
+[geometry]
+dim = 2
+shape = 17
+half_widths = [1.0, 2.0, 4.0]
+levels = 2
+
+[phi]
+family = power
+gamma = 0.5
+p = "(1 + sqrt(x1^2+x2^2))^(-3)"
+
+[experiment]
+c = 1.0
+m_min = 1.0
+m_max = 100.0
+m_count = 4
+"""
+
+
+class TestCliDichotomy:
+    def test_each_box_is_assembled_and_factored_once(self, tmp_path, monkeypatch):
+        assembled = []
+        misses = []
+        assemble_ = AssembledOperator._assemble
+        factor_ = AssembledOperator.factor
+
+        def counting_assemble(self):
+            assembled.append(self)
+            return assemble_(self)
+
+        def counting_factor(self):
+            if not self.is_factored:
+                misses.append(self)
+            return factor_(self)
+
+        monkeypatch.setattr(AssembledOperator, "_assemble", counting_assemble)
+        monkeypatch.setattr(AssembledOperator, "factor", counting_factor)
+        cfg = _write(tmp_path, DICHOTOMY_CFG)
+        out = tmp_path / "o"
+        assert main(["dichotomy", "--config", str(cfg), "--out", str(out)]) == 0
+        # three half-widths times two exhaustion levels; the study, the
+        # sweep and the Green sums share the whole-box operators
+        assert len(assembled) == 3 * 2
+        assert len(misses) == len(assembled)
+        assert {id(op) for op in misses} == {id(op) for op in assembled}
+        report = json.loads((out / "dichotomy.json").read_text())
+        assert report["verdict"]["consistent"] is True
+        assert len(report["study"]["sup_estimates"]) == 3
+
+    def test_sweep_box_outside_the_family_is_assembled(self, tmp_path, monkeypatch):
+        assembled = []
+        assemble_ = AssembledOperator._assemble
+
+        def counting_assemble(self):
+            assembled.append(self)
+            return assemble_(self)
+
+        monkeypatch.setattr(AssembledOperator, "_assemble", counting_assemble)
+        cfg = _write(tmp_path, DICHOTOMY_CFG + "sweep_half_width = 3.0\n")
+        out = tmp_path / "o"
+        assert main(["dichotomy", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(assembled) == 3 * 2 + 1
+
+    def test_even_shape_is_rejected_before_any_assembly(self, tmp_path, monkeypatch):
+        assembled = []
+        assemble_ = AssembledOperator._assemble
+
+        def counting_assemble(self):
+            assembled.append(self)
+            return assemble_(self)
+
+        monkeypatch.setattr(AssembledOperator, "_assemble", counting_assemble)
+        cfg = _write(tmp_path, DICHOTOMY_CFG.replace("shape = 17", "shape = 16"))
+        out = tmp_path / "o"
+        assert main(["dichotomy", "--config", str(cfg), "--out", str(out)]) == 1
+        assert assembled == []
 
 
 class TestCliExitCodes:

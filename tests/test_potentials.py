@@ -102,11 +102,39 @@ def test_green_row_matches_green_apply(rng, unit_square_17):
 
 
 def test_solve_interior_iterative_matches_direct(unit_square_17):
-    op = ep.assemble(unit_square_17)
-    src = np.ones(unit_square_17.n_interior)
-    direct = ep.solve_interior(op, src, 0.0)
+    # the 65^2 square and the 17^3 cube are where CG with an incomplete-LU
+    # preconditioner (not symmetric) used to break down
+    masks = [
+        unit_square_17,
+        ep.box_mask(ep.build_grid(2, 65, (0.0, 1.0))),
+        ep.box_mask(ep.build_grid(3, 17, (0.0, 1.0))),
+    ]
+    for mask in masks:
+        op = ep.assemble(mask)
+        src = np.ones(mask.n_interior)
+        direct = ep.solve_interior(op, src, 0.0)
+        for method in ("cg", "bicgstab"):
+            it = ep.solve_interior(
+                op, src, 0.0, ep.LinearSolverParams(method=method, tol=1e-12)
+            )
+            npt.assert_allclose(it.interior(), direct.interior(), atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        ep.CoefficientSet(b=np.array([0.4, -0.2])),
+        ep.CoefficientSet(a=lambda pts: 1.0 + pts[:, 0]),
+    ],
+    ids=["drift", "variable-a"],
+)
+def test_cg_rejects_nonsymmetric_operators(unit_square_17, coeffs):
+    op = ep.assemble(unit_square_17, coeffs)
+    with pytest.raises(ValueError, match="symmetric"):
+        ep.solve_interior(op, 1.0, 0.0, ep.LinearSolverParams(method="cg"))
+    direct = ep.solve_interior(op, 1.0, 0.0)
     it = ep.solve_interior(
-        op, src, 0.0, ep.LinearSolverParams(method="cg", tol=1e-12)
+        op, 1.0, 0.0, ep.LinearSolverParams(method="bicgstab", tol=1e-12)
     )
     npt.assert_allclose(it.interior(), direct.interior(), atol=1e-8)
 

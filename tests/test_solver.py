@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -180,3 +182,31 @@ def test_report_round_trips_to_json(unit_square_17):
     assert back["converged"] is True
     assert back["method"] == "shifted-picard"
     assert back["iterations"] == rep.iterations
+
+
+def test_upwind_drift_solve_certifies_and_counts_factorizations(unit_square_17):
+    # strong upwinded drift makes -A_II far from symmetric, so the LU's
+    # partial pivoting is exercised under the fill-reducing ordering
+    op = ep.assemble(unit_square_17, ep.CoefficientSet(b=np.array([6.0, -4.0])))
+    phi = ep.power_phi(1.0, 0.5)
+    _, rep = ep.solve_semilinear_dirichlet(op, phi, lambda pts: 1.0 + pts[:, 0])
+    assert rep.converged
+    assert rep.identity_residual <= 1e-8
+    # the operator's own factor plus the shifted one and its refreshes
+    assert rep.factorizations == 2 + rep.lambda_refreshes
+    assert rep.factor_nnz > 0
+    # the operator's factor is cached now: a second solve builds only the
+    # shifted factorizations
+    _, again = ep.solve_semilinear_dirichlet(op, phi, 2.0)
+    assert again.factorizations == 1 + again.lambda_refreshes
+    assert again.identity_residual <= 1e-8
+
+
+def test_each_solve_logs_one_debug_line(unit_square_17, caplog):
+    op = ep.assemble(unit_square_17)
+    with caplog.at_level(logging.DEBUG, logger="ellipot.solver"):
+        _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
+    lines = [r.getMessage() for r in caplog.records if r.name == "ellipot.solver"]
+    assert len(lines) == 1
+    assert f"after {rep.iterations} iterations" in lines[0]
+    assert f"{rep.factorizations} factorizations (fill {rep.factor_nnz})" in lines[0]
