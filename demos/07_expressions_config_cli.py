@@ -12,8 +12,10 @@ demos/output/.
 """
 
 import json
+import os
 import pathlib
 import subprocess
+import sys
 
 import numpy as np
 
@@ -53,6 +55,25 @@ print(f"compiled    : p(0) = {decay(pts)[0]:.4f}, "
 # ---------------------------------------------------------------
 outdir = pathlib.Path(__file__).parent / "output" / "cli_solve"
 outdir.mkdir(parents=True, exist_ok=True)
+
+# The command line is `python -m ellipot.cli`, run from the output folder
+# so that the manifest records the config by its relative name; the
+# package this script imported is put on PYTHONPATH, so no install is
+# needed.
+package_root = str(pathlib.Path(ep.__file__).resolve().parent.parent)
+env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
+def ellipot(*args, expect=0):
+    proc = subprocess.run([sys.executable, "-m", "ellipot.cli", *args],
+                          cwd=outdir, env=env, capture_output=True, text=True)
+    if proc.returncode != expect:
+        sys.exit(f"ellipot {args[0]} exited {proc.returncode}, "
+                 f"expected {expect}:\n{proc.stderr}")
+    return proc
+
+
 cfg = outdir / "run.cfg"
 cfg.write_text("""\
 [geometry]
@@ -70,11 +91,8 @@ boundary = 1.0
 seed = 7
 """)
 
-proc = subprocess.run(
-    ["ellipot", "solve", "--config", str(cfg), "--out", str(outdir)],
-    capture_output=True, text=True)
-print(f"\n$ ellipot solve --config run.cfg --out {outdir.name}/"
-      f"   (exit {proc.returncode})")
+proc = ellipot("solve", "--config", "run.cfg", "--out", ".")
+print(f"\n$ ellipot solve --config run.cfg --out .   (exit {proc.returncode})")
 
 report = json.loads((outdir / "report.json").read_text())
 print(f"report      : converged={report['converged']}, "
@@ -97,9 +115,6 @@ for art in manifest["artifacts"]:
 # ---------------------------------------------------------------
 bad = outdir / "bad.cfg"
 bad.write_text(cfg.read_text().replace("gamma = 0.5", "gamma = 3.0"))
-for name in ("run.cfg", "bad.cfg"):
-    proc = subprocess.run(
-        ["ellipot", "checks", "--config", str(outdir / name),
-         "--out", str(outdir)],
-        capture_output=True, text=True)
+for name, expect in (("run.cfg", 0), ("bad.cfg", 2)):
+    proc = ellipot("checks", "--config", name, "--out", ".", expect=expect)
     print(f"checks on {name}: exit {proc.returncode}")

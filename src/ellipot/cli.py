@@ -665,10 +665,10 @@ def main(argv=None):
     )
     try:
         cfg = RunConfig.from_file(args.config)
+        # a label recorded in the manifest; nothing in the package is random
         seed = args.seed
         if seed is None:
             seed = cfg.get("experiment", "seed", default=DEFAULT_SEED, kind="int")
-        np.random.seed(seed)
         outdir = args.out or cfg.get("output", "dir", default="out", kind="str")
         emit = Emitter(outdir)
         code = _COMMANDS[args.command](cfg, emit)

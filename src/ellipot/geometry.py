@@ -120,6 +120,32 @@ def build_grid(dim, shape, bounds):
     return Grid(dim, shape, bounds)
 
 
+def values_at(data, points):
+    """Evaluate a constant, an array or a callable at points, shape (n,).
+
+    A constant is repeated at every point.  An array must hold exactly one
+    value per point (``ValueError`` otherwise).  A callable is called once
+    on the whole (n, dim) array; only when that raises ``TypeError`` or
+    ``ValueError``, or returns a shape other than (n,), is it called again
+    point by point, one (dim,) coordinate vector at a time.
+    """
+    n = len(points)
+    if callable(data):
+        try:
+            out = np.asarray(data(points), dtype=float)
+            if out.shape == (n,):
+                return out
+        except (TypeError, ValueError):
+            pass
+        return np.fromiter((float(data(q)) for q in points), dtype=float, count=n)
+    arr = np.atleast_1d(np.asarray(data, dtype=float))
+    if arr.size == 1:
+        return np.full(n, float(arr[0]))
+    if arr.size != n:
+        raise ValueError(f"data has {arr.size} values for {n} points")
+    return arr.astype(float).reshape(n)
+
+
 def _shifted(flags, axis, step):
     """Boolean array shifted by one lattice step; out-of-grid reads False."""
     out = np.zeros_like(flags)
@@ -250,14 +276,7 @@ def mask_from_predicate(grid, inside):
     neighbor (points on the grid edge are never interior); boundary points
     are the non-interior axis neighbors of interior points.
     """
-    pts = grid.points()
-    try:
-        raw = np.asarray(inside(pts), dtype=bool)
-        if raw.shape != (grid.size,):
-            raise TypeError
-    except (TypeError, ValueError):
-        raw = np.fromiter((bool(inside(p)) for p in pts), dtype=bool, count=grid.size)
-    inside_arr = raw.reshape(grid.shape)
+    inside_arr = (values_at(inside, grid.points()) != 0.0).reshape(grid.shape)
     interior = inside_arr & _neighbor_and(inside_arr)
     return mask_from_interior(grid, interior)
 

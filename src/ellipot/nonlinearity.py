@@ -1,12 +1,15 @@
 """Reaction terms phi(x, t), their hypotheses, and concave majorants.
 
-Every reaction here vanishes for t <= 0 by construction (the solver relies
-on that to keep iterates nonnegative).  The structural hypotheses checked
-are: nondecreasing and continuous in t on [0, inf), a linear growth bound
-phi(x, t) <= C p(x) (t + 1), and optionally concavity in t.  For reactions
-that are not concave, :func:`build_concave_majorant` produces a pointwise
-dominating reaction that is concave in t and still linearly bounded, by
-taking a minimum of affine functions built from mollified values at zero.
+Every reaction vanishes for t <= 0 (the solver relies on that to keep
+iterates nonnegative).  The rule is written once, in the private helper
+``_vanishing`` that every reaction's ``bind`` returns; calling a reaction
+is binding it to the points and evaluating once.  The structural
+hypotheses checked are: nondecreasing and continuous in t on [0, inf), a
+linear growth bound phi(x, t) <= C p(x) (t + 1), and optionally concavity
+in t.  For reactions that are not concave, :func:`build_concave_majorant`
+produces a pointwise dominating reaction that is concave in t and still
+linearly bounded, by taking a minimum of affine functions built from
+mollified values at zero.
 """
 
 from __future__ import annotations
@@ -16,31 +19,32 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MajorantError
+from .geometry import values_at
 
 
-def _p_at(p, points):
-    """Evaluate a density (constant, array, or callable) at points."""
-    if callable(p):
-        out = np.asarray(p(points), dtype=float)
-        if out.shape != (len(points),):
-            out = np.fromiter(
-                (float(p(q)) for q in points), dtype=float, count=len(points)
-            )
+def _vanishing(n, positive):
+    """t -> phi at n fixed points: ``positive(pos, t[pos])`` where t > 0,
+    zero elsewhere.  ``pos`` is the boolean selector of those points."""
+
+    def call(t):
+        tt = np.broadcast_to(np.asarray(t, dtype=float), (n,))
+        pos = tt > 0.0
+        out = np.zeros(n)
+        if pos.any():
+            out[pos] = positive(pos, tt[pos])
         return out
-    arr = np.atleast_1d(np.asarray(p, dtype=float))
-    if arr.size == 1:
-        return np.full(len(points), float(arr[0]))
-    if arr.size == len(points):
-        return arr.astype(float)
-    raise ValueError(f"density has {arr.size} values for {len(points)} points")
+
+    return call
 
 
 class Phi:
     """Base reaction term.
 
-    Subclasses implement ``raw(points, t)`` for t >= 0; the base call
-    clamps t <= 0 to zero output, which encodes the vanishing hypothesis
-    once and for all.
+    ``phi(points, t)`` is ``phi.bind(points)(t)``: ``bind`` fixes the
+    points once and returns a function of t that is zero where t <= 0.
+    Subclasses either implement ``raw(points, t)`` for t > 0, which the
+    generic ``bind`` calls on the points with positive t, or override
+    ``bind`` with their own cached data.
     """
 
     name = "phi"
@@ -49,23 +53,12 @@ class Phi:
         raise NotImplementedError
 
     def __call__(self, points, t):
-        points = np.asarray(points, dtype=float)
-        t = np.asarray(t, dtype=float)
-        tt = np.broadcast_to(t, (len(points),)).astype(float).copy()
-        pos = tt > 0.0
-        out = np.zeros(len(points))
-        if pos.any():
-            out[pos] = self.raw(points[pos], tt[pos])
-        return out
+        return self.bind(points)(t)
 
     def bind(self, points):
-        """Fast path: a function t -> phi(points, t) with cached data."""
+        """A function t -> phi(points, t), zero where t <= 0."""
         points = np.asarray(points, dtype=float)
-
-        def call(t):
-            return self(points, t)
-
-        return call
+        return _vanishing(len(points), lambda pos, t: self.raw(points[pos], t))
 
 
 class ProductPhi(Phi):
@@ -76,23 +69,10 @@ class ProductPhi(Phi):
         self.rho = rho
         self.name = name
 
-    def raw(self, points, t):
-        return _p_at(self.p, points) * self.rho(np.asarray(t, dtype=float))
-
     def bind(self, points):
-        pv = _p_at(self.p, np.asarray(points, dtype=float))
+        pv = values_at(self.p, np.asarray(points, dtype=float))
         rho = self.rho
-
-        def call(t):
-            t = np.asarray(t, dtype=float)
-            tt = np.broadcast_to(t, pv.shape).astype(float).copy()
-            pos = tt > 0.0
-            out = np.zeros(pv.shape)
-            if pos.any():
-                out[pos] = pv[pos] * rho(tt[pos])
-            return out
-
-        return call
+        return _vanishing(len(pv), lambda pos, t: pv[pos] * rho(t))
 
 
 class GenericPhi(Phi):
@@ -106,20 +86,16 @@ class GenericPhi(Phi):
         return np.asarray(self.fn(points, np.asarray(t, dtype=float)), dtype=float)
 
 
-class AffinePhi(Phi):
+class AffinePhi(ProductPhi):
     """p(x) * (slope * t + offset) for t > 0, zero otherwise."""
 
     def __init__(self, p, slope=1.0, offset=0.0, name="affine"):
-        self.p = p
         self.slope = float(slope)
         self.offset = float(offset)
-        self.name = name
-
-    def raw(self, points, t):
-        return _p_at(self.p, points) * (self.slope * t + self.offset)
+        super().__init__(p, lambda t: self.slope * t + self.offset, name)
 
 
-class TabulatedPhi(Phi):
+class TabulatedPhi(ProductPhi):
     """p(x) * rho(t) with rho given by a piecewise-linear table.
 
     Beyond the last node the profile continues with the final value
@@ -138,12 +114,7 @@ class TabulatedPhi(Phi):
             values = np.maximum.accumulate(values)
         self.t_nodes = t_nodes
         self.values = values
-        self.p = p
-        self.name = name
-
-    def raw(self, points, t):
-        rho = np.interp(t, self.t_nodes, self.values)
-        return _p_at(self.p, points) * rho
+        super().__init__(p, lambda t: np.interp(t, self.t_nodes, self.values), name)
 
 
 def power_phi(p, gamma, name=None):
@@ -224,12 +195,12 @@ def mollified_at_zero(phi, points, delta, mollifier=None):
     """
     if mollifier is None:
         mollifier = Mollifier()
-    points = np.asarray(points, dtype=float)
+    bound = phi.bind(points)
     s = mollifier.nodes01
     w = mollifier.weights01 * mollifier(s)
     acc = np.zeros(len(points))
     for sq, wq in zip(s, w):
-        acc += wq * phi(points, float(delta) * sq)
+        acc += wq * bound(float(delta) * sq)
     return acc
 
 
@@ -277,34 +248,14 @@ class MajorantPhi(Phi):
         tab = self.psi_table
         return tab[rows, i0] * (1.0 - wgt) + tab[rows, i0 + 1] * wgt
 
-    def psi_at(self, points, t):
-        rows = self._rows_for(np.asarray(points, dtype=float))
-        t = np.broadcast_to(np.asarray(t, dtype=float), rows.shape).astype(float)
-        return self.psi_at_rows(rows, t)
-
-    def raw(self, points, t):
-        rows = self._rows_for(points)
-        t = np.asarray(t, dtype=float)
-        tcap = np.minimum(t, self._t_cap)
-        return 2.0 * self.p_values[rows] * t + self.psi_at_rows(rows, tcap)
-
     def bind(self, points):
         rows = self._rows_for(np.asarray(points, dtype=float))
         pv = self.p_values[rows]
-
-        def call(t):
-            t = np.asarray(t, dtype=float)
-            tt = np.broadcast_to(t, pv.shape).astype(float).copy()
-            out = np.zeros(pv.shape)
-            pos = tt > 0.0
-            if pos.any():
-                tcap = np.minimum(tt[pos], self._t_cap)
-                out[pos] = 2.0 * pv[pos] * tt[pos] + self.psi_at_rows(
-                    rows[pos], tcap
-                )
-            return out
-
-        return call
+        return _vanishing(
+            len(rows),
+            lambda pos, t: 2.0 * pv[pos] * t
+            + self.psi_at_rows(rows[pos], np.minimum(t, self._t_cap)),
+        )
 
     def concavity_defect(self):
         """min over points and interior t-nodes of 2 psi_j - psi_{j-1} - psi_{j+1}.
@@ -388,7 +339,7 @@ def build_concave_majorant(
     active = np.concatenate([mask.interior_flat, mask.boundary_flat])
     active.sort()
     points = mask.grid.points()[active]
-    pv = _p_at(p, points)
+    pv = values_at(p, points)
     if np.any(pv < 0):
         raise MajorantError("density p must be nonnegative")
 
@@ -420,10 +371,11 @@ def domination_defect(phi, majorant, points, t_values=None):
     """
     if t_values is None:
         t_values = majorant.t_grid
-    points = np.asarray(points, dtype=float)
+    upper = majorant.bind(points)
+    lower = phi.bind(points)
     worst = np.inf
     for t in np.asarray(t_values, dtype=float):
-        gap = majorant(points, t) - phi(points, t)
+        gap = upper(t) - lower(t)
         worst = min(worst, float(gap.min()))
     return worst
 
@@ -469,15 +421,16 @@ def check_hypotheses(phi, p, points, t_grid=None, bound_cap=1e6):
         t_grid = np.linspace(0.0, 2.0, 257)
     t_grid = np.asarray(t_grid, dtype=float)
     points = np.asarray(points, dtype=float)
-    pv = _p_at(p, points)
+    pv = values_at(p, points)
+    bound = phi.bind(points)
     messages = []
 
-    neg = [phi(points, t) for t in (-1.0, -1e-6, 0.0)]
+    neg = [bound(t) for t in (-1.0, -1e-6, 0.0)]
     vanishes = all(float(np.max(np.abs(v))) == 0.0 for v in neg)
     if not vanishes:
         messages.append("nonzero values at t <= 0")
 
-    table = np.stack([phi(points, t) for t in t_grid], axis=1)
+    table = np.stack([bound(t) for t in t_grid], axis=1)
     steps = np.diff(table, axis=1)
     min_step = float(steps.min()) if steps.size else 0.0
     scale = max(1.0, float(np.abs(table).max()))

@@ -18,7 +18,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .errors import EllipticityError, StencilError
-from .geometry import BOUNDARY, INTERIOR
+from .geometry import BOUNDARY, INTERIOR, values_at
 
 # Lattice matrices are structurally symmetric, so SuperLU's minimum-degree
 # ordering on the pattern of A^T + A keeps far less fill than its default
@@ -49,7 +49,8 @@ class CoefficientSet:
     b : None, (d,) array, or callable, optional
         Drift vector; a callable returns (n, d).
     c : None, scalar, or callable, optional
-        Zeroth-order coefficient, required <= 0; a callable returns (n,).
+        Zeroth-order coefficient, required <= 0; evaluated by
+        :func:`~ellipot.geometry.values_at`.
     """
 
     def __init__(self, a=1.0, b=None, c=None):
@@ -107,16 +108,9 @@ class CoefficientSet:
 
     def c_at(self, points):
         """Zeroth-order coefficient at points, shape (n,); zeros when absent."""
-        n = len(points)
-        c = self.c
-        if c is None:
-            return np.zeros(n)
-        if callable(c):
-            c = np.asarray(c(points), dtype=float)
-            if c.shape != (n,):
-                raise ValueError(f"coefficient c callable returned shape {c.shape}")
-            return c
-        return np.full(n, float(c))
+        if self.c is None:
+            return np.zeros(len(points))
+        return values_at(self.c, points)
 
 
 def laplacian_coefficients():

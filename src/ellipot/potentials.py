@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 from scipy.spatial import cKDTree
 
 from .errors import LinearSolveError, MaskError
-from .geometry import BOUNDARY, EXTERIOR, INTERIOR, DomainMask, Grid
+from .geometry import BOUNDARY, EXTERIOR, INTERIOR, DomainMask, Grid, values_at
 
 # cell averages of the Kato kernels over one lattice cell, used for the
 # self term of the singular sums:
@@ -61,7 +61,7 @@ class Field:
     def from_function(cls, mask, fn):
         vals = np.full(mask.grid.size, np.nan)
         active = np.concatenate([mask.interior_flat, mask.boundary_flat])
-        vals[active] = _evaluate_pointwise(fn, mask.grid.points()[active])
+        vals[active] = values_at(fn, mask.grid.points()[active])
         return cls(mask, vals)
 
     @classmethod
@@ -137,52 +137,22 @@ def _vals(other, like):
     return float(other)
 
 
-def _evaluate_pointwise(fn, pts):
-    if np.isscalar(fn) or isinstance(fn, (int, float)):
-        return np.full(len(pts), float(fn))
-    try:
-        out = np.asarray(fn(pts), dtype=float)
-        if out.shape != (len(pts),):
-            raise TypeError
-        return out
-    except (TypeError, ValueError):
-        return np.fromiter((float(fn(p)) for p in pts), dtype=float, count=len(pts))
-
-
 def boundary_values(mask, f):
     """Dirichlet data as a vector over boundary points.
 
-    ``f`` may be a constant, an array of length n_boundary, or a callable
-    on points.
+    ``f`` may be a :class:`Field`, or anything :func:`values_at` takes: a
+    constant, an array of length n_boundary, or a callable on points.
     """
     if isinstance(f, Field):
         return f.boundary()
-    if callable(f):
-        return _evaluate_pointwise(f, mask.boundary_points())
-    arr = np.atleast_1d(np.asarray(f, dtype=float))
-    if arr.size == 1:
-        return np.full(mask.n_boundary, float(arr[0]))
-    if arr.size != mask.n_boundary:
-        raise ValueError(
-            f"boundary data has {arr.size} values, expected {mask.n_boundary}"
-        )
-    return arr.astype(float)
+    return values_at(f, mask.boundary_points())
 
 
 def interior_values(mask, g):
     """Source data as a vector over interior points (same conventions)."""
     if isinstance(g, Field):
         return g.interior()
-    if callable(g):
-        return _evaluate_pointwise(g, mask.interior_points())
-    arr = np.atleast_1d(np.asarray(g, dtype=float))
-    if arr.size == 1:
-        return np.full(mask.n_interior, float(arr[0]))
-    if arr.size != mask.n_interior:
-        raise ValueError(
-            f"source data has {arr.size} values, expected {mask.n_interior}"
-        )
-    return arr.astype(float)
+    return values_at(g, mask.interior_points())
 
 
 @dataclass
@@ -316,9 +286,11 @@ def kato_norm_estimate(mask, p, alpha, max_centers=4096):
 
     Sums  h^d * p(y) * k(x - y)  over active points y within distance
     alpha of x, where k is 1/|z| in dimension 3 and log(alpha/|z|) in
-    dimension 2; the y = x term uses the cell average of the kernel.  The
-    supremum is taken over interior centers (an evenly strided subset when
-    the interior is larger than ``max_centers``).  A density is locally of
+    dimension 2; the y = x term uses the cell average of the kernel.  ``p``
+    is a constant, a callable on points, or an array with one value per
+    active point, interior points first.  The supremum is taken over
+    interior centers (an evenly strided subset when the interior is larger
+    than ``max_centers``).  A density is locally of
     Kato class exactly when this quantity vanishes as alpha -> 0, which
     :func:`kato_limit_scan` probes.
     """
@@ -335,7 +307,7 @@ def kato_norm_estimate(mask, p, alpha, max_centers=4096):
 
     active = np.concatenate([mask.interior_flat, mask.boundary_flat])
     pts = grid.points()[active]
-    pvals = np.abs(_evaluate_pointwise(p, pts))
+    pvals = np.abs(values_at(p, pts))
     tree = cKDTree(pts)
 
     centers_flat = mask.interior_flat

@@ -11,6 +11,14 @@ import oracles
 PTS2 = np.array([[0.0, 0.0], [0.5, 0.0], [0.3, 0.4], [1.0, 1.0]])
 
 
+def _small_majorant(p=1.0):
+    """Majorant of p * t^(1/2) tabulated on a lattice holding PTS2."""
+    mask = ep.box_mask(ep.build_grid(2, 11, (0.0, 1.0)))
+    return ep.build_concave_majorant(
+        ep.power_phi(p, 0.5), p, mask, deltas=[1.0, 0.5, 0.25]
+    )
+
+
 def test_reactions_vanish_for_nonpositive_t():
     reactions = [
         ep.power_phi(1.0, 0.5),
@@ -18,6 +26,8 @@ def test_reactions_vanish_for_nonpositive_t():
         ep.capped_linear_phi(1.0, 0.7),
         ep.AffinePhi(1.0, 2.0, 0.5),
         ep.GenericPhi(lambda pts, t: np.exp(t) - 1.0),
+        ep.TabulatedPhi([0.0, 1.0, 2.0], [0.5, 1.0, 1.5]),
+        _small_majorant(),
     ]
     for phi in reactions:
         out = phi(PTS2, np.array([-2.0, -1e-12, 0.0, -5.0]))
@@ -39,11 +49,23 @@ def test_product_phi_with_spatial_density():
 
 def test_bind_fast_path_matches_call(rng):
     p = lambda pts: 1.0 / (1.0 + np.sum(pts**2, axis=1))
-    phi = ep.power_phi(p, 0.5)
-    bound = phi.bind(PTS2)
-    for _ in range(5):
-        t = rng.uniform(-1.0, 3.0, size=len(PTS2))
-        npt.assert_array_equal(bound(t), phi(PTS2, t))
+    reactions = [
+        ep.power_phi(p, 0.5),
+        ep.TabulatedPhi([0.0, 1.0, 2.0], [0.0, 1.0, 1.5], p=p),
+        _small_majorant(p),
+    ]
+    for phi in reactions:
+        bound = phi.bind(PTS2)
+        for _ in range(5):
+            t = rng.uniform(-1.0, 3.0, size=len(PTS2))
+            npt.assert_array_equal(bound(t), phi(PTS2, t))
+
+
+def test_scalar_only_density_matches_vectorized():
+    scalar = ep.power_phi(lambda x: float(x[0] ** 2 + 1), 0.5)
+    vector = ep.power_phi(lambda x: x[:, 0] ** 2 + 1, 0.5)
+    t = np.array([0.5, 2.0, -1.0, 4.0])
+    npt.assert_array_equal(scalar(PTS2, t), vector(PTS2, t))
 
 
 def test_tabulated_phi_interpolates_and_extends():

@@ -195,6 +195,34 @@ def test_kato_scan_flags_supercritical_singularity():
     assert vals[1] / vals[0] > 0.8
 
 
+def test_kato_estimate_takes_every_density_form():
+    # an array density has one value per active point, interior then
+    # boundary, as Field.active() lists them
+    mask = ep.box_mask(ep.build_grid(3, 9, (-0.5, 0.5)))
+    n_active = mask.n_interior + mask.n_boundary
+    alpha = 0.25
+    const = ep.kato_norm_estimate(mask, 2.0, alpha).value
+    assert ep.kato_norm_estimate(mask, np.full(n_active, 2.0), alpha).value == const
+    assert ep.kato_norm_estimate(
+        mask, lambda pts: np.full(len(pts), 2.0), alpha
+    ).value == const
+
+    bowl = lambda pts: 1.0 / (1.0 + np.sum(pts**2, axis=1))
+    vectorized = ep.kato_norm_estimate(mask, bowl, alpha).value
+    values = ep.Field.from_function(mask, bowl).active()
+    assert ep.kato_norm_estimate(mask, values, alpha).value == vectorized
+
+
+def test_wrong_length_data_is_rejected(unit_square_17):
+    mask = unit_square_17
+    with pytest.raises(ValueError, match="values for"):
+        ep.boundary_values(mask, np.ones(mask.n_boundary + 1))
+    with pytest.raises(ValueError, match="values for"):
+        ep.interior_values(mask, np.ones(mask.n_interior - 1))
+    with pytest.raises(ValueError, match="values for"):
+        ep.power_phi(np.ones(mask.n_interior + 1), 0.5).bind(mask.interior_points())
+
+
 # ------------------------------------------------------------ persistence
 
 def test_field_csv_round_trip(tmp_path, disc_mask, rng):
