@@ -313,8 +313,9 @@ def build_concave_majorant(
     holds, satisfies the same hypothesis with a universal constant, and is
     concave in t, which is what the dichotomy machinery needs.
 
-    Tables are built on the active (interior plus boundary) points of
-    ``mask``, so the majorant can be evaluated on any subdomain.
+    Tables are built on the active points of ``mask``, so the majorant can
+    be evaluated on any subdomain; an array ``p`` lists them interior
+    points first, as :meth:`Field.active` does.
     """
     if t_grid is None:
         t_grid = np.linspace(0.0, 2.0, 257)
@@ -337,9 +338,10 @@ def build_concave_majorant(
         mollifier = Mollifier()
 
     active = np.concatenate([mask.interior_flat, mask.boundary_flat])
-    active.sort()
+    pv = values_at(p, mask.grid.points()[active])
+    order = np.argsort(active)
+    active, pv = active[order], pv[order]
     points = mask.grid.points()[active]
-    pv = values_at(p, points)
     if np.any(pv < 0):
         raise MajorantError("density p must be nonnegative")
 

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.spatial import cKDTree
 
 from .errors import LinearSolveError, MaskError
 from .geometry import BOUNDARY, EXTERIOR, INTERIOR, DomainMask, Grid, values_at
@@ -281,18 +281,19 @@ class KatoEstimate:
     argmax_point: np.ndarray
 
 
-def kato_norm_estimate(mask, p, alpha, max_centers=4096):
+def kato_norm_estimate(mask, p, alpha):
     """Lattice estimate of the Kato modulus of a density at radius alpha.
 
-    Sums  h^d * p(y) * k(x - y)  over active points y within distance
+    Sums  h^d * |p(y)| * k(x - y)  over active points y within distance
     alpha of x, where k is 1/|z| in dimension 3 and log(alpha/|z|) in
-    dimension 2; the y = x term uses the cell average of the kernel.  ``p``
-    is a constant, a callable on points, or an array with one value per
-    active point, interior points first.  The supremum is taken over
-    interior centers (an evenly strided subset when the interior is larger
-    than ``max_centers``).  A density is locally of
-    Kato class exactly when this quantity vanishes as alpha -> 0, which
-    :func:`kato_limit_scan` probes.
+    dimension 2, clipped at 0; the y = x term uses the cell average of the
+    kernel.  ``p`` is a constant, a callable on points, or an array with
+    one value per active point, interior points first.  On the uniform
+    lattice the sums at all centers are one discrete convolution of the
+    weighted density (zero at exterior points) with the truncated kernel,
+    computed by FFT; the supremum is taken over every interior center.  A
+    density is locally of Kato class exactly when this quantity vanishes as
+    alpha -> 0, which :func:`kato_limit_scan` probes.
     """
     grid = mask.grid
     d = grid.dim
@@ -301,53 +302,49 @@ def kato_norm_estimate(mask, p, alpha, max_centers=4096):
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     h = grid.spacing
-    vol = grid.cell_volume()
     hbar = float(np.mean(h))
-    hmin = float(np.min(h))
 
     active = np.concatenate([mask.interior_flat, mask.boundary_flat])
-    pts = grid.points()[active]
-    pvals = np.abs(values_at(p, pts))
-    tree = cKDTree(pts)
+    density = np.zeros(grid.shape)
+    density.flat[active] = grid.cell_volume() * np.abs(
+        values_at(p, grid.points()[active])
+    )
 
-    centers_flat = mask.interior_flat
-    if centers_flat.size > max_centers:
-        stride = int(np.ceil(centers_flat.size / max_centers))
-        centers_flat = centers_flat[::stride]
-    centers = grid.points()[centers_flat]
+    # truncated kernel on the offsets |i_k| <= m_k; no two grid points are
+    # more than n_k - 1 steps apart along axis k
+    radius = alpha * (1.0 + 1e-12)
+    m = [min(int(radius / hk), n - 1) for hk, n in zip(h, grid.shape)]
+    axes = [hk * np.arange(-mk, mk + 1) for hk, mk in zip(h, m)]
+    r = np.sqrt(sum(z * z for z in np.ix_(*axes)))
+    with np.errstate(divide="ignore"):
+        k = 1.0 / r if d == 3 else np.log(alpha / r)
+    k[tuple(m)] = (
+        _CELL_AVG_INV / hbar if d == 3 else math.log(alpha / hbar) + _CELL_AVG_LOG
+    )
+    k[(r > radius) | (k < 0.0)] = 0.0
 
-    best = -np.inf
-    best_pt = centers[0]
-    neighbor_lists = tree.query_ball_point(centers, alpha + 1e-12 * alpha)
-    for x, nbrs in zip(centers, neighbor_lists):
-        nbrs = np.asarray(nbrs, dtype=np.int64)
-        r = np.linalg.norm(pts[nbrs] - x, axis=1)
-        k = np.empty(len(nbrs))
-        self_mask = r < 0.49 * hmin
-        rr = r[~self_mask]
-        if d == 3:
-            k[~self_mask] = 1.0 / rr
-            k[self_mask] = _CELL_AVG_INV / hbar
-        else:
-            k[~self_mask] = np.log(alpha / rr)
-            k[self_mask] = math.log(alpha / hbar) + _CELL_AVG_LOG
-        total = vol * float(np.dot(pvals[nbrs], np.maximum(k, 0.0)))
-        if total > best:
-            best = total
-            best_pt = x
-    return KatoEstimate(best, float(alpha), len(centers), best_pt)
+    # zero-padded to at least n_k + m_k points, the circular convolution
+    # equals the linear one at every grid point, offset by m_k
+    size = [sfft.next_fast_len(n + mk, real=True) for n, mk in zip(grid.shape, m)]
+    sums = sfft.irfftn(sfft.rfftn(density, size) * sfft.rfftn(k, size), size)
+    sums = sums[tuple(slice(mk, mk + n) for mk, n in zip(m, grid.shape))]
+
+    at_centers = sums.ravel()[mask.interior_flat]
+    best = int(np.argmax(at_centers))
+    return KatoEstimate(float(at_centers[best]), float(alpha), mask.n_interior,
+                        grid.points()[mask.interior_flat[best]])
 
 
-def kato_limit_scan(mask, p, alphas, max_centers=4096):
+def kato_limit_scan(mask, p, alphas):
     """Kato estimates over a decreasing ladder of radii.
 
-    Returns (alphas, values) arrays; a vanishing tail indicates the local
-    Kato property at the resolution of the grid.
+    Each radius is one FFT convolution (:func:`kato_norm_estimate`), with
+    the supremum over every interior center.  Returns (alphas, values)
+    arrays; a vanishing tail indicates the local Kato property at the
+    resolution of the grid.
     """
     alphas = np.asarray(sorted(alphas, reverse=True), dtype=float)
-    vals = np.array(
-        [kato_norm_estimate(mask, p, a, max_centers).value for a in alphas]
-    )
+    vals = np.array([kato_norm_estimate(mask, p, a).value for a in alphas])
     return alphas, vals
 
 

@@ -150,6 +150,21 @@ def test_majorant_rejects_off_table_points(unit_square_17):
         maj(np.array([[17.0, -4.0]]), np.array([0.5]))
 
 
+def test_majorant_reads_array_density_in_field_order():
+    # an array p lists active points interior first, as Field.active() and
+    # the Kato estimate read it, not in flat-index order
+    mask = ep.box_mask(ep.build_grid(2, 5, (0.0, 1.0)))
+    p = lambda pts: 1.0 + pts[:, 0] + 2.0 * pts[:, 1]
+    phi = ep.power_phi(1.0, 0.5)
+    from_callable = ep.build_concave_majorant(phi, p, mask, deltas=[1.0, 0.5])
+    from_array = ep.build_concave_majorant(
+        phi, ep.Field.from_function(mask, p).active(), mask, deltas=[1.0, 0.5]
+    )
+    npt.assert_array_equal(from_array.table_flat, from_callable.table_flat)
+    npt.assert_array_equal(from_array.p_values, from_callable.p_values)
+    npt.assert_array_equal(from_array.psi_table, from_callable.psi_table)
+
+
 def test_majorant_beats_reaction_above_table_range(unit_square_17):
     # domination persists for t far beyond the table because the linear
     # branch grows while the capped reaction saturates

@@ -195,6 +195,60 @@ def test_kato_scan_flags_supercritical_singularity():
     assert vals[1] / vals[0] > 0.8
 
 
+def _kato_oracle_cases():
+    aniso = ep.box_mask(
+        ep.build_grid(3, (15, 13, 11), [(-0.5, 0.5), (-0.3, 0.4), (0.0, 0.6)])
+    )
+    ball = ep.mask_from_predicate(
+        ep.build_grid(3, 17, (-1.0, 1.0)), lambda pts: np.sum(pts**2, axis=1) < 0.8
+    )
+    disc = ep.mask_from_predicate(
+        ep.build_grid(2, 41, (-1.0, 1.0)), lambda pts: np.sum(pts**2, axis=1) < 0.8
+    )
+    box3 = ep.box_mask(ep.build_grid(3, 11, (-1.0, 1.0)))
+    box2 = ep.box_mask(ep.build_grid(2, 21, (-1.0, 1.0)))
+    ramp = lambda pts: 1.0 + pts[:, 0] ** 2 + 0.5 * pts[:, -1]
+    # (mask, density, alpha); both boxes have h = 0.1 and diameter < 4
+    return {
+        "anisotropic-box-3d": (aniso, ramp, 0.2),
+        "ball-3d": (ball, lambda pts: np.exp(pts[:, 2]), 0.4),
+        "disc-2d": (disc, ramp, 0.3),
+        "alpha-beyond-diameter-3d": (box3, ramp, 4.0),
+        "alpha-beyond-diameter-2d": (disc, 1.0, 5.0),
+        "alpha-below-h-3d": (box3, ramp, 0.05),
+        "alpha-below-h-2d": (box2, ramp, 0.05),
+        "alpha-below-h-2d-zero": (box2, ramp, 0.03),  # log(0.3) + 1.06 < 0
+    }
+
+
+@pytest.mark.parametrize("case", list(_kato_oracle_cases()))
+def test_kato_estimate_matches_direct_sum(case):
+    mask, p, alpha = _kato_oracle_cases()[case]
+    est = ep.kato_norm_estimate(mask, p, alpha)
+    ref, _ = oracles.kato_direct_sum(mask, p, alpha)
+    assert est.n_centers == mask.n_interior
+    if ref == 0.0:
+        assert abs(est.value) <= 1e-14
+    else:
+        assert abs(est.value - ref) <= 1e-12 * ref
+
+
+def test_kato_sup_runs_over_every_interior_center():
+    # 17^3 = 4,913 interior centers; a narrow bump on the center next to the
+    # middle one makes the sum largest there, and every-other-center
+    # sampling would skip it
+    grid = ep.build_grid(3, 19, (-0.5, 0.5))
+    mask = ep.box_mask(grid)
+    peak = grid.points()[mask.interior_flat[mask.n_interior // 2 + 1]]
+    h = grid.spacing[0]
+    bump = lambda pts: np.exp(-np.sum((pts - peak) ** 2, axis=1) / (0.5 * h * h))
+    est = ep.kato_norm_estimate(mask, bump, 0.25)
+    ref, ref_point = oracles.kato_direct_sum(mask, bump, 0.25)
+    npt.assert_array_equal(ref_point, peak)
+    npt.assert_array_equal(est.argmax_point, peak)
+    assert abs(est.value - ref) <= 1e-12 * ref
+
+
 def test_kato_estimate_takes_every_density_form():
     # an array density has one value per active point, interior then
     # boundary, as Field.active() lists them
