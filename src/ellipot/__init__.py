@@ -34,10 +34,8 @@ from .geometry import (
     build_exhaustion,
     build_grid,
     interior_depth,
-    load_mask,
     mask_from_interior,
     mask_from_predicate,
-    save_mask,
 )
 from .operators import (
     AssembledOperator,
@@ -46,34 +44,27 @@ from .operators import (
     assemble,
     check_ellipticity,
     check_m_matrix,
-    laplacian_coefficients,
 )
 from .potentials import (
     Field,
-    LinearSolverParams,
     boundary_values,
     green_apply,
     green_kernel_column,
     green_row,
     harmonic_extension,
-    harmonic_minorant_report,
     interior_values,
     kato_limit_scan,
     kato_norm_estimate,
     load_field,
-    load_field_npz,
     save_field,
-    save_field_npz,
     solve_interior,
 )
 from .nonlinearity import (
     AffinePhi,
-    GenericPhi,
     MajorantPhi,
     Mollifier,
     Phi,
     ProductPhi,
-    TabulatedPhi,
     build_concave_majorant,
     capped_linear_phi,
     check_hypotheses,

@@ -18,9 +18,6 @@ EXTERIOR = 0
 INTERIOR = 1
 BOUNDARY = 2
 
-_CLASS_CHARS = {EXTERIOR: "e", INTERIOR: "i", BOUNDARY: "b"}
-_CHARS_CLASS = {v: k for k, v in _CLASS_CHARS.items()}
-
 
 class Grid:
     """Uniform tensor-product lattice on a d-dimensional box.
@@ -223,9 +220,6 @@ class DomainMask:
     def boundary_points(self):
         return self.grid.points()[self.boundary_flat]
 
-    def is_interior_flat(self, flat_index):
-        return self.classes.ravel()[flat_index] == INTERIOR
-
     def same_as(self, other):
         return self.grid == other.grid and np.array_equal(self.classes, other.classes)
 
@@ -388,46 +382,3 @@ def build_exhaustion(omega, n_levels):
         raise NestingError("constructed levels fail the nesting invariant")
     return seq
 
-
-def save_mask(mask, path):
-    """Write a mask in the line-oriented text format.
-
-    Header lines give dim, shape, and bounds; then one class character per
-    point ('i', 'b', 'e') in row-major order, one lattice row per line.
-    """
-    g = mask.grid
-    chars = np.array([_CLASS_CHARS[c] for c in mask.classes.ravel()])
-    row = g.shape[-1]
-    with open(path, "w") as fh:
-        fh.write(f"dim {g.dim}\n")
-        fh.write("shape " + " ".join(str(n) for n in g.shape) + "\n")
-        fh.write(
-            "bounds "
-            + " ".join(f"{v:.17g}" for pair in g.bounds for v in pair)
-            + "\n"
-        )
-        for start in range(0, g.size, row):
-            fh.write("".join(chars[start : start + row]) + "\n")
-
-
-def load_mask(path):
-    """Read a mask written by :func:`save_mask`."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if len(lines) < 4 or not lines[0].startswith("dim "):
-        raise MaskError(f"not a mask file: {path}")
-    dim = int(lines[0].split()[1])
-    shape = [int(t) for t in lines[1].split()[1:]]
-    bvals = [float(t) for t in lines[2].split()[1:]]
-    bounds = np.array(bvals).reshape(dim, 2)
-    grid = Grid(dim, shape, bounds)
-    body = "".join(lines[3:])
-    if len(body) != grid.size:
-        raise MaskError(
-            f"mask body has {len(body)} characters, expected {grid.size}"
-        )
-    try:
-        classes = np.array([_CHARS_CLASS[ch] for ch in body], dtype=np.int8)
-    except KeyError as exc:
-        raise MaskError(f"invalid class character {exc}")
-    return DomainMask(grid, classes.reshape(grid.shape))

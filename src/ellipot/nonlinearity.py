@@ -42,23 +42,18 @@ class Phi:
 
     ``phi(points, t)`` is ``phi.bind(points)(t)``: ``bind`` fixes the
     points once and returns a function of t that is zero where t <= 0.
-    Subclasses either implement ``raw(points, t)`` for t > 0, which the
-    generic ``bind`` calls on the points with positive t, or override
-    ``bind`` with their own cached data.
+    Subclasses implement ``bind`` with their own cached data and return
+    ``_vanishing`` so the rule for t <= 0 is written once.
     """
 
     name = "phi"
-
-    def raw(self, points, t):
-        raise NotImplementedError
 
     def __call__(self, points, t):
         return self.bind(points)(t)
 
     def bind(self, points):
         """A function t -> phi(points, t), zero where t <= 0."""
-        points = np.asarray(points, dtype=float)
-        return _vanishing(len(points), lambda pos, t: self.raw(points[pos], t))
+        raise NotImplementedError
 
 
 class ProductPhi(Phi):
@@ -75,17 +70,6 @@ class ProductPhi(Phi):
         return _vanishing(len(pv), lambda pos, t: pv[pos] * rho(t))
 
 
-class GenericPhi(Phi):
-    """Reaction from an arbitrary callable fn(points, t) (t >= 0)."""
-
-    def __init__(self, fn, name="generic"):
-        self.fn = fn
-        self.name = name
-
-    def raw(self, points, t):
-        return np.asarray(self.fn(points, np.asarray(t, dtype=float)), dtype=float)
-
-
 class AffinePhi(ProductPhi):
     """p(x) * (slope * t + offset) for t > 0, zero otherwise."""
 
@@ -93,28 +77,6 @@ class AffinePhi(ProductPhi):
         self.slope = float(slope)
         self.offset = float(offset)
         super().__init__(p, lambda t: self.slope * t + self.offset, name)
-
-
-class TabulatedPhi(ProductPhi):
-    """p(x) * rho(t) with rho given by a piecewise-linear table.
-
-    Beyond the last node the profile continues with the final value
-    (constant extension).  ``nondecreasing=True`` replaces the table by
-    its running maximum.
-    """
-
-    def __init__(self, t_nodes, values, p=1.0, nondecreasing=False, name="table"):
-        t_nodes = np.asarray(t_nodes, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if t_nodes.ndim != 1 or t_nodes.shape != values.shape:
-            raise ValueError("table nodes and values must be matching 1-d arrays")
-        if np.any(np.diff(t_nodes) <= 0):
-            raise ValueError("table nodes must be strictly increasing")
-        if nondecreasing:
-            values = np.maximum.accumulate(values)
-        self.t_nodes = t_nodes
-        self.values = values
-        super().__init__(p, lambda t: np.interp(t, self.t_nodes, self.values), name)
 
 
 def power_phi(p, gamma, name=None):

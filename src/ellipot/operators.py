@@ -113,11 +113,6 @@ class CoefficientSet:
         return values_at(self.c, points)
 
 
-def laplacian_coefficients():
-    """Coefficients of the plain Laplacian (a = I, no drift, no reaction)."""
-    return CoefficientSet(a=1.0)
-
-
 @dataclass
 class SchemeOptions:
     """Discretization choices.
@@ -368,7 +363,7 @@ def assemble(mask, coeffs=None, scheme=None, validate=True):
     mixed-derivative leg would reach an exterior point.
     """
     if coeffs is None:
-        coeffs = laplacian_coefficients()
+        coeffs = CoefficientSet()
     if scheme is None:
         scheme = SchemeOptions()
     pts = mask.interior_points()

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import LinearSolveError, MaskError
 from .geometry import BOUNDARY, EXTERIOR, INTERIOR, DomainMask, Grid, values_at
@@ -155,62 +153,19 @@ def interior_values(mask, g):
     return values_at(g, mask.interior_points())
 
 
-@dataclass
-class LinearSolverParams:
-    """How interior linear systems are solved.
-
-    method : 'direct' (sparse LU, cached on the operator), 'cg'
-        (conjugate gradients with a Jacobi preconditioner; only for a
-        symmetric -A_II, i.e. no drift and a constant diffusion matrix) or
-        'bicgstab' (with an incomplete-LU preconditioner; any operator).
-    """
-
-    method: str = "direct"
-    tol: float = 1e-12
-    maxiter: int = 2000
-
-
-def solve_interior(op, source=0.0, boundary=0.0, params=None):
+def solve_interior(op, source=0.0, boundary=0.0):
     """Solve  L u = -g  in the interior with u = f on the boundary.
 
     Returns a :class:`Field`.  ``source`` is g (so nonnegative g gives a
-    nonnegative potential on sign-safe discretizations).
+    nonnegative potential on sign-safe discretizations).  The solve uses
+    the sparse LU cached on the operator.
     """
-    if params is None:
-        params = LinearSolverParams()
     mask = op.mask
     g = interior_values(mask, source)
     f = boundary_values(mask, boundary)
     rhs = g + op.boundary_matrix @ f
     B = -op.interior_matrix
-
-    if params.method == "direct":
-        u = op.factor().solve(rhs)
-    elif params.method in ("cg", "bicgstab"):
-        if params.method == "cg":
-            # CG needs a symmetric matrix and a symmetric preconditioner;
-            # an incomplete LU is not one, the diagonal is
-            if not _is_symmetric(B):
-                raise ValueError(
-                    "cg needs a symmetric operator (no drift, constant a); "
-                    "use 'bicgstab' or 'direct'"
-                )
-            krylov, M = spla.cg, sp.diags(1.0 / B.diagonal())
-        else:
-            krylov = spla.bicgstab
-            try:
-                ilu = spla.spilu(B.tocsc(), drop_tol=1e-5, fill_factor=10)
-                M = spla.LinearOperator(B.shape, ilu.solve)
-            except RuntimeError:
-                M = None
-        u, info = krylov(B, rhs, rtol=params.tol, maxiter=params.maxiter, M=M)
-        if info != 0:
-            raise LinearSolveError(
-                f"{params.method} failed to converge (info={info})"
-            )
-    else:
-        raise ValueError(f"unknown linear solver {params.method!r}")
-
+    u = op.factor().solve(rhs)
     if not np.all(np.isfinite(u)):
         raise LinearSolveError("linear solve produced non-finite values")
     res = B @ u - rhs
@@ -222,23 +177,17 @@ def solve_interior(op, source=0.0, boundary=0.0, params=None):
     return Field.from_active(mask, u, f)
 
 
-def _is_symmetric(B):
-    scale = float(np.max(np.abs(B.data), initial=0.0))
-    asym = abs(B - B.T)
-    return float(asym.max()) <= 1e-12 * max(1.0, scale)
-
-
-def harmonic_extension(op, boundary, params=None):
+def harmonic_extension(op, boundary):
     """Solution of  L u = 0  with the given boundary data."""
-    return solve_interior(op, 0.0, boundary, params)
+    return solve_interior(op, 0.0, boundary)
 
 
-def green_apply(op, density, params=None):
+def green_apply(op, density):
     """Green operator applied to a density: solve L u = -g, u = 0."""
-    return solve_interior(op, density, 0.0, params)
+    return solve_interior(op, density, 0.0)
 
 
-def green_kernel_column(op, source_point, params=None):
+def green_kernel_column(op, source_point):
     """Discrete Green kernel G(., y) for a fixed lattice source point y.
 
     Normalized by the cell volume so lattice sums against it approximate
@@ -251,7 +200,7 @@ def green_kernel_column(op, source_point, params=None):
         raise ValueError("source point must be an interior lattice point")
     g = np.zeros(mask.n_interior)
     g[where[0]] = 1.0 / mask.grid.cell_volume()
-    return green_apply(op, g, params)
+    return green_apply(op, g)
 
 
 def green_row(op, eval_point):
@@ -348,75 +297,6 @@ def kato_limit_scan(mask, p, alphas):
     return alphas, vals
 
 
-@dataclass
-class MinorantLevel:
-    level: int
-    boundary_sup: float
-    extension_sup: float
-    value_at_ref: float
-
-
-@dataclass
-class MinorantReport:
-    """Greatest-harmonic-minorant probe of a nonnegative superharmonic field.
-
-    For each exhaustion level the field's trace on the level boundary is
-    extended harmonically inside; the reference values decrease along the
-    levels and their limit estimates the greatest harmonic minorant at the
-    reference point.  Values collapsing toward zero certify potential-like
-    behaviour.
-    """
-
-    levels: list
-    ref_point: np.ndarray
-    decreasing: bool
-    final_value: float
-    initial_value: float
-
-    @property
-    def is_potential_like(self):
-        base = max(abs(self.initial_value), 1e-300)
-        return self.decreasing and self.final_value <= 0.05 * base + 1e-12
-
-
-def harmonic_minorant_report(assemble_fn, exhaustion, field, ref_point=None):
-    """Probe whether ``field`` behaves like a potential on an exhaustion.
-
-    ``assemble_fn`` maps a mask to an assembled operator (so the caller
-    fixes coefficients and scheme).  ``field`` lives on the ambient mask of
-    the exhaustion.
-    """
-    if ref_point is None:
-        # deepest interior point of the first level
-        lead = exhaustion.levels[0]
-        ref_point = lead.interior_points()[lead.n_interior // 2]
-    ref_point = np.asarray(ref_point, dtype=float)
-
-    rows = []
-    prev = None
-    decreasing = True
-    for i, level in enumerate(exhaustion.levels):
-        op = assemble_fn(level)
-        trace = field.values.ravel()[level.boundary_flat]
-        ext = harmonic_extension(op, trace)
-        val = ext.at(ref_point)
-        if prev is not None and val > prev + 1e-10 * max(1.0, abs(prev)):
-            decreasing = False
-        prev = val
-        rows.append(
-            MinorantLevel(
-                i + 1,
-                float(np.max(trace)) if trace.size else 0.0,
-                ext.sup_active(),
-                val,
-            )
-        )
-    # levels grow outward, so the harmonic majorization weakens monotonely;
-    # read the ladder from the outermost level inward
-    vals = [r.value_at_ref for r in rows]
-    return MinorantReport(rows, ref_point, decreasing, vals[-1], vals[0])
-
-
 # -- serialization ----------------------------------------------------
 
 def save_field(field, path):
@@ -493,22 +373,3 @@ def load_field(path):
     mask = DomainMask(grid, classes.reshape(grid.shape))
     return Field(mask, vals)
 
-
-def save_field_npz(field, path):
-    """Binary twin of :func:`save_field` (exact round trip)."""
-    g = field.mask.grid
-    np.savez_compressed(
-        path,
-        dim=g.dim,
-        shape=np.array(g.shape),
-        bounds=np.array(g.bounds),
-        classes=field.mask.classes,
-        values=field.values,
-    )
-
-
-def load_field_npz(path):
-    with np.load(path) as data:
-        grid = Grid(int(data["dim"]), data["shape"], data["bounds"])
-        mask = DomainMask(grid, data["classes"])
-        return Field(mask, data["values"])

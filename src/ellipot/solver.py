@@ -224,9 +224,11 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
             # convergence still shows clear decay over the window and
             # keeps iterating
             converged = True
+            # the stagnation text stays first: reports are classified by it
             message = (
                 "increment stagnated at "
                 f"{inc:.3e}; values below the slope floor are unresolved"
+                + (f"; {message}" if message else "")
             )
             break
         if k % params.refresh_every == 0:

@@ -293,7 +293,7 @@ class TestCliExitCodes:
         assert checks["failures"]
 
     def test_numeric_failure(self, tmp_path):
-        text = SOLVE_CFG + "\n[solver]\ntol = 1e-14\nmax_iterations = 1\nstagnation_tol = 0\n"
+        text = SOLVE_CFG + "\n[solver]\ntol = 1e-14\nmax_iterations = 1\n"
         cfg = _write(tmp_path, text)
         assert main(["solve", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 3

@@ -1,10 +1,6 @@
-import os
-import tempfile
-
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import ellipot as ep
 from ellipot.errors import MaskError, NestingError
@@ -120,34 +116,3 @@ def test_exhaustion_union_property(disc_mask):
     target = np.zeros_like(union)
     target[disc_mask.interior_flat] = True
     npt.assert_array_equal(union, target)
-
-
-def test_mask_save_load_round_trip(tmp_path, disc_mask):
-    path = tmp_path / "disc.mask"
-    ep.save_mask(disc_mask, path)
-    back = ep.load_mask(path)
-    assert back.grid == disc_mask.grid
-    npt.assert_array_equal(back.classes, disc_mask.classes)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    n=st.integers(min_value=7, max_value=15),
-    cx=st.floats(min_value=-0.3, max_value=0.3),
-    cy=st.floats(min_value=-0.3, max_value=0.3),
-    r2=st.floats(min_value=0.2, max_value=0.45),
-)
-def test_random_disc_masks_round_trip(n, cx, cy, r2):
-    grid = ep.build_grid(2, n, (-1.0, 1.0))
-    try:
-        mask = ep.mask_from_predicate(
-            grid, lambda pts: (pts[:, 0] - cx) ** 2 + (pts[:, 1] - cy) ** 2 < r2
-        )
-    except MaskError:
-        return  # degenerate blob on a coarse lattice; nothing to check
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "m.mask")
-        ep.save_mask(mask, path)
-        back = ep.load_mask(path)
-    npt.assert_array_equal(back.classes, mask.classes)
-    npt.assert_allclose(back.grid.bounds, mask.grid.bounds)

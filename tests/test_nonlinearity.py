@@ -19,14 +19,19 @@ def _small_majorant(p=1.0):
     )
 
 
+def _table(values):
+    """Piecewise-linear rho through (0, 1, 2) -> values, flat beyond."""
+    return lambda t: np.interp(t, [0.0, 1.0, 2.0], values)
+
+
 def test_reactions_vanish_for_nonpositive_t():
     reactions = [
         ep.power_phi(1.0, 0.5),
         ep.power_phi(2.0, 3.0),
         ep.capped_linear_phi(1.0, 0.7),
         ep.AffinePhi(1.0, 2.0, 0.5),
-        ep.GenericPhi(lambda pts, t: np.exp(t) - 1.0),
-        ep.TabulatedPhi([0.0, 1.0, 2.0], [0.5, 1.0, 1.5]),
+        ep.ProductPhi(1.0, lambda t: np.exp(t) + 0.5),
+        ep.ProductPhi(1.0, _table([0.5, 1.0, 1.5])),
         _small_majorant(),
     ]
     for phi in reactions:
@@ -51,7 +56,7 @@ def test_bind_fast_path_matches_call(rng):
     p = lambda pts: 1.0 / (1.0 + np.sum(pts**2, axis=1))
     reactions = [
         ep.power_phi(p, 0.5),
-        ep.TabulatedPhi([0.0, 1.0, 2.0], [0.0, 1.0, 1.5], p=p),
+        ep.ProductPhi(p, _table([0.0, 1.0, 1.5])),
         _small_majorant(p),
     ]
     for phi in reactions:
@@ -66,18 +71,6 @@ def test_scalar_only_density_matches_vectorized():
     vector = ep.power_phi(lambda x: x[:, 0] ** 2 + 1, 0.5)
     t = np.array([0.5, 2.0, -1.0, 4.0])
     npt.assert_array_equal(scalar(PTS2, t), vector(PTS2, t))
-
-
-def test_tabulated_phi_interpolates_and_extends():
-    phi = ep.TabulatedPhi([0.0, 1.0, 2.0], [0.0, 1.0, 1.5])
-    out = phi(PTS2, np.array([0.5, 1.5, 3.0, -1.0]))
-    npt.assert_allclose(out, [0.5, 1.25, 1.5, 0.0])
-
-
-def test_tabulated_phi_monotone_repair():
-    phi = ep.TabulatedPhi([0.0, 1.0, 2.0], [0.0, 1.0, 0.5], nondecreasing=True)
-    out = phi(PTS2, np.array([2.0, 1.0, 1.5, 0.0]))
-    npt.assert_allclose(out, [1.0, 1.0, 1.0, 0.0])
 
 
 # ----------------------------------------------------------- mollifier
@@ -199,7 +192,7 @@ def test_check_hypotheses_supercritical_power():
 
 
 def test_check_hypotheses_flags_decreasing_reaction():
-    phi = ep.TabulatedPhi([0.0, 1.0, 2.0], [0.0, 1.0, 0.2])
+    phi = ep.ProductPhi(1.0, _table([0.0, 1.0, 0.2]))
     rep = ep.check_hypotheses(phi, 1.0, PTS2)
     assert not rep.nondecreasing
     assert rep.min_step < 0

@@ -101,44 +101,6 @@ def test_green_row_matches_green_apply(rng, unit_square_17):
     assert got == pytest.approx(expected, rel=1e-10)
 
 
-def test_solve_interior_iterative_matches_direct(unit_square_17):
-    # the 65^2 square and the 17^3 cube are where CG with an incomplete-LU
-    # preconditioner (not symmetric) used to break down
-    masks = [
-        unit_square_17,
-        ep.box_mask(ep.build_grid(2, 65, (0.0, 1.0))),
-        ep.box_mask(ep.build_grid(3, 17, (0.0, 1.0))),
-    ]
-    for mask in masks:
-        op = ep.assemble(mask)
-        src = np.ones(mask.n_interior)
-        direct = ep.solve_interior(op, src, 0.0)
-        for method in ("cg", "bicgstab"):
-            it = ep.solve_interior(
-                op, src, 0.0, ep.LinearSolverParams(method=method, tol=1e-12)
-            )
-            npt.assert_allclose(it.interior(), direct.interior(), atol=1e-8)
-
-
-@pytest.mark.parametrize(
-    "coeffs",
-    [
-        ep.CoefficientSet(b=np.array([0.4, -0.2])),
-        ep.CoefficientSet(a=lambda pts: 1.0 + pts[:, 0]),
-    ],
-    ids=["drift", "variable-a"],
-)
-def test_cg_rejects_nonsymmetric_operators(unit_square_17, coeffs):
-    op = ep.assemble(unit_square_17, coeffs)
-    with pytest.raises(ValueError, match="symmetric"):
-        ep.solve_interior(op, 1.0, 0.0, ep.LinearSolverParams(method="cg"))
-    direct = ep.solve_interior(op, 1.0, 0.0)
-    it = ep.solve_interior(
-        op, 1.0, 0.0, ep.LinearSolverParams(method="bicgstab", tol=1e-12)
-    )
-    npt.assert_allclose(it.interior(), direct.interior(), atol=1e-8)
-
-
 # ------------------------------------------------------------ Kato kernel
 
 def test_pinned_cell_average_constants():
@@ -301,45 +263,3 @@ def test_field_csv_column_layout(tmp_path, unit_square_17):
     header = next(l for l in lines if not l.startswith("#"))
     assert header.split(",")[:2] == ["x1", "x2"]
     assert header.split(",")[-1] == "value"
-
-
-def test_field_npz_round_trip(tmp_path, disc_mask, rng):
-    f = ep.Field.from_active(
-        disc_mask,
-        rng.normal(size=disc_mask.n_interior),
-        rng.normal(size=disc_mask.n_boundary),
-    )
-    path = tmp_path / "f.npz"
-    ep.save_field_npz(f, path)
-    back = ep.load_field_npz(path)
-    npt.assert_array_equal(back.active(), f.active())
-
-
-# ------------------------------------------------------- minorant report
-
-def test_green_potential_has_zero_harmonic_minorant(unit_square_17):
-    mask = unit_square_17
-    op = ep.assemble(mask)
-    pts = mask.grid.points()[mask.interior_flat]
-    bump = np.where(np.sum((pts - 0.5) ** 2, axis=1) < 0.04, 1.0, 0.0)
-    v = ep.green_apply(op, bump)
-    exh = ep.build_exhaustion(mask, 3)
-    rep = ep.harmonic_minorant_report(
-        lambda m: ep.assemble(m), exh, v, ref_point=[0.5, 0.5]
-    )
-    assert rep.decreasing
-    assert rep.is_potential_like
-    assert rep.levels[-1].value_at_ref == pytest.approx(0.0, abs=1e-12)
-
-
-def test_harmonic_function_is_its_own_minorant(unit_square_17):
-    mask = unit_square_17
-    op = ep.assemble(mask)
-    h = ep.harmonic_extension(op, lambda pts: 1.0 + pts[:, 0])
-    exh = ep.build_exhaustion(mask, 3)
-    rep = ep.harmonic_minorant_report(
-        lambda m: ep.assemble(m), exh, h, ref_point=[0.5, 0.5]
-    )
-    assert not rep.is_potential_like
-    vals = [lv.value_at_ref for lv in rep.levels]
-    npt.assert_allclose(vals, vals[0], rtol=1e-10)

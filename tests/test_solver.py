@@ -210,3 +210,17 @@ def test_each_solve_logs_one_debug_line(unit_square_17, caplog):
     assert len(lines) == 1
     assert f"after {rep.iterations} iterations" in lines[0]
     assert f"{rep.factorizations} factorizations (fill {rep.factor_nnz})" in lines[0]
+
+
+def test_stagnated_solve_keeps_negative_data_warning():
+    # tol = 0 cannot be met, so the solve ends through the stagnation
+    # branch; the warning about negative boundary data must survive it
+    mask = ep.box_mask(ep.build_grid(2, 9, (-1.0, 1.0)))
+    op = ep.assemble(mask)
+    params = ep.SemilinearParams(tol=0.0, max_iterations=3000, raise_on_fail=False)
+    _, rep = ep.solve_semilinear_dirichlet(
+        op, ep.power_phi(1.0, 1.0), lambda pts: pts[:, 0], params
+    )
+    assert rep.iterations < params.max_iterations
+    assert rep.message.startswith("increment stagnated")
+    assert "boundary data has negative values" in rep.message
