@@ -14,15 +14,24 @@ below the harmonic extension; convergence is geometric.  The shift is
 re-estimated as the iterates shrink, which matters for reactions whose
 slope varies strongly over the range.
 
-Linear algebra.  Every system is solved with a sparse LU from SuperLU
-under the minimum-degree ordering of A^T + A, which suits the
-structurally symmetric lattice matrices (``operators._sparse_lu``).  The
-harmonic extension and the identity certificate share the operator's
-cached factor (``AssembledOperator.factor``), so an operator reused
-across solves is factored once; only the shifted matrix B + Lambda is
-factored per solve, again at each shift refresh.  The report counts the
-factorizations a solve built and their fill, and each solve logs one
-DEBUG line on the ``ellipot.solver`` logger.
+Linear algebra.  The harmonic extension and the identity certificate
+share the operator's cached SuperLU factor (``AssembledOperator.factor``,
+minimum-degree ordering of A^T + A, see ``operators._sparse_lu``), so an
+operator reused across solves is factored once.  The shifted systems
+with B + Lambda are solved without a factor while that is cheaper: when
+B is exactly symmetric, each step runs Jacobi-preconditioned CG
+warm-started from the current iterate, to the absolute sup-norm residual
+tol (a tenth of the 10 * tol equation gate; at the fixed point of the
+inexact map the equation residual equals the inner one), checked on the
+true residual.  A work ledger in multiply-adds, read off the operator's
+factor (same pattern as the shifted one), sums the CG work in excess of
+triangular solves; once one more iteration would push that excess past
+the cost of a factorization, B + Lambda is factored and the solve stays
+on that factor, refactoring at each shift refresh.  The rule uses no
+timing, so equal inputs take equal paths.  Non-symmetric B is factored
+from the start.  The report counts the factorizations a solve built,
+their fill and its CG iterations, and each solve logs one DEBUG line on
+the ``ellipot.solver`` logger.
 """
 
 from __future__ import annotations
@@ -53,9 +62,10 @@ class SemilinearParams:
         with unbounded slope at zero (fractional powers) stay tractable
         because the secant from t_floor replaces the true derivative.
     ladder_size : number of slope-probing nodes across the working range.
-    refresh_every : how often the shift is re-estimated; a refactorization
-        happens when the shifts shrink enough to pay for it or when any
-        point needs a larger shift than it currently has.
+    refresh_every : how often the shift is re-estimated; the shifted
+        matrix changes when the shifts shrink by half or when any point
+        needs a larger shift than it currently has, and a solve already on
+        a shifted factor then refactors.
     stagnation_tol : when a reaction with unbounded slope at zero forces
         part of the solution below t_floor, points straddling its zero set
         can keep flickering at the scale of the unresolved values; a run
@@ -77,10 +87,14 @@ class SemilinearParams:
 class SolveReport:
     """Outcome of one semilinear solve.
 
-    ``factorizations`` counts the sparse LUs the solve built: the shifted
-    matrix at the start and at each refresh, plus the operator's own
-    factor when it was not cached yet.  ``factor_nnz`` sums their fill as
-    SuperLU reports it (``SuperLU.nnz``).
+    ``factorizations`` counts the sparse LUs the solve built: the
+    operator's own factor when it was not cached yet, plus the shifted
+    matrix once the solve switched to a factor and again at each later
+    refresh (from the start when B is not symmetric).  ``factor_nnz`` sums
+    their fill as SuperLU reports it (``SuperLU.nnz``).
+    ``inner_iterations`` counts the CG iterations of the shifted solves,
+    including those of an attempt abandoned for a factor; it is 0 on a
+    pure LU path.
     """
 
     converged: bool
@@ -97,6 +111,7 @@ class SolveReport:
     method: str = "shifted-picard"
     factorizations: int = 0
     factor_nnz: int = 0
+    inner_iterations: int = 0
 
     def as_dict(self):
         return asdict(self)
@@ -140,6 +155,94 @@ def _slope_profile(phi_bound, t_floor, t_max, ladder_size, safety):
     return np.maximum(safety * lam, 0.0)
 
 
+class _ShiftedSolve:
+    """Solves with B + diag(lam) for one semilinear solve.
+
+    Jacobi-CG runs while a work ledger, in multiply-adds, says it is
+    cheaper than a factor: a factorization costs about nnz(LU)^2 / n, a
+    triangular solve nnz(LU) and a CG iteration nnz(B + lam) + 5 n, with
+    nnz(LU) from the operator's factor.  Once one more iteration would
+    push the summed excess of CG over triangular solves past the
+    factorization cost, the matrix is factored for good.  B that is not
+    exactly symmetric is factored from the start.
+    """
+
+    def __init__(self, B, lam, lu_nnz):
+        self.B = B
+        self.n = B.shape[0]
+        self.factor_work = lu_nnz * lu_nnz / self.n
+        self.tri_work = lu_nnz
+        self.excess = 0.0
+        self.lu = None
+        self.on_lu = (B != B.T).nnz > 0
+        self.factorizations = 0
+        self.factor_nnz = 0
+        self.inner_iterations = 0
+        self.shift(lam)
+
+    def shift(self, lam):
+        """Replace the shift; refactors when already on a factor."""
+        self.matrix = self.B + sp.diags(lam)
+        if self.on_lu:
+            self._factor()
+        else:
+            self.diag_inv = 1.0 / self.matrix.diagonal()
+            self.cg_work = self.matrix.nnz + 5 * self.n
+
+    def _factor(self):
+        # drop a stale factor first, so that one factor is alive at a time
+        self.lu = None
+        self.lu = _sparse_lu(self.matrix)
+        self.on_lu = True
+        self.factorizations += 1
+        self.factor_nnz += int(self.lu.nnz)
+
+    def solve(self, rhs, x0, tol):
+        """x with sup|(B + lam) x - rhs| <= tol on CG, else the LU solve."""
+        if not self.on_lu:
+            x = self._cg(rhs, x0, tol)
+            if x is not None:
+                return x
+            self._factor()
+        return self.lu.solve(rhs)
+
+    def _cg(self, rhs, x0, tol):
+        """Warm-started Jacobi-CG within the ledger; None once it runs out."""
+        A = self.matrix
+        budget = int((self.factor_work + self.tri_work - self.excess) // self.cg_work)
+        x = x0.copy()
+        r = rhs - A @ x
+        converged = np.max(np.abs(r), initial=0.0) <= tol
+        z = self.diag_inv * r
+        p = z.copy()
+        rz = float(r @ z)
+        its = 0
+        while not converged and its < budget:
+            its += 1
+            q = A @ p
+            pq = float(p @ q)
+            if not pq > 0.0:  # breakdown: the matrix is not definite
+                break
+            alpha = rz / pq
+            x += alpha * p
+            r -= alpha * q
+            if np.max(np.abs(r)) <= tol:
+                # the recursive residual drifts from the true one by
+                # rounding; replace it and go on when the check misses
+                r = rhs - A @ x
+                converged = np.max(np.abs(r)) <= tol
+            z = self.diag_inv * r
+            rz_new = float(r @ z)
+            p *= rz_new / rz
+            p += z
+            rz = rz_new
+        self.inner_iterations += its
+        if not converged:
+            return None
+        self.excess += its * self.cg_work - self.tri_work
+        return x
+
+
 def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     """Solve  L u = phi(., u)  in the interior with u = f on the boundary.
 
@@ -162,13 +265,6 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     lu = op.factor()
     factorizations, factor_nnz = (1, int(lu.nnz)) if fresh else (0, 0)
 
-    def shifted_factor(lam):
-        nonlocal factorizations, factor_nnz
-        shifted_lu = _sparse_lu(B + sp.diags(lam))
-        factorizations += 1
-        factor_nnz += int(shifted_lu.nnz)
-        return shifted_lu
-
     harm = lu.solve(rhs_b)
     if not np.all(np.isfinite(harm)):
         raise SolverBreakdownError("harmonic extension is not finite")
@@ -184,7 +280,7 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
         params.ladder_size,
         params.lambda_safety,
     )
-    shifted = shifted_factor(lam)
+    shifted = _ShiftedSolve(B, lam, int(lu.nnz))
     refreshes = 0
 
     # solutions cannot dip below the boundary minimum (or zero, whichever
@@ -202,7 +298,7 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     k = 0
     while k < params.max_iterations:
         k += 1
-        u_new = shifted.solve(lam * u - phi_b(u) + rhs_b)
+        u_new = shifted.solve(lam * u - phi_b(u) + rhs_b, u, params.tol)
         if not np.all(np.isfinite(u_new)):
             raise SolverBreakdownError(f"non-finite iterate at step {k}")
         np.maximum(u_new, lower, out=u_new)
@@ -248,19 +344,21 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
             old_mean = float(lam.mean()) if lam.size else 0.0
             if np.any(lam_new > 1.05 * lam):
                 np.maximum(lam, lam_new, out=lam)
-                shifted = shifted_factor(lam)
+                shifted.shift(lam)
                 refreshes += 1
             elif (
                 float(lam_new.max(initial=0.0)) <= 0.5 * old_max
                 or (lam.size and float(lam_new.mean()) <= 0.5 * old_mean)
             ):
                 lam = lam_new
-                shifted = shifted_factor(lam)
+                shifted.shift(lam)
                 refreshes += 1
 
     if not np.isfinite(res):
         res = float(np.max(np.abs(B @ u + phi_b(u) - rhs_b)))
 
+    factorizations += shifted.factorizations
+    factor_nnz += shifted.factor_nnz
     gphi = lu.solve(phi_b(u))
     identity_residual = float(np.max(np.abs(harm - u - gphi), initial=0.0))
 
@@ -278,13 +376,16 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
         message=message,
         factorizations=factorizations,
         factor_nnz=factor_nnz,
+        inner_iterations=shifted.inner_iterations,
     )
     log.debug(
-        "solve: %s after %d iterations, %d factorizations (fill %d), %.3f s%s",
+        "solve: %s after %d iterations, %d factorizations (fill %d), "
+        "%d CG iterations, %.3f s%s",
         "converged" if converged else "not converged",
         k,
         factorizations,
         factor_nnz,
+        shifted.inner_iterations,
         time.perf_counter() - t_start,
         f"; {message}" if message else "",
     )

@@ -129,6 +129,17 @@ class TestCliSolve:
         assert "report.json" in names
         assert all(len(a["sha256"]) == 64 for a in manifest["artifacts"])
 
+    def test_report_counts_cg_iterations(self, tmp_path):
+        # a 3D box solves its shifted systems by CG: no shifted factor
+        cfg = _write(tmp_path, SOLVE_CFG.replace("dim = 1", "dim = 3").replace(
+            "shape = 33", "shape = 17"))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] is True
+        assert report["inner_iterations"] > 0
+        assert report["factorizations"] == 1
+
     def test_solution_csv_layout(self, tmp_path):
         cfg = _write(tmp_path, SOLVE_CFG)
         out = tmp_path / "out"

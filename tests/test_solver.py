@@ -212,6 +212,25 @@ def test_each_solve_logs_one_debug_line(unit_square_17, caplog):
     assert f"{rep.factorizations} factorizations (fill {rep.factor_nnz})" in lines[0]
 
 
+def test_nonsymmetric_operator_never_enters_cg(unit_square_17):
+    # CG needs a symmetric matrix: a drift term keeps the LU path, with
+    # the shifted factor built before the first step
+    op = ep.assemble(unit_square_17, ep.CoefficientSet(b=np.array([0.4, -0.2])))
+    _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
+    assert rep.converged
+    assert rep.inner_iterations == 0
+    assert rep.factorizations == 2 + rep.lambda_refreshes
+
+
+def test_debug_line_counts_cg_iterations(caplog):
+    op = ep.assemble(ep.box_mask(ep.build_grid(3, 9, (0.0, 1.0))))
+    with caplog.at_level(logging.DEBUG, logger="ellipot.solver"):
+        _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
+    lines = [r.getMessage() for r in caplog.records if r.name == "ellipot.solver"]
+    assert rep.inner_iterations > 0
+    assert f"{rep.inner_iterations} CG iterations" in lines[0]
+
+
 def test_stagnated_solve_keeps_negative_data_warning():
     # tol = 0 cannot be met, so the solve ends through the stagnation
     # branch; the warning about negative boundary data must survive it
@@ -224,3 +243,51 @@ def test_stagnated_solve_keeps_negative_data_warning():
     assert rep.iterations < params.max_iterations
     assert rep.message.startswith("increment stagnated")
     assert "boundary data has negative values" in rep.message
+
+
+def _equation_residual(op, u_int, phi_vec, f):
+    B = -op.interior_matrix
+    rhs = op.boundary_matrix @ ep.boundary_values(op.mask, f)
+    return float(np.max(np.abs(B @ u_int + phi_vec(u_int) - rhs))), B, rhs
+
+
+@pytest.mark.parametrize("m", [1.0, 100.0, 1e4])
+def test_cg_inner_solves_meet_the_outer_gate(m):
+    # an off-centre 3D box keeps m = 1e4 clear of a dead core while its
+    # shifts reach 1e5, so CG runs on badly scaled systems; the absolute
+    # inner tolerance must still deliver the equation residual it claims
+    mask = ep.box_mask(ep.build_grid(3, 17, (2.0, 3.0)))
+    op = ep.assemble(mask)
+    weight = lambda q: m * (1.0 + np.sqrt(np.sum(q**2, axis=1))) ** -3
+    p = weight(mask.interior_points())
+    u, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(weight, 0.5), 1.0)
+    assert rep.converged
+    assert rep.factorizations <= 1
+    assert rep.inner_iterations > 0
+
+    def phi_vec(v):
+        return p * np.sqrt(np.maximum(v, 0.0))
+
+    res, B, rhs = _equation_residual(op, u.interior(), phi_vec, 1.0)
+    assert res <= 10.0 * rep.tol
+    assert rep.identity_residual <= 1e-8
+    ref = oracles.newton_semilinear(B, rhs, phi_vec, u0=u.interior())
+    npt.assert_allclose(u.interior(), ref, atol=1e-8)
+
+
+def test_2d_solve_pays_for_a_shifted_factor():
+    # in 2D a factor costs fewer multiply-adds than the CG iterations a
+    # Picard step needs, so the ledger switches to a shifted LU
+    mask = ep.box_mask(ep.build_grid(2, 65, (-1.0, 1.0)))
+    op = ep.assemble(mask)
+    u, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
+    assert rep.converged
+    assert rep.factorizations >= 2
+
+    def phi_vec(v):
+        return np.sqrt(np.maximum(v, 0.0))
+
+    res, B, rhs = _equation_residual(op, u.interior(), phi_vec, 1.0)
+    assert res <= 10.0 * rep.tol
+    ref = oracles.newton_semilinear(B, rhs, phi_vec, u0=u.interior())
+    npt.assert_allclose(u.interior(), ref, atol=1e-8)
