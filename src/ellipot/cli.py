@@ -193,15 +193,26 @@ def _build_phi(cfg, dim, mask=None):
     return phi, p
 
 
+# the [solver] keys and their kinds; any other key is an error, so that a
+# misspelt or retired setting is not silently ignored
+_SOLVER_KEYS = {"tol": "float", "max_iterations": "int"}
+
+
 def _build_params(cfg):
-    return SemilinearParams(
-        tol=cfg.get("solver", "tol", default=1e-10, kind="float"),
-        max_iterations=cfg.get("solver", "max_iterations", default=200000, kind="int"),
-        lambda_safety=cfg.get("solver", "safety", default=1.1, kind="float"),
-        t_floor=cfg.get("solver", "t_floor", default=1e-8, kind="float"),
-        ladder_size=cfg.get("solver", "ladder", default=64, kind="int"),
-        refresh_every=cfg.get("solver", "refresh_every", default=50, kind="int"),
-    )
+    """SemilinearParams from the [solver] keys a config sets."""
+    kwargs = {}
+    for key in cfg.section("solver"):
+        if key not in _SOLVER_KEYS:
+            raise ConfigError(f"[solver] {key}: unknown key")
+        kwargs[key] = cfg.get("solver", key, kind=_SOLVER_KEYS[key])
+    params = SemilinearParams(**kwargs)
+    if not (np.isfinite(params.tol) and params.tol > 0):
+        raise ConfigError(f"[solver] tol: must be finite and > 0, got {params.tol!r}")
+    if params.max_iterations < 1:
+        raise ConfigError(
+            f"[solver] max_iterations: must be >= 1, got {params.max_iterations}"
+        )
+    return params
 
 
 def _boundary_data(cfg, dim):

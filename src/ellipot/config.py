@@ -94,9 +94,6 @@ class RunConfig:
             raise ConfigError(f"config file not found: {path}")
         return cls.from_text(path.read_text(), path)
 
-    def sections(self):
-        return list(self.data)
-
     def has(self, section, key=None):
         if key is None:
             return section in self.data

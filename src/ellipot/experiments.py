@@ -23,6 +23,19 @@ from .operators import assemble
 from .potentials import Field, green_apply, interior_values
 from .solver import SemilinearParams, solve_semilinear_dirichlet
 
+# Verdict thresholds; a report that states its threshold carries it.
+# Pointwise order checks (level solutions not rising as the domain grows,
+# the scaling bound) allow _ORDER_TOL, the increment scale at which a
+# stalled solve is accepted.
+_ORDER_TOL = 1e-8
+# a sweep saturates when its probes grow by under 1% over the last decade
+_SATURATION_RTOL = 0.01
+# Green sums look divergent when the last increment is at least this
+# fraction of the one before
+_DIVERGENCE_RATIO = 0.9
+# bounded needs the two largest truncations' sups within 5% of c
+_STABILITY_RTOL = 0.05
+
 
 def assemble_levels(exhaustion, coeffs=None, scheme=None):
     """Assembled operator per exhaustion level (shared grid, nested masks)."""
@@ -88,15 +101,15 @@ class ExhaustionRun:
 
 
 def run_exhaustion(levels, phi, c, params=None, coeffs=None, scheme=None,
-                   ref_point=None, keep_fields=True, decrease_tol=1e-8):
+                   ref_point=None, keep_fields=True):
     """Solve  L u = phi(., u), u = c  on every level of an exhaustion.
 
     ``levels`` is either an ExhaustionSequence (operators are assembled
     here with ``coeffs``/``scheme``) or a prebuilt list of assembled
     operators over nested masks on one grid.  Level solutions must not
     increase when the domain grows — ``max_increase`` measures the worst
-    violation on the common region and ``decreasing_ok`` applies the
-    tolerance.
+    violation on the common region and ``decreasing_ok`` allows
+    _ORDER_TOL.
     """
     c = float(c)
     if c <= 0:
@@ -133,7 +146,7 @@ def run_exhaustion(levels, phi, c, params=None, coeffs=None, scheme=None,
         common = lo_op.mask.interior_flat
         gap = f_hi.values.ravel()[common] - f_lo.values.ravel()[common]
         max_increase = max(max_increase, float(gap.max(initial=-np.inf)))
-    decreasing_ok = max_increase <= decrease_tol
+    decreasing_ok = max_increase <= _ORDER_TOL
 
     return ExhaustionRun(
         sequence=sequence,
@@ -229,19 +242,20 @@ class ScalingCheckReport:
         }
 
 
-def scaling_bound_check(run_hi, run_lo, tol=1e-8, concave=True):
+def scaling_bound_check(run_hi, run_lo, concave=True):
     """Check the boundary-constant scaling bound between two runs.
 
     Both runs must share the same reaction and geometry; ``run_hi`` has
     the larger boundary constant.  When the reaction is not concave in t
     the bound has no backing and the check is skipped with a warning.
+    The bound may fail by _ORDER_TOL.
     """
     if not concave:
         return ScalingCheckReport(
             holds=False,
             ratio=run_hi.c / run_lo.c,
             min_gap=float("nan"),
-            tol=tol,
+            tol=_ORDER_TOL,
             skipped=True,
             warning="reaction is not concave in t; scaling bound not applicable",
         )
@@ -254,7 +268,7 @@ def scaling_bound_check(run_hi, run_lo, tol=1e-8, concave=True):
     ratio = run_hi.c / run_lo.c
     gap = hi.interior() - ratio * lo.interior()
     min_gap = float(gap.min(initial=0.0))
-    return ScalingCheckReport(min_gap >= -tol, ratio, min_gap, tol)
+    return ScalingCheckReport(min_gap >= -_ORDER_TOL, ratio, min_gap, _ORDER_TOL)
 
 
 @dataclass
@@ -300,8 +314,7 @@ class BlowupSweep:
         return {"sweep": (header, rows)}
 
 
-def blowup_sweep(op, phi, m_values, probes=None, params=None,
-                 saturation_rtol=0.01):
+def blowup_sweep(op, phi, m_values, probes=None, params=None):
     """Sweep constant boundary data upward and watch interior probes.
 
     ``m_values`` must be increasing, at least 4 values spanning at least
@@ -341,7 +354,7 @@ def blowup_sweep(op, phi, m_values, probes=None, params=None,
     with np.errstate(invalid="ignore", divide="ignore"):
         rel = (sel[-1] - sel[0]) / np.maximum(np.abs(sel[-1]), 1e-300)
     last_inc = float(np.nanmax(rel)) if np.isfinite(rel).any() else float("nan")
-    verdict = "saturates" if last_inc < saturation_rtol else "diverges"
+    verdict = "saturates" if last_inc < _SATURATION_RTOL else "diverges"
     return BlowupSweep(
         m_values,
         probes,
@@ -350,7 +363,7 @@ def blowup_sweep(op, phi, m_values, probes=None, params=None,
         verdict,
         monotone_ok,
         last_inc,
-        saturation_rtol,
+        _SATURATION_RTOL,
         failures,
     )
 
@@ -388,15 +401,14 @@ class PotentialDiagnostic:
         return {"partial_sums": (["radius", "green_sum"], rows)}
 
 
-def green_potential_diagnostic(ops, radii, p, excluded=None, probe=None,
-                               divergence_ratio=0.9):
+def green_potential_diagnostic(ops, radii, p, excluded=None, probe=None):
     """Per-truncation Green sums of a density with a divergence verdict.
 
     ``ops`` are assembled operators over the truncations (one per radius,
     increasing).  ``excluded`` is an optional predicate marking points
     whose density contribution is dropped (the declared exceptional set).
     The verdict is 'apparently divergent' when the last increment is at
-    least ``divergence_ratio`` times the previous one, else 'apparently
+    least _DIVERGENCE_RATIO times the previous one, else 'apparently
     finite'.
     """
     radii = np.asarray(radii, dtype=float)
@@ -432,7 +444,7 @@ def green_potential_diagnostic(ops, radii, p, excluded=None, probe=None,
         logs = np.log(np.maximum(vals, 1e-300))
     exponent = float(np.polyfit(np.log(radii), logs, 1)[0])
     verdict = (
-        "apparently divergent" if ratio >= divergence_ratio else "apparently finite"
+        "apparently divergent" if ratio >= _DIVERGENCE_RATIO else "apparently finite"
     )
     return PotentialDiagnostic(
         radii, vals, probe, verdict, exponent, ratio, nondecreasing_ok
@@ -600,13 +612,12 @@ class DichotomyReport:
         return "\n".join(rows)
 
 
-def dichotomy_report(study, sweep, diagnostic=None, hypotheses_ok=True,
-                     stability_rtol=0.05):
+def dichotomy_report(study, sweep, diagnostic=None, hypotheses_ok=True):
     """Bundle a truncation study, a blow-up sweep, and a Green diagnostic.
 
     'Bounded solution indicated' requires the largest truncation to
     classify as saturating and its interior supremum to agree with the
-    previous truncation within ``stability_rtol`` relative to c.  'Large
+    previous truncation within _STABILITY_RTOL relative to c.  'Large
     solution indicated' is the sweep saturating.
     """
     records = study.records
@@ -616,7 +627,7 @@ def dichotomy_report(study, sweep, diagnostic=None, hypotheses_ok=True,
         stability = abs(
             records[-1].run.sup_estimate - records[-2].run.sup_estimate
         ) / study.c
-    bounded = last.sup_report.verdict == "saturating" and stability < stability_rtol
+    bounded = last.sup_report.verdict == "saturating" and stability < _STABILITY_RTOL
     large = sweep.verdict == "saturates"
     consistent = not (bounded and large) or not hypotheses_ok
 

@@ -18,6 +18,10 @@ EXTERIOR = 0
 INTERIOR = 1
 BOUNDARY = 2
 
+# coordinates within this fraction of a mesh width of a lattice point
+# belong to it: far above the rounding of lo + i * h, far below one cell
+_SNAP_TOL = 1e-9
+
 
 class Grid:
     """Uniform tensor-product lattice on a d-dimensional box.
@@ -74,10 +78,10 @@ class Grid:
             [lo + h * i for (lo, _), h, i in zip(self.bounds, self.spacing, idx)]
         )
 
-    def flat_index_of(self, coords, tol=1e-9):
+    def flat_index_of(self, coords):
         """Flat indices of lattice points given coordinates (n, dim).
 
-        Raises ValueError when a coordinate is off-lattice beyond ``tol``
+        Raises ValueError when a coordinate is off-lattice beyond _SNAP_TOL
         relative to the mesh width.
         """
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
@@ -87,7 +91,7 @@ class Grid:
             h = self.spacing[k]
             raw = (coords[:, k] - lo) / h
             near = np.rint(raw)
-            if np.any(np.abs(raw - near) > tol) or np.any(near < 0) or np.any(
+            if np.any(np.abs(raw - near) > _SNAP_TOL) or np.any(near < 0) or np.any(
                 near > self.shape[k] - 1
             ):
                 raise ValueError("coordinates do not lie on the grid")

@@ -21,6 +21,18 @@ import numpy as np
 from .errors import MajorantError
 from .geometry import values_at
 
+# Gauss-Legendre nodes on [-1, 1] for the mollifier's normalization and
+# the mollified values at zero; fixed, so that repeated constructions
+# agree to the last bit
+_MOLLIFIER_NODES = 64
+# uniform t-nodes, starting at 0, on which majorant tables are built and
+# hypotheses and domination are audited; the range covers the cap t = 1
+# of the majorant's psi part and the linear growth beyond it
+_T_GRID = np.linspace(0.0, 2.0, 257)
+_T_GRID.setflags(write=False)
+# linear-growth constants above this count as unbounded on the sample
+_BOUND_CAP = 1e6
+
 
 def _vanishing(n, positive):
     """t -> phi at n fixed points: ``positive(pos, t[pos])`` where t > 0,
@@ -97,17 +109,16 @@ class Mollifier:
     """Even smooth bump supported on (-1, 1) with unit integral.
 
     eta(s) = N exp(-1/(1-s^2)) for |s| < 1.  The normalization and all
-    derived constants come from a fixed Gauss-Legendre rule, so repeated
-    constructions agree to the last bit.
+    derived constants come from the _MOLLIFIER_NODES-point Gauss-Legendre
+    rule.
     """
 
-    def __init__(self, n_nodes=64):
-        x, w = np.polynomial.legendre.leggauss(int(n_nodes))
+    def __init__(self):
+        x, w = np.polynomial.legendre.leggauss(_MOLLIFIER_NODES)
         self.nodes01 = 0.5 * (x + 1.0)
         self.weights01 = 0.5 * w
         raw_half = float(np.sum(self.weights01 * self._unnormalized(self.nodes01)))
         self.norm = 1.0 / (2.0 * raw_half)
-        self.n_nodes = int(n_nodes)
 
     @staticmethod
     def _unnormalized(s):
@@ -256,7 +267,6 @@ def build_concave_majorant(
     phi,
     p,
     mask,
-    t_grid=None,
     deltas=None,
     mollifier=None,
     name=None,
@@ -267,7 +277,7 @@ def build_concave_majorant(
 
         psi_delta(x, t) = (2 c1 / delta) p(x) t + 2 (phi_x * eta_delta)(0)
 
-    with c1 = 4 int |eta'| are tabulated on ``t_grid`` and their pointwise
+    with c1 = 4 int |eta'| are tabulated on _T_GRID and their pointwise
     minimum is taken; a minimum of nondecreasing affine functions is
     concave and nondecreasing, and its value at t = 0 is forced to zero
     (the limiting value as the smoothing radius shrinks).  The result
@@ -279,17 +289,6 @@ def build_concave_majorant(
     be evaluated on any subdomain; an array ``p`` lists them interior
     points first, as :meth:`Field.active` does.
     """
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 2.0, 257)
-    else:
-        t_grid = np.asarray(t_grid, dtype=float)
-    if len(t_grid) < 3 or np.any(np.diff(t_grid) <= 0):
-        raise MajorantError("t_grid must be increasing with at least 3 nodes")
-    steps = np.diff(t_grid)
-    if np.max(np.abs(steps - steps[0])) > 1e-12 * steps[0]:
-        raise MajorantError("t_grid must be uniform")
-    if abs(t_grid[0]) > 0:
-        raise MajorantError("t_grid must start at 0")
     if deltas is None:
         deltas = 2.0 ** (-np.arange(13, dtype=float))
     else:
@@ -308,11 +307,11 @@ def build_concave_majorant(
         raise MajorantError("density p must be nonnegative")
 
     c1 = mollifier.slope_constant()
-    psi = np.full((len(points), len(t_grid)), np.inf)
+    psi = np.full((len(points), len(_T_GRID)), np.inf)
     for d in deltas:
         intercept = 2.0 * mollified_at_zero(phi, points, d, mollifier)
         slope = (2.0 * c1 / d) * pv
-        cand = slope[:, None] * t_grid[None, :] + intercept[:, None]
+        cand = slope[:, None] * _T_GRID[None, :] + intercept[:, None]
         np.minimum(psi, cand, out=psi)
     # the infimum over shrinking radii vanishes at t = 0; pinning the
     # first column keeps the table exact there and preserves midpoint
@@ -320,25 +319,23 @@ def build_concave_majorant(
     psi[:, 0] = 0.0
 
     maj = MajorantPhi(
-        mask.grid, active, pv, psi, t_grid, name=name or f"majorant({phi.name})"
+        mask.grid, active, pv, psi, _T_GRID, name=name or f"majorant({phi.name})"
     )
     if maj.monotone_defect() < -1e-12:
         raise MajorantError("majorant table lost monotonicity")
     return maj
 
 
-def domination_defect(phi, majorant, points, t_values=None):
-    """min over points and t of majorant(x, t) - phi(x, t).
+def domination_defect(phi, majorant, points):
+    """min over points and the majorant's t-grid of majorant(x, t) - phi(x, t).
 
     Nonnegative (up to rounding) certifies pointwise domination on the
     sampled set.
     """
-    if t_values is None:
-        t_values = majorant.t_grid
     upper = majorant.bind(points)
     lower = phi.bind(points)
     worst = np.inf
-    for t in np.asarray(t_values, dtype=float):
+    for t in majorant.t_grid:
         gap = upper(t) - lower(t)
         worst = min(worst, float(gap.min()))
     return worst
@@ -375,15 +372,12 @@ class HypothesisReport:
         return "\n".join(rows)
 
 
-def check_hypotheses(phi, p, points, t_grid=None, bound_cap=1e6):
+def check_hypotheses(phi, p, points):
     """Audit a reaction against the structural hypotheses on sample points.
 
     The linear-growth constant is the max of phi / (p (t+1)) over the
-    sample; values above ``bound_cap`` count as unbounded.
+    sample and _T_GRID; values above _BOUND_CAP count as unbounded.
     """
-    if t_grid is None:
-        t_grid = np.linspace(0.0, 2.0, 257)
-    t_grid = np.asarray(t_grid, dtype=float)
     points = np.asarray(points, dtype=float)
     pv = values_at(p, points)
     bound = phi.bind(points)
@@ -394,22 +388,22 @@ def check_hypotheses(phi, p, points, t_grid=None, bound_cap=1e6):
     if not vanishes:
         messages.append("nonzero values at t <= 0")
 
-    table = np.stack([bound(t) for t in t_grid], axis=1)
+    table = np.stack([bound(t) for t in _T_GRID], axis=1)
     steps = np.diff(table, axis=1)
     min_step = float(steps.min()) if steps.size else 0.0
     scale = max(1.0, float(np.abs(table).max()))
     nondecreasing = min_step >= -1e-12 * scale
 
     defect = 2.0 * table[:, 1:-1] - table[:, :-2] - table[:, 2:]
-    # uniform grids make the midpoint test meaningful; otherwise rescale
+    # _T_GRID is uniform, which makes the midpoint test meaningful
     cdef = float(defect.min()) if defect.size else 0.0
     concave = cdef >= -1e-9 * scale
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        denom = pv[:, None] * (t_grid[None, :] + 1.0)
+        denom = pv[:, None] * (_T_GRID[None, :] + 1.0)
         ratio = np.where(denom > 0, table / denom, 0.0)
     cbound = float(ratio.max()) if ratio.size else 0.0
-    bounded = np.isfinite(cbound) and cbound <= bound_cap
+    bounded = np.isfinite(cbound) and cbound <= _BOUND_CAP
 
     return HypothesisReport(
         vanishes, nondecreasing, min_step, cdef, concave, cbound, bounded, messages

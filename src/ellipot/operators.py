@@ -146,7 +146,7 @@ class EllipticityReport:
     messages: list = field(default_factory=list)
 
 
-def check_ellipticity(coeffs, mask, tol=0.0):
+def check_ellipticity(coeffs, mask):
     """Verify a(x) symmetric positive definite and c(x) <= 0 on the interior."""
     pts = mask.interior_points()
     a = coeffs.a_at(pts, mask.grid.dim)
@@ -158,12 +158,12 @@ def check_ellipticity(coeffs, mask, tol=0.0):
         messages.append(f"a is not symmetric (max asymmetry {sym_err:.3e})")
     eigs = np.linalg.eigvalsh(0.5 * (a + np.transpose(a, (0, 2, 1))))
     lo, hi = float(eigs.min()), float(eigs.max())
-    if lo <= tol:
+    if lo <= 0.0:
         messages.append(f"a is not positive definite (min eigenvalue {lo:.3e})")
     cmax = float(c.max()) if c.size else 0.0
-    if cmax > tol:
+    if cmax > 0.0:
         messages.append(f"c is positive somewhere (max {cmax:.3e})")
-    ok = symmetric and lo > tol and cmax <= tol
+    ok = symmetric and lo > 0.0 and cmax <= 0.0
     return EllipticityReport(lo, hi, cmax, symmetric, ok, messages)
 
 
@@ -172,8 +172,7 @@ class AssembledOperator:
 
     Rows are ordered interior first, boundary second.  ``interior_matrix``
     and ``boundary_matrix`` give the blocks A_II and A_IB of the interior
-    equations; ``full_matrix`` appends identity rows at boundary points so
-    that residuals of Dirichlet problems can be formed directly.
+    equations.
     """
 
     def __init__(self, mask, coeffs, scheme, a_int, b_int, c_int):
@@ -203,15 +202,6 @@ class AssembledOperator:
     @property
     def boundary_matrix(self):
         return self._A_IB
-
-    def full_matrix(self):
-        """Active-by-active matrix with identity rows at boundary points."""
-        nI, nB = self.n_interior, self.n_boundary
-        top = sp.hstack([self._A_II, self._A_IB], format="csr")
-        bottom = sp.hstack(
-            [sp.csr_matrix((nB, nI)), sp.identity(nB, format="csr")], format="csr"
-        )
-        return sp.vstack([top, bottom], format="csr")
 
     @property
     def is_factored(self):

@@ -10,9 +10,9 @@ the working range,
 Because B is an M-matrix and t -> Lambda t - phi(t) is nondecreasing, the
 iterates decrease monotonically from the harmonic extension and stay
 nonnegative for nonnegative data, so the limit is the largest solution
-below the harmonic extension; convergence is geometric.  The shift is
-re-estimated as the iterates shrink, which matters for reactions whose
-slope varies strongly over the range.
+below the harmonic extension; convergence is geometric.  The constants
+below fix how the shift is estimated and refreshed and when a stalled
+run is accepted.
 
 Linear algebra.  The harmonic extension and the identity certificate
 share the operator's cached SuperLU factor (``AssembledOperator.factor``,
@@ -50,36 +50,34 @@ from .potentials import Field, boundary_values, interior_values
 
 log = logging.getLogger(__name__)
 
+# Slopes are probed down to _T_FLOOR: for reactions with unbounded slope
+# at zero (fractional powers) the secant from the floor replaces the
+# derivative.  Values below it are unresolved, and points straddling the
+# zero set can keep flickering at that scale, so a run whose increment
+# stays flat at or below _T_FLOOR over _STALL_WINDOW steps is accepted,
+# with the residual reported as measured.
+_T_FLOOR = 1e-8
+_STALL_WINDOW = 200
+# _LADDER_SIZE probing nodes span each point's range; _LAMBDA_SAFETY is a
+# margin over the steepest secant for slopes the ladder misses
+_LADDER_SIZE = 64
+_LAMBDA_SAFETY = 1.1
+# the shift is re-estimated every _REFRESH_EVERY steps as the iterates
+# shrink; the matrix changes when the shifts halve or some point needs
+# more, and a solve on a shifted factor then refactors
+_REFRESH_EVERY = 50
+
 
 @dataclass
 class SemilinearParams:
-    """Knobs of the monotone iteration.
+    """Settings of one semilinear solve.
 
     tol : convergence requires the sup-norm increment <= tol and the
         equation residual <= 10 * tol.
-    lambda_safety : multiplier on the steepest observed secant slope.
-    t_floor : slopes are probed down to this positive level; reactions
-        with unbounded slope at zero (fractional powers) stay tractable
-        because the secant from t_floor replaces the true derivative.
-    ladder_size : number of slope-probing nodes across the working range.
-    refresh_every : how often the shift is re-estimated; the shifted
-        matrix changes when the shifts shrink by half or when any point
-        needs a larger shift than it currently has, and a solve already on
-        a shifted factor then refactors.
-    stagnation_tol : when a reaction with unbounded slope at zero forces
-        part of the solution below t_floor, points straddling its zero set
-        can keep flickering at the scale of the unresolved values; a run
-        whose increment stops improving but sits at or below this level is
-        accepted, with the residual reported as measured.
     """
 
     tol: float = 1e-10
     max_iterations: int = 200000
-    lambda_safety: float = 1.1
-    t_floor: float = 1e-8
-    ladder_size: int = 64
-    refresh_every: int = 50
-    stagnation_tol: float = 1e-8
     raise_on_fail: bool = True
 
 
@@ -120,26 +118,26 @@ class SolveReport:
         return json.dumps(self.as_dict(), indent=indent)
 
 
-def _slope_profile(phi_bound, t_floor, t_max, ladder_size, safety):
-    """Per-point shift: safety * max secant slope over a coarse ladder.
+def _slope_profile(phi_bound, t_max):
+    """Per-point shift: _LAMBDA_SAFETY * max secant slope over a coarse ladder.
 
     ``t_max`` is a per-point upper end of the working range (iterates
     decrease monotonically, so each point only needs to cover its own
-    range); the ladder nodes are t_floor plus ``ladder_size`` even steps
-    up to t_max, probed per point.
+    range); the ladder nodes are _T_FLOOR plus _LADDER_SIZE even steps up
+    to t_max, probed per point.
     """
     t_max = np.asarray(t_max, dtype=float)
-    collapsed = t_max <= 10.0 * t_floor
-    t_max = np.maximum(t_max, 10.0 * t_floor)
-    fracs = np.linspace(0.0, 1.0, ladder_size + 1)[1:]
-    prev_t = np.full(t_max.shape, t_floor)
+    collapsed = t_max <= 10.0 * _T_FLOOR
+    t_max = np.maximum(t_max, 10.0 * _T_FLOOR)
+    fracs = np.linspace(0.0, 1.0, _LADDER_SIZE + 1)[1:]
+    prev_t = np.full(t_max.shape, _T_FLOOR)
     prev_v = phi_bound(prev_t)
     lam = np.zeros(t_max.shape)
     # where the iterate has collapsed below the floor the relevant bound is
     # the chord from zero, which for a concave reaction dominates every
     # secant above it; without this the shift undershoots the slope near
     # the zero set and those points never settle
-    lam[collapsed] = prev_v[collapsed] / t_floor
+    lam[collapsed] = prev_v[collapsed] / _T_FLOOR
     for frac in fracs:
         t = frac * t_max
         v = phi_bound(t)
@@ -152,7 +150,7 @@ def _slope_profile(phi_bound, t_floor, t_max, ladder_size, safety):
         # never step the anchor backwards below the floor
         prev_t = np.where(ok, t, prev_t)
         prev_v = np.where(ok, v, prev_v)
-    return np.maximum(safety * lam, 0.0)
+    return np.maximum(_LAMBDA_SAFETY * lam, 0.0)
 
 
 class _ShiftedSolve:
@@ -273,13 +271,7 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     if f.size and float(f.min()) < 0:
         message = "boundary data has negative values; monotonicity not guaranteed"
 
-    lam = _slope_profile(
-        phi_b,
-        params.t_floor,
-        np.maximum(harm, 0.0),
-        params.ladder_size,
-        params.lambda_safety,
-    )
+    lam = _slope_profile(phi_b, np.maximum(harm, 0.0))
     shifted = _ShiftedSolve(B, lam, int(lu.nnz))
     refreshes = 0
 
@@ -294,7 +286,6 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     res = np.inf
     converged = False
     inc_hist = []
-    stall_window = 4 * params.refresh_every
     k = 0
     while k < params.max_iterations:
         k += 1
@@ -311,9 +302,9 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
                 break
         inc_hist.append(inc)
         if (
-            inc <= params.stagnation_tol
-            and len(inc_hist) > stall_window
-            and inc >= 0.95 * inc_hist[-1 - stall_window]
+            inc <= _T_FLOOR
+            and len(inc_hist) > _STALL_WINDOW
+            and inc >= 0.95 * inc_hist[-1 - _STALL_WINDOW]
         ):
             # a genuinely flat small increment means the flickering is
             # confined to the unresolved zero-set ring; slow geometric
@@ -327,19 +318,13 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
                 + (f"; {message}" if message else "")
             )
             break
-        if k % params.refresh_every == 0:
+        if k % _REFRESH_EVERY == 0:
             # the iterates only decrease, so shifts fitted to the current
             # per-point range stay valid except near a zero set, where the
             # needed shift grows as the iterate collapses; refactor when
             # any point needs more, or when the shifts shrink enough to
             # pay for the factorization
-            lam_new = _slope_profile(
-                phi_b,
-                params.t_floor,
-                np.maximum(u, 0.0),
-                params.ladder_size,
-                params.lambda_safety,
-            )
+            lam_new = _slope_profile(phi_b, np.maximum(u, 0.0))
             old_max = float(lam.max(initial=0.0))
             old_mean = float(lam.mean()) if lam.size else 0.0
             if np.any(lam_new > 1.05 * lam):
@@ -416,6 +401,11 @@ def solve_linear_reaction(op, density, boundary):
     return Field.from_active(mask, u, f)
 
 
+# defect counted as zero: well above the 10 * tol residual of a solve
+# converged at the default tol, so a computed solution classifies as one
+_CLASSIFY_TOL = 1e-8
+
+
 @dataclass
 class SupSubClassification:
     """Sign audit of the defect  L u - phi(., u)  over the interior."""
@@ -426,12 +416,12 @@ class SupSubClassification:
     tol: float
 
 
-def classify_super_sub(op, phi, field, tol=1e-8):
+def classify_super_sub(op, phi, field):
     """Classify a field as solution / supersolution / subsolution / neither.
 
-    A supersolution satisfies  L u <= phi(., u)  (defect <= 0 up to tol);
-    a subsolution the reverse; within tol on both sides it counts as a
-    solution.
+    A supersolution satisfies  L u <= phi(., u)  (defect <= 0 up to
+    _CLASSIFY_TOL); a subsolution the reverse; within _CLASSIFY_TOL on
+    both sides it counts as a solution.
     """
     if not field.mask.same_as(op.mask):
         raise ValueError("field and operator live on different masks")
@@ -440,6 +430,7 @@ def classify_super_sub(op, phi, field, tol=1e-8):
     defect = op.apply(field.values) - phi(pts, u_int)
     hi = float(defect.max(initial=0.0))
     lo = float(defect.min(initial=0.0))
+    tol = _CLASSIFY_TOL
     if hi <= tol and lo >= -tol:
         verdict = "solution"
     elif hi <= tol:

@@ -309,6 +309,23 @@ class TestCliExitCodes:
         assert main(["solve", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "t_floor = 1e-6",        # a key the solver no longer reads
+            "safety = 2.0",
+            "tol = 0",               # no positive tolerance to meet
+            "tol = -1e-10",
+            "max_iterations = 0",
+        ],
+    )
+    def test_bad_solver_setting(self, tmp_path, caplog, line):
+        cfg = _write(tmp_path, SOLVE_CFG + "\n[solver]\n" + line + "\n")
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"[solver] {line.split()[0]}" in caplog.text
+        assert not (out / "report.json").exists()
+
 
 class TestCliCommands:
     def test_checks_pass_for_sublinear(self, tmp_path):

@@ -124,15 +124,13 @@ def test_minimum_of_supersolutions_is_supersolution(unit_square_17):
 def test_non_convergence_raises_with_details(unit_square_17):
     op = ep.assemble(unit_square_17)
     phi = ep.power_phi(1.0, 0.5)
-    params = ep.SemilinearParams(tol=1e-14, max_iterations=2, stagnation_tol=0.0)
+    params = ep.SemilinearParams(tol=1e-14, max_iterations=2)
     with pytest.raises(NonConvergenceError) as err:
         ep.solve_semilinear_dirichlet(op, phi, 1.0, params)
     assert err.value.iterations == 2
     assert err.value.final_increment > 0
 
-    params = ep.SemilinearParams(
-        tol=1e-14, max_iterations=2, stagnation_tol=0.0, raise_on_fail=False
-    )
+    params = ep.SemilinearParams(tol=1e-14, max_iterations=2, raise_on_fail=False)
     u, rep = ep.solve_semilinear_dirichlet(op, phi, 1.0, params)
     assert not rep.converged
     assert rep.iterations == 2
