@@ -11,6 +11,7 @@ hypothesis-check failure, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -42,7 +43,7 @@ from .experiments import (
     green_potential_diagnostic,
     run_exhaustion,
 )
-from .geometry import box_mask, build_exhaustion, build_grid, mask_from_predicate
+from .geometry import box_mask, build_exhaustion, build_grid, mask_from_predicate, values_at
 from .nonlinearity import (
     AffinePhi,
     Mollifier,
@@ -68,6 +69,38 @@ log = logging.getLogger("ellipot")
 
 
 # ---------------------------------------------------------------- builders
+
+# every key that some command reads, by section; [operator] also takes the
+# drift components b1 .. b{dim}.  Any other section or key is an error for
+# every command, so that a misspelt or retired setting is not silently
+# ignored and one file can serve several commands.
+_CONFIG_KEYS = {
+    "geometry": ("dim", "shape", "bounds", "mask", "levels", "half_widths"),
+    "operator": ("a", "c", "drift", "cross"),
+    "phi": ("family", "p", "gamma", "cap", "slope", "offset", "rho",
+            "use_majorant"),
+    "solver": ("tol", "max_iterations"),
+    "experiment": ("boundary", "c", "seed", "probe", "excluded", "alpha",
+                   "require_concave", "m_values", "m_min", "m_max", "m_count",
+                   "sweep_half_width", "trivial_fraction", "band_fraction",
+                   "core_fraction"),
+    "output": ("dir",),
+}
+
+
+def _check_keys(cfg):
+    """Reject a section or key that no command reads."""
+    for section, keys in cfg.data.items():
+        if section not in _CONFIG_KEYS:
+            raise ConfigError(f"[{section}]: unknown section")
+        known = set(_CONFIG_KEYS[section])
+        if section == "operator":
+            dim = cfg.get("geometry", "dim", kind="int")
+            known.update(f"b{k + 1}" for k in range(dim))
+        for key in keys:
+            if key not in known:
+                raise ConfigError(f"[{section}] {key}: unknown key")
+
 
 def _build_mask(cfg):
     dim = cfg.get("geometry", "dim", kind="int")
@@ -111,29 +144,15 @@ def _build_coeffs(cfg, dim):
     else:
         a = _scalar_or_expr(a_raw, dim, "[operator] a")
 
-    b_parts = []
-    for k in range(dim):
-        key = f"b{k + 1}"
-        if cfg.has("operator", key):
-            b_parts.append(
-                _scalar_or_expr(cfg.get("operator", key), dim, f"[operator] {key}")
-            )
-        else:
-            b_parts.append(0.0)
-    if any(callable(p) for p in b_parts):
-        parts = list(b_parts)
-
-        def b_fn(points):
-            points = np.atleast_2d(np.asarray(points, dtype=float))
-            cols = []
-            for p in parts:
-                if callable(p):
-                    cols.append(p(points))
-                else:
-                    cols.append(np.full(len(points), p))
-            return np.stack(cols, axis=1)
-
-        b = b_fn
+    b_parts = [
+        _scalar_or_expr(
+            cfg.get("operator", f"b{k + 1}", default=0.0), dim, f"[operator] b{k + 1}"
+        )
+        for k in range(dim)
+    ]
+    if not all(isinstance(p, float) for p in b_parts):
+        def b(points):
+            return np.stack([values_at(p, points) for p in b_parts], axis=1)
     elif any(abs(p) > 0 for p in b_parts):
         b = np.asarray(b_parts, dtype=float)
     else:
@@ -193,18 +212,13 @@ def _build_phi(cfg, dim, mask=None):
     return phi, p
 
 
-# the [solver] keys and their kinds; any other key is an error, so that a
-# misspelt or retired setting is not silently ignored
-_SOLVER_KEYS = {"tol": "float", "max_iterations": "int"}
-
-
 def _build_params(cfg):
     """SemilinearParams from the [solver] keys a config sets."""
-    kwargs = {}
-    for key in cfg.section("solver"):
-        if key not in _SOLVER_KEYS:
-            raise ConfigError(f"[solver] {key}: unknown key")
-        kwargs[key] = cfg.get("solver", key, kind=_SOLVER_KEYS[key])
+    kwargs = {
+        key: cfg.get("solver", key, kind=kind)
+        for key, kind in (("tol", "float"), ("max_iterations", "int"))
+        if cfg.has("solver", key)
+    }
     params = SemilinearParams(**kwargs)
     if not (np.isfinite(params.tol) and params.tol > 0):
         raise ConfigError(f"[solver] tol: must be finite and > 0, got {params.tol!r}")
@@ -221,15 +235,11 @@ def _boundary_data(cfg, dim):
 
 
 def _sup_bands(cfg):
-    bands = {}
-    for key, name in (
-        ("trivial_fraction", "trivial_fraction"),
-        ("band_fraction", "band_fraction"),
-        ("core_fraction", "core_fraction"),
-    ):
-        if cfg.has("experiment", key):
-            bands[name] = cfg.get("experiment", key, kind="float")
-    return bands
+    return {
+        key: cfg.get("experiment", key, kind="float")
+        for key in ("trivial_fraction", "band_fraction", "core_fraction")
+        if cfg.has("experiment", key)
+    }
 
 
 def _m_values(cfg):
@@ -471,7 +481,9 @@ def cmd_potential(cfg, emit):
     dim = cfg.get("geometry", "dim", kind="int")
     coeffs, scheme = _build_coeffs(cfg, dim)
     _, p = _build_phi(cfg, dim)
-    half_widths, ops = _truncation_ops(cfg, dim, coeffs, scheme)
+    # the default probe is the origin, a lattice point only on odd shapes
+    odd = not cfg.has("experiment", "probe")
+    half_widths, ops = _truncation_ops(cfg, dim, coeffs, scheme, odd=odd)
     excluded = None
     if cfg.has("experiment", "excluded"):
         fn = compile_point_function(
@@ -492,14 +504,22 @@ def cmd_potential(cfg, emit):
 
 
 def _hyp_dict(hyp):
+    return {k: v for k, v in dataclasses.asdict(hyp).items() if k != "messages"}
+
+
+def _reaction_rule(hyp):
+    """(holds, failure line) for each reaction hypothesis of the dichotomy:
+    phi vanishes for t <= 0, is nondecreasing, and grows at most like
+    p (1 + t) with the config's density p (1e-9 absorbs rounding)."""
+    bound = hyp.linear_bound_constant
     return {
-        "vanishes_nonpositive": bool(hyp.vanishes_nonpositive),
-        "nondecreasing": bool(hyp.nondecreasing),
-        "min_step": hyp.min_step,
-        "concave": bool(hyp.concave),
-        "concavity_defect": hyp.concavity_defect,
-        "linear_bound_constant": hyp.linear_bound_constant,
-        "linearly_bounded": bool(hyp.linearly_bounded),
+        "vanishes": (hyp.vanishes_nonpositive, "reaction does not vanish for t <= 0"),
+        "nondecreasing": (hyp.nondecreasing, "reaction is not nondecreasing in t"),
+        "growth": (
+            bound <= 1.0 + 1e-9,
+            "linear growth bound fails with the given density "
+            f"(constant {bound:.4g} > 1)",
+        ),
     }
 
 
@@ -523,16 +543,9 @@ def cmd_checks(cfg, emit):
     phi, p = _build_phi(cfg, dim, mask)
     sample = mask.interior_points()[:: max(1, mask.n_interior // 512)]
     hyp = check_hypotheses(phi, p, sample)
-    if not hyp.vanishes_nonpositive:
-        failures.append("reaction does not vanish for t <= 0")
-    if not hyp.nondecreasing:
-        failures.append("reaction is not nondecreasing in t")
-    growth_ok = hyp.linear_bound_constant <= 1.0 + 1e-9
-    if not growth_ok:
-        failures.append(
-            "linear growth bound fails with the given density "
-            f"(constant {hyp.linear_bound_constant:.4g} > 1)"
-        )
+    rule = _reaction_rule(hyp)
+    failures += [line for holds, line in rule.values() if not holds]
+    growth_ok = rule["growth"][0]
     if cfg.get("experiment", "require_concave", default=False, kind="bool"):
         if not hyp.concave:
             failures.append("reaction is not concave in t")
@@ -614,11 +627,7 @@ def cmd_dichotomy(cfg, emit):
 
     sample = op.mask.interior_points()[:: max(1, op.mask.n_interior // 256)]
     hyp = check_hypotheses(phi, p, sample)
-    hypotheses_ok = (
-        hyp.vanishes_nonpositive
-        and hyp.nondecreasing
-        and hyp.linear_bound_constant <= 1.0 + 1e-9
-    )
+    hypotheses_ok = all(holds for holds, _ in _reaction_rule(hyp).values())
     report = dichotomy_report(study, sweep, diag, hypotheses_ok)
 
     header, rows = study.tables()["truncations"]
@@ -676,6 +685,7 @@ def main(argv=None):
     )
     try:
         cfg = RunConfig.from_file(args.config)
+        _check_keys(cfg)
         # a label recorded in the manifest; nothing in the package is random
         seed = args.seed
         if seed is None:

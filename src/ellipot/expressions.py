@@ -336,36 +336,22 @@ def _eval(node, env):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def compile_point_function(expr, dim, with_t=False):
-    """Turn an expression into a callable on point arrays.
+def compile_point_function(expr, dim):
+    """Turn an expression in the coordinates into fn(points) -> (n,).
 
-    Without t: returns fn(points) -> (n,).  With t: fn(points, t) -> (n,)
-    where t is a scalar or an (n,) array.  ``expr`` may be AST or text.
+    ``expr`` may be AST or text.  A t in it is an ``ExprError``; the one
+    compiler for expressions in t is the ``[phi] rho`` profile of
+    :mod:`ellipot.cli`.
     """
     node = parse_expr(expr) if isinstance(expr, str) else expr
-    validate_vars(node, dim, allow_t=with_t)
+    validate_vars(node, dim)
 
-    def base_env(points):
+    def fn(points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         env = {f"x{k + 1}": points[:, k] for k in range(points.shape[1])}
         env["r"] = np.linalg.norm(points, axis=1)
-        return env
-
-    if with_t:
-        def fn(points, t):
-            env = base_env(points)
-            env["t"] = np.asarray(t, dtype=float)
-            out = evaluate(node, env)
-            return np.broadcast_to(
-                np.asarray(out, dtype=float), (len(env["r"]),)
-            ).copy()
-    else:
-        def fn(points):
-            env = base_env(points)
-            out = evaluate(node, env)
-            return np.broadcast_to(
-                np.asarray(out, dtype=float), (len(env["r"]),)
-            ).copy()
+        out = evaluate(node, env)
+        return np.broadcast_to(np.asarray(out, dtype=float), (len(points),)).copy()
 
     fn.expression = to_text(node)
     return fn

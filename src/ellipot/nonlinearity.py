@@ -403,7 +403,7 @@ def check_hypotheses(phi, p, points):
         denom = pv[:, None] * (_T_GRID[None, :] + 1.0)
         ratio = np.where(denom > 0, table / denom, 0.0)
     cbound = float(ratio.max()) if ratio.size else 0.0
-    bounded = np.isfinite(cbound) and cbound <= _BOUND_CAP
+    bounded = cbound <= _BOUND_CAP  # False for nan and inf too
 
     return HypothesisReport(
         vanishes, nondecreasing, min_step, cdef, concave, cbound, bounded, messages

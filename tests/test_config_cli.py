@@ -12,7 +12,7 @@ import numpy.testing as npt
 import pytest
 
 import ellipot
-from ellipot import AssembledOperator, ConfigError, RunConfig
+from ellipot import AssembledOperator, CoefficientSet, ConfigError, RunConfig, assemble
 from ellipot.cli import main
 
 
@@ -108,6 +108,27 @@ def _write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def _solution(out):
+    """Values column of a solve's solution.csv."""
+    with open(out / "solution.csv") as fh:
+        rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
+    return np.array([float(r[-1]) for r in rows[1:]])
+
+
+@pytest.fixture
+def assembled(monkeypatch):
+    """Every operator assembled while the test runs, in order."""
+    ops = []
+    assemble_ = AssembledOperator._assemble
+
+    def counting_assemble(self):
+        ops.append(self)
+        return assemble_(self)
+
+    monkeypatch.setattr(AssembledOperator, "_assemble", counting_assemble)
+    return ops
 
 
 class TestCliSolve:
@@ -222,22 +243,16 @@ m_count = 4
 
 
 class TestCliDichotomy:
-    def test_each_box_is_assembled_and_factored_once(self, tmp_path, monkeypatch):
-        assembled = []
+    def test_each_box_is_assembled_and_factored_once(self, tmp_path, monkeypatch,
+                                                     assembled):
         misses = []
-        assemble_ = AssembledOperator._assemble
         factor_ = AssembledOperator.factor
-
-        def counting_assemble(self):
-            assembled.append(self)
-            return assemble_(self)
 
         def counting_factor(self):
             if not self.is_factored:
                 misses.append(self)
             return factor_(self)
 
-        monkeypatch.setattr(AssembledOperator, "_assemble", counting_assemble)
         monkeypatch.setattr(AssembledOperator, "factor", counting_factor)
         cfg = _write(tmp_path, DICHOTOMY_CFG)
         out = tmp_path / "o"
@@ -251,33 +266,27 @@ class TestCliDichotomy:
         assert report["verdict"]["consistent"] is True
         assert len(report["study"]["sup_estimates"]) == 3
 
-    def test_sweep_box_outside_the_family_is_assembled(self, tmp_path, monkeypatch):
-        assembled = []
-        assemble_ = AssembledOperator._assemble
-
-        def counting_assemble(self):
-            assembled.append(self)
-            return assemble_(self)
-
-        monkeypatch.setattr(AssembledOperator, "_assemble", counting_assemble)
+    def test_sweep_box_outside_the_family_is_assembled(self, tmp_path, assembled):
         cfg = _write(tmp_path, DICHOTOMY_CFG + "sweep_half_width = 3.0\n")
         out = tmp_path / "o"
         assert main(["dichotomy", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(assembled) == 3 * 2 + 1
 
-    def test_even_shape_is_rejected_before_any_assembly(self, tmp_path, monkeypatch):
-        assembled = []
-        assemble_ = AssembledOperator._assemble
-
-        def counting_assemble(self):
-            assembled.append(self)
-            return assemble_(self)
-
-        monkeypatch.setattr(AssembledOperator, "_assemble", counting_assemble)
+    def test_even_shape_is_rejected_before_any_assembly(self, tmp_path, assembled):
         cfg = _write(tmp_path, DICHOTOMY_CFG.replace("shape = 17", "shape = 16"))
         out = tmp_path / "o"
         assert main(["dichotomy", "--config", str(cfg), "--out", str(out)]) == 1
         assert assembled == []
+
+    def test_potential_rejects_even_shape_before_any_assembly(self, tmp_path, caplog,
+                                                              assembled):
+        # without a probe the diagnostic reads the origin, which an even
+        # shape puts between lattice points
+        cfg = _write(tmp_path, DICHOTOMY_CFG.replace("shape = 17", "shape = 16"))
+        out = tmp_path / "o"
+        assert main(["potential", "--config", str(cfg), "--out", str(out)]) == 1
+        assert assembled == []
+        assert "shape must be odd" in caplog.text
 
 
 class TestCliExitCodes:
@@ -326,6 +335,28 @@ class TestCliExitCodes:
         assert f"[solver] {line.split()[0]}" in caplog.text
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "command, text, where",
+        [
+            # a misspelt key would fall back to its default (gamma = 0.5)
+            ("checks", SOLVE_CFG.replace("gamma = 0.5", "gama = 3.0"), "[phi] gama"),
+            # checks reads no [solver] key, but one file serves every command
+            ("checks", SOLVE_CFG + "\n[solver]\nt_floor = 1e-6\n", "[solver] t_floor"),
+            ("solve", SOLVE_CFG + "\n[experimnt]\nboundary = 2.0\n", "[experimnt]"),
+            # a 2D operator has drift components b1 and b2 only
+            ("solve", SOLVE_CFG.replace("dim = 1", "dim = 2")
+             + "\n[operator]\nb3 = 1.0\n", "[operator] b3"),
+        ],
+        ids=["misspelt-key", "unread-solver-key", "unknown-section", "drift-beyond-dim"],
+    )
+    def test_unknown_key_exits_before_any_work(self, tmp_path, caplog, command,
+                                               text, where):
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        assert where in caplog.text
+        assert not out.exists()
+
 
 class TestCliCommands:
     def test_checks_pass_for_sublinear(self, tmp_path):
@@ -366,3 +397,61 @@ class TestCliCommands:
         assert report["run"]["decreasing_ok"] is True
         assert (out / "levels.csv").exists()
         assert (out / "vc.csv").exists()
+
+
+class TestCliConfigPaths:
+    @pytest.mark.parametrize(
+        "lines, b",
+        [
+            ('b1 = "x2"\nb2 = 0.5',
+             lambda pts: np.stack([pts[:, 1], np.full(len(pts), 0.5)], axis=1)),
+            ("b1 = 0.5", np.array([0.5, 0.0])),
+        ],
+        ids=["expression", "constant"],
+    )
+    def test_drift_keys_assemble_the_coefficient_set(self, tmp_path, assembled,
+                                                     lines, b):
+        text = SOLVE_CFG.replace("dim = 1", "dim = 2").replace("shape = 33", "shape = 9")
+        cfg = _write(tmp_path, text + "\n[operator]\n" + lines + "\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        op = assembled[0]
+        ref = assemble(op.mask, CoefficientSet(b=b))
+        npt.assert_array_equal(op.interior_matrix.toarray(), ref.interior_matrix.toarray())
+        npt.assert_array_equal(op.boundary_matrix.toarray(), ref.boundary_matrix.toarray())
+
+    def test_expression_family_matches_the_power_family(self, tmp_path):
+        expr = SOLVE_CFG.replace("family = power\ngamma = 0.5",
+                                 'family = expr\nrho = "sqrt(t)"')
+        out = {}
+        for name, text in (("power", SOLVE_CFG), ("expr", expr)):
+            out[name] = tmp_path / name
+            cfg = _write(tmp_path, text, name=f"{name}.cfg")
+            assert main(["solve", "--config", str(cfg), "--out", str(out[name])]) == 0
+        npt.assert_allclose(_solution(out["expr"]), _solution(out["power"]), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "phi, code",
+        [("family = capped\ncap = 1.0", 0), ("family = power\ngamma = 2", 2)],
+        ids=["capped", "power-2"],
+    )
+    def test_require_concave(self, tmp_path, phi, code):
+        text = SOLVE_CFG.replace("family = power\ngamma = 0.5", phi)
+        cfg = _write(tmp_path, text + "require_concave = true\n")
+        out = tmp_path / "o"
+        assert main(["checks", "--config", str(cfg), "--out", str(out)]) == code
+        failures = json.loads((out / "checks.json").read_text())["failures"]
+        assert ("reaction is not concave in t" in failures) == bool(code)
+
+    def test_superlinear_growth_fails_checks_and_dichotomy(self, tmp_path):
+        cfg = _write(tmp_path, SOLVE_CFG.replace("gamma = 0.5", "gamma = 3.0"))
+        out = tmp_path / "checks"
+        assert main(["checks", "--config", str(cfg), "--out", str(out)]) == 2
+        failures = json.loads((out / "checks.json").read_text())["failures"]
+        assert any(f.startswith("linear growth bound fails") for f in failures)
+
+        cfg = _write(tmp_path, DICHOTOMY_CFG.replace("gamma = 0.5", "gamma = 3.0"),
+                     name="dichotomy.cfg")
+        out = tmp_path / "dichotomy"
+        main(["dichotomy", "--config", str(cfg), "--out", str(out)])
+        report = json.loads((out / "dichotomy.json").read_text())
+        assert report["verdict"]["hypotheses_ok"] is False

@@ -160,11 +160,6 @@ class TestCompile:
         fn = compile_point_function("2.5", 3)
         npt.assert_allclose(fn(np.zeros((4, 3))), np.full(4, 2.5))
 
-    def test_with_t(self):
-        fn = compile_point_function("t * x1", 1, with_t=True)
-        npt.assert_allclose(fn([[2.0], [3.0]], 10.0), [20.0, 30.0])
-        npt.assert_allclose(fn([[2.0], [3.0]], np.array([1.0, 2.0])), [2.0, 6.0])
-
     def test_rejects_t_when_not_requested(self):
         with pytest.raises(ExprError):
             compile_point_function("t + x1", 1)
