@@ -599,8 +599,9 @@ def cmd_dichotomy(cfg, emit):
     params = _build_params(cfg)
     c = cfg.get("experiment", "c", default=1.0, kind="float")
 
-    # each cube is assembled once and factored by its first solve; the
-    # study, the sweep and the Green sums all reuse those operators
+    # each cube is assembled once (and, off the DST path, factored by its
+    # first solve); the study, the sweep and the Green sums all reuse
+    # those operators
     half_widths, ops = _truncation_ops(cfg, dim, coeffs, scheme, odd=True)
     study = cube_truncation_study(
         half_widths,

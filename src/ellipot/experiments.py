@@ -535,7 +535,7 @@ def cube_truncation_study(half_widths, phi, c=1.0, dim=3, shape=33,
     ``dim``/``shape`` and released with its run.  The whole cube serves as
     the outermost exhaustion level and only the inner levels are assembled
     here, so a caller that reuses ``ops`` for a sweep or Green sums on the
-    same cubes factors each cube once.
+    same cubes assembles (and, off the DST path, factors) each cube once.
     """
     if ops is not None and len(ops) != len(half_widths):
         raise ValueError("one operator per half-width required")

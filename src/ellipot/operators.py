@@ -6,6 +6,13 @@ matrix over the active points (interior then boundary) of a mask; boundary
 values enter through the interior-to-boundary block.  The discrete maximum
 principle is available exactly when minus the interior block is an M-matrix,
 which the drift and mixed-derivative scheme options control.
+
+Solves with B = -A_II go through ``AssembledOperator.solve``.  When the
+interior fills a full rectangular block and B is the Kronecker sum of 1D
+second differences (constant diagonal a, constant c, no drift, no cross
+terms), B is diagonalized by the type-I discrete sine transform and a
+solve is two DSTs and a division (Buzbee, Golub and Nielson, SIAM J.
+Numer. Anal. 7, 1970); any other operator is factored once by SuperLU.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft as sfft
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
@@ -35,6 +43,59 @@ def _sparse_lu(matrix):
     ``scipy.sparse.linalg.splu`` sees every factorization.
     """
     return spla.splu(sp.csc_matrix(matrix), permc_spec=_PERMC_SPEC)
+
+
+# B counts as a Kronecker sum when it differs from the one rebuilt from its
+# own diagonal and first off-diagonals by at most this, relative to max|B|
+_KRON_RTOL = 1e-12
+
+
+class _BoxSolver:
+    """B^-1 by DST-I on a box, where B = d I + sum_k T_k with T_k the
+    second difference along axis k, -w_k on its off-diagonals.
+
+    The orthonormal DST-I of each axis diagonalizes T_k with eigenvalues
+    -2 w_k cos(pi j / (n_k + 1)), j = 1..n_k, so B^-1 is one forward DST,
+    a division by the Kronecker-sum eigenvalues and one inverse DST.
+    """
+
+    def __init__(self, shape, diag, weights):
+        self.shape = shape
+        eig = np.full(shape, float(diag))
+        for k, (n, w) in enumerate(zip(shape, weights)):
+            lam = -2.0 * w * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+            eig += lam.reshape([n if j == k else 1 for j in range(len(shape))])
+        self.eigenvalues = eig
+
+    @classmethod
+    def of(cls, op):
+        """The solver of ``op``'s B, or None when B is no box Kronecker sum."""
+        mask = op.mask
+        idx = np.unravel_index(mask.interior_flat, mask.grid.shape)
+        shape = tuple(int(i.max() - i.min()) + 1 for i in idx)
+        # interior_flat is in C order, so a full block is numbered exactly
+        # as the C-order raveling of that block
+        if int(np.prod(shape)) != mask.n_interior:
+            return None
+        B = (-op.interior_matrix).tocsr()
+        strides = [int(np.prod(shape[k + 1:])) for k in range(len(shape))]
+        weights = [-B[0, s] if n > 1 else 0.0 for s, n in zip(strides, shape)]
+        diag = B[0, 0]
+        kron = sp.csr_matrix((1, 1))
+        for n, w in zip(shape, weights):
+            second = sp.diags([-w, -w], [-1, 1], shape=(n, n))
+            # the new axis varies fastest, as in C order
+            kron = sp.kronsum(second, kron, format="csr")
+        kron = kron + diag * sp.identity(mask.n_interior, format="csr")
+        scale = float(abs(B).max())
+        if float(abs(B - kron).max()) > _KRON_RTOL * scale:
+            return None
+        return cls(shape, diag, weights)
+
+    def solve(self, rhs):
+        y = sfft.dstn(np.reshape(rhs, self.shape), type=1, norm="ortho")
+        y /= self.eigenvalues
+        return sfft.idstn(y, type=1, norm="ortho").ravel()
 
 
 class CoefficientSet:
@@ -167,6 +228,9 @@ def check_ellipticity(coeffs, mask):
     return EllipticityReport(lo, hi, cmax, symmetric, ok, messages)
 
 
+_UNSET = object()  # marks the box solver as not yet looked for
+
+
 class AssembledOperator:
     """Sparse discretization of L over the active points of a mask.
 
@@ -185,6 +249,7 @@ class AssembledOperator:
         self._A_II = None
         self._A_IB = None
         self._lu = None
+        self._box = _UNSET
         self._assemble()
 
     @property
@@ -212,13 +277,28 @@ class AssembledOperator:
         """Cached sparse LU of minus the interior block.
 
         Built once per operator with SuperLU under the minimum-degree
-        ordering of A^T + A (see ``_sparse_lu``) and reused by every later
-        harmonic extension, Green potential and certificate solve on this
-        operator; callers that share an operator share its factor.
+        ordering of A^T + A (see ``_sparse_lu``).  :meth:`solve` reaches it
+        only on operators that are not DST-solvable boxes; callers that
+        share an operator share its factor.
         """
         if self._lu is None:
             self._lu = _sparse_lu(-self._A_II)
         return self._lu
+
+    def solve(self, rhs, trans="N"):
+        """B^-1 rhs with B = -A_II (B^-T rhs for ``trans="T"``).
+
+        On a full box whose B is the Kronecker sum of 1D second
+        differences, two DST-I transforms (``_BoxSolver``, B symmetric
+        there); otherwise the cached factor of :meth:`factor`.  Whether the
+        box path applies is decided once per operator, by comparing B with
+        the Kronecker sum rebuilt from B's own entries.
+        """
+        if self._box is _UNSET:
+            self._box = _BoxSolver.of(self)
+        if self._box is not None:
+            return self._box.solve(rhs)
+        return self.factor().solve(rhs, trans=trans)
 
     def apply(self, values):
         """L applied to full-grid values (array or Field); returns (n_interior,)."""

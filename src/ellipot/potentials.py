@@ -5,6 +5,15 @@ u = f on the boundary, so nonnegative sources produce nonnegative
 potentials whenever minus the interior block is an M-matrix.  The discrete
 Green kernel is normalized so that lattice sums weighted by the cell
 volume approximate the continuum integral operator.
+
+Linear algebra.  Every Dirichlet solve here (harmonic extensions, Green
+potentials, kernel columns and rows) is one ``AssembledOperator.solve``
+with B = -A_II: two type-I discrete sine transforms when the interior is
+a full box and B the Kronecker sum of 1D second differences (constant
+diagonal a and c, no drift), a solve on the operator's cached SuperLU
+factor otherwise.  Operators shared across calls
+share that factor, so a family of Green sums on one operator factors it
+at most once.
 """
 
 from __future__ import annotations
@@ -157,15 +166,16 @@ def solve_interior(op, source=0.0, boundary=0.0):
     """Solve  L u = -g  in the interior with u = f on the boundary.
 
     Returns a :class:`Field`.  ``source`` is g (so nonnegative g gives a
-    nonnegative potential on sign-safe discretizations).  The solve uses
-    the sparse LU cached on the operator.
+    nonnegative potential on sign-safe discretizations).  The solve is
+    ``op.solve``: DST-I on a constant-coefficient box, the operator's
+    cached sparse LU elsewhere.
     """
     mask = op.mask
     g = interior_values(mask, source)
     f = boundary_values(mask, boundary)
     rhs = g + op.boundary_matrix @ f
     B = -op.interior_matrix
-    u = op.factor().solve(rhs)
+    u = op.solve(rhs)
     if not np.all(np.isfinite(u)):
         raise LinearSolveError("linear solve produced non-finite values")
     res = B @ u - rhs
@@ -206,8 +216,9 @@ def green_kernel_column(op, source_point):
 def green_row(op, eval_point):
     """Discrete Green kernel G(x, .) for a fixed evaluation point x.
 
-    Uses one transposed solve, so sweeping over all source points costs a
-    single factorization.
+    Uses one transposed solve with B (``op.solve``), so sweeping over all
+    source points costs one DST pair on a box and a single factorization
+    elsewhere.
     """
     mask = op.mask
     flat = mask.grid.flat_index_of(eval_point)[0]
@@ -216,7 +227,7 @@ def green_row(op, eval_point):
         raise ValueError("evaluation point must be an interior lattice point")
     e = np.zeros(mask.n_interior)
     e[where[0]] = 1.0
-    row = op.factor().solve(e, trans="T") / mask.grid.cell_volume()
+    row = op.solve(e, trans="T") / mask.grid.cell_volume()
     return Field.from_active(mask, row, np.zeros(mask.n_boundary))
 
 

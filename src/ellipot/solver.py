@@ -15,23 +15,26 @@ below fix how the shift is estimated and refreshed and when a stalled
 run is accepted.
 
 Linear algebra.  The harmonic extension and the identity certificate
-share the operator's cached SuperLU factor (``AssembledOperator.factor``,
-minimum-degree ordering of A^T + A, see ``operators._sparse_lu``), so an
-operator reused across solves is factored once.  The shifted systems
-with B + Lambda are solved without a factor while that is cheaper: when
-B is exactly symmetric, each step runs Jacobi-preconditioned CG
-warm-started from the current iterate, to the absolute sup-norm residual
-tol (a tenth of the 10 * tol equation gate; at the fixed point of the
-inexact map the equation residual equals the inner one), checked on the
-true residual.  A work ledger in multiply-adds, read off the operator's
-factor (same pattern as the shifted one), sums the CG work in excess of
-triangular solves; once one more iteration would push that excess past
-the cost of a factorization, B + Lambda is factored and the solve stays
-on that factor, refactoring at each shift refresh.  The rule uses no
-timing, so equal inputs take equal paths.  Non-symmetric B is factored
-from the start.  The report counts the factorizations a solve built,
-their fill and its CG iterations, and each solve logs one DEBUG line on
-the ``ellipot.solver`` logger.
+are solves with B through ``AssembledOperator.solve``: on a full box with
+constant coefficients and no drift or cross terms, two type-I discrete
+sine transforms; elsewhere the operator's cached SuperLU factor
+(minimum-degree ordering of A^T + A, see ``operators._sparse_lu``), so an
+operator reused across solves is factored at most once.  The shifted
+systems with B + Lambda are solved without a factor while that is
+cheaper: when B is exactly symmetric, each step runs Jacobi-preconditioned
+CG warm-started from the current iterate, to the absolute sup-norm
+residual tol (a tenth of the 10 * tol equation gate; at the fixed point of
+the inexact map the equation residual equals the inner one), checked on
+the true residual.  A work ledger in multiply-adds, priced by the fill of
+a factor of B (read off the operator's factor, or estimated from the box
+lattice where B has none), sums the CG work in excess of triangular
+solves; once one more iteration would push that excess past the cost of a
+factorization, B + Lambda is factored and the solve stays on that factor,
+refactoring at each shift refresh.  The rule uses no timing, so equal
+inputs take equal paths.  Non-symmetric B is factored from the start.
+The report counts the factorizations a solve built, their fill and its CG
+iterations, and each solve logs one DEBUG line on the ``ellipot.solver``
+logger.
 """
 
 from __future__ import annotations
@@ -66,6 +69,14 @@ _LAMBDA_SAFETY = 1.1
 # shrink; the matrix changes when the shifts halve or some point needs
 # more, and a solve on a shifted factor then refactors
 _REFRESH_EVERY = 50
+# nnz(LU) of SuperLU's factor of B on a box with n interior points, as
+# coef * n**power per dimension; the ledger prices factors with it on
+# boxes, whose B is solved by DST and has no factor to read the fill off.
+# Fitted within 7% to fills measured on box interiors: 2D 31^2 / 63^2 /
+# 127^2 / 255^2 give 25,498 / 126,628 / 657,020 / 3,382,288, 3D 7^3 /
+# 15^3 / 23^3 / 31^3 give 16,182 / 483,686 / 3,459,696 / 15,048,832; 1D
+# is about 4 n.
+_BOX_FILL = {1: (4.0, 1.0), 2: (8.7, 1.16), 3: (2.0, 1.53)}
 
 
 @dataclass
@@ -86,10 +97,12 @@ class SolveReport:
     """Outcome of one semilinear solve.
 
     ``factorizations`` counts the sparse LUs the solve built: the
-    operator's own factor when it was not cached yet, plus the shifted
-    matrix once the solve switched to a factor and again at each later
-    refresh (from the start when B is not symmetric).  ``factor_nnz`` sums
-    their fill as SuperLU reports it (``SuperLU.nnz``).
+    operator's own factor when it was not cached yet (never on a box whose
+    B is solved by DST, so 0 there unless the shifted matrix is factored),
+    plus the shifted matrix once the solve switched to a factor and again
+    at each later refresh (from the start when B is not symmetric).
+    ``factor_nnz`` sums their fill as SuperLU reports it
+    (``SuperLU.nnz``).
     ``inner_iterations`` counts the CG iterations of the shifted solves,
     including those of an attempt abandoned for a factor; it is 0 on a
     pure LU path.
@@ -159,17 +172,24 @@ class _ShiftedSolve:
     Jacobi-CG runs while a work ledger, in multiply-adds, says it is
     cheaper than a factor: a factorization costs about nnz(LU)^2 / n, a
     triangular solve nnz(LU) and a CG iteration nnz(B + lam) + 5 n, with
-    nnz(LU) from the operator's factor.  Once one more iteration would
+    nnz(LU) from the operator's factor when it has one and from
+    _BOX_FILL on a box solved by DST.  Once one more iteration would
     push the summed excess of CG over triangular solves past the
     factorization cost, the matrix is factored for good.  B that is not
     exactly symmetric is factored from the start.
     """
 
-    def __init__(self, B, lam, lu_nnz):
+    def __init__(self, op, B, lam):
         self.B = B
         self.n = B.shape[0]
-        self.factor_work = lu_nnz * lu_nnz / self.n
-        self.tri_work = lu_nnz
+        # a box whose B is solved by DST has no factor to read the fill off
+        if op.is_factored:
+            self.lu_nnz = int(op.factor().nnz)
+        else:
+            coef, power = _BOX_FILL[min(op.mask.grid.dim, 3)]
+            self.lu_nnz = coef * self.n**power
+        self.factor_work = self.lu_nnz**2 / self.n
+        self.tri_work = self.lu_nnz
         self.excess = 0.0
         self.lu = None
         self.on_lu = (B != B.T).nnz > 0
@@ -260,10 +280,7 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     B = sp.csc_matrix(-op.interior_matrix)
     rhs_b = op.boundary_matrix @ f
     fresh = not op.is_factored
-    lu = op.factor()
-    factorizations, factor_nnz = (1, int(lu.nnz)) if fresh else (0, 0)
-
-    harm = lu.solve(rhs_b)
+    harm = op.solve(rhs_b)
     if not np.all(np.isfinite(harm)):
         raise SolverBreakdownError("harmonic extension is not finite")
 
@@ -272,7 +289,7 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
         message = "boundary data has negative values; monotonicity not guaranteed"
 
     lam = _slope_profile(phi_b, np.maximum(harm, 0.0))
-    shifted = _ShiftedSolve(B, lam, int(lu.nnz))
+    shifted = _ShiftedSolve(op, B, lam)
     refreshes = 0
 
     # solutions cannot dip below the boundary minimum (or zero, whichever
@@ -342,9 +359,12 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     if not np.isfinite(res):
         res = float(np.max(np.abs(B @ u + phi_b(u) - rhs_b)))
 
-    factorizations += shifted.factorizations
-    factor_nnz += shifted.factor_nnz
-    gphi = lu.solve(phi_b(u))
+    factorizations = shifted.factorizations
+    factor_nnz = shifted.factor_nnz
+    if fresh and op.is_factored:  # the harmonic extension factored B
+        factorizations += 1
+        factor_nnz += shifted.lu_nnz
+    gphi = op.solve(phi_b(u))
     identity_residual = float(np.max(np.abs(harm - u - gphi), initial=0.0))
 
     report = SolveReport(

@@ -131,12 +131,24 @@ def assembled(monkeypatch):
     return ops
 
 
+# drift keeps a box off the DST path: B is factored by SuperLU
+DRIFT = "\n[operator]\nb1 = 0.5\n"
+# a ball inside the unit cube: not a box, so B is factored by SuperLU
+BALL_3D = SOLVE_CFG.replace("dim = 1", "dim = 3").replace(
+    "shape = 33", "shape = 17").replace(
+    "bounds = [0, 1]",
+    'bounds = [0, 1]\nmask = "(x1-0.5)^2 + (x2-0.5)^2 + (x3-0.5)^2 - 0.2"')
+
+
 class TestCliSolve:
-    def test_end_to_end(self, tmp_path):
-        cfg = _write(tmp_path, SOLVE_CFG)
+    def _solve_report(self, tmp_path, text):
+        cfg = _write(tmp_path, text)
         out = tmp_path / "out"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
+        return json.loads((out / "report.json").read_text()), out
+
+    def test_end_to_end(self, tmp_path):
+        report, out = self._solve_report(tmp_path, SOLVE_CFG + DRIFT)
         assert report["converged"] is True
         assert report["dim"] == 1
         assert report["identity_residual"] < 1e-8
@@ -150,16 +162,27 @@ class TestCliSolve:
         assert "report.json" in names
         assert all(len(a["sha256"]) == 64 for a in manifest["artifacts"])
 
+    def test_end_to_end_on_a_box_factors_no_operator(self, tmp_path):
+        # the interval is solved by DST: only the shifted factors count
+        report, _ = self._solve_report(tmp_path, SOLVE_CFG)
+        assert report["converged"] is True
+        assert report["identity_residual"] < 1e-8
+        assert report["factorizations"] == 1 + report["lambda_refreshes"]
+
     def test_report_counts_cg_iterations(self, tmp_path):
-        # a 3D box solves its shifted systems by CG: no shifted factor
-        cfg = _write(tmp_path, SOLVE_CFG.replace("dim = 1", "dim = 3").replace(
-            "shape = 33", "shape = 17"))
-        out = tmp_path / "out"
-        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
+        # a 3D ball solves its shifted systems by CG: no shifted factor
+        report, _ = self._solve_report(tmp_path, BALL_3D)
         assert report["converged"] is True
         assert report["inner_iterations"] > 0
         assert report["factorizations"] == 1
+
+    def test_box_report_counts_cg_iterations_and_no_factor(self, tmp_path):
+        report, _ = self._solve_report(tmp_path, SOLVE_CFG.replace(
+            "dim = 1", "dim = 3").replace("shape = 33", "shape = 17"))
+        assert report["converged"] is True
+        assert report["inner_iterations"] > 0
+        assert report["factorizations"] == 0
+        assert report["factor_nnz"] == 0
 
     def test_solution_csv_layout(self, tmp_path):
         cfg = _write(tmp_path, SOLVE_CFG)
@@ -242,29 +265,45 @@ m_count = 4
 """
 
 
+@pytest.fixture
+def factored(monkeypatch):
+    """Every operator factored while the test runs, once per new factor."""
+    misses = []
+    factor_ = AssembledOperator.factor
+
+    def counting_factor(self):
+        if not self.is_factored:
+            misses.append(self)
+        return factor_(self)
+
+    monkeypatch.setattr(AssembledOperator, "factor", counting_factor)
+    return misses
+
+
 class TestCliDichotomy:
-    def test_each_box_is_assembled_and_factored_once(self, tmp_path, monkeypatch,
-                                                     assembled):
-        misses = []
-        factor_ = AssembledOperator.factor
-
-        def counting_factor(self):
-            if not self.is_factored:
-                misses.append(self)
-            return factor_(self)
-
-        monkeypatch.setattr(AssembledOperator, "factor", counting_factor)
-        cfg = _write(tmp_path, DICHOTOMY_CFG)
+    def _run(self, tmp_path, text):
+        cfg = _write(tmp_path, text)
         out = tmp_path / "o"
         assert main(["dichotomy", "--config", str(cfg), "--out", str(out)]) == 0
+        return json.loads((out / "dichotomy.json").read_text())
+
+    def test_each_box_is_assembled_and_factored_once(self, tmp_path, assembled,
+                                                     factored):
+        report = self._run(tmp_path, DICHOTOMY_CFG + DRIFT)
         # three half-widths times two exhaustion levels; the study, the
         # sweep and the Green sums share the whole-box operators
         assert len(assembled) == 3 * 2
-        assert len(misses) == len(assembled)
-        assert {id(op) for op in misses} == {id(op) for op in assembled}
-        report = json.loads((out / "dichotomy.json").read_text())
+        assert len(factored) == len(assembled)
+        assert {id(op) for op in factored} == {id(op) for op in assembled}
         assert report["verdict"]["consistent"] is True
         assert len(report["study"]["sup_estimates"]) == 3
+
+    def test_each_box_is_assembled_once_and_never_factored(self, tmp_path, assembled,
+                                                           factored):
+        report = self._run(tmp_path, DICHOTOMY_CFG)
+        assert len(assembled) == 3 * 2
+        assert factored == []
+        assert report["verdict"]["consistent"] is True
 
     def test_sweep_box_outside_the_family_is_assembled(self, tmp_path, assembled):
         cfg = _write(tmp_path, DICHOTOMY_CFG + "sweep_half_width = 3.0\n")

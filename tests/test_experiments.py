@@ -265,23 +265,33 @@ class TestTruncationStudy:
         for rec in study.records:
             npt.assert_allclose(rec.run.ref_point, 0.0, atol=1e-12)
 
-    def test_prebuilt_boxes_give_the_same_study(self):
+    @staticmethod
+    def _prebuilt_study(coeffs):
+        """Fresh and prebuilt-box studies agree; returns the prebuilt ops."""
         half_widths = [1.0, 2.0]
         phi = ep.power_phi(1.0, 0.5)
-        ops = [ep.assemble(ep.box_mask(ep.build_grid(2, 17, (-R, R))))
+        ops = [ep.assemble(ep.box_mask(ep.build_grid(2, 17, (-R, R))), coeffs)
                for R in half_widths]
         fresh = ep.cube_truncation_study(half_widths, phi, dim=2, shape=17,
-                                         n_levels=2)
+                                         n_levels=2, coeffs=coeffs)
         # the lattice of each cube is read from its operator
-        reused = ep.cube_truncation_study(half_widths, phi, n_levels=2, ops=ops)
+        reused = ep.cube_truncation_study(half_widths, phi, n_levels=2, ops=ops,
+                                          coeffs=coeffs)
         for a, b in zip(fresh.records, reused.records):
             assert a.shape == b.shape
             npt.assert_allclose(b.run.level_sups, a.run.level_sups, atol=1e-12)
             assert b.origin_value == pytest.approx(a.origin_value, abs=1e-12)
+        assert reused.records[-1].run.v_c.mask is ops[-1].mask
+        return ops
+
+    def test_prebuilt_boxes_give_the_same_study(self):
+        # drift keeps the boxes on the LU path
+        half_widths = [1.0, 2.0]
+        phi = ep.power_phi(1.0, 0.5)
+        ops = self._prebuilt_study(ep.CoefficientSet(b=np.array([0.5, 0.0])))
         # the whole-box operators served as outermost levels and keep their
         # factors for the caller
         assert all(op.is_factored for op in ops)
-        assert reused.records[-1].run.v_c.mask is ops[-1].mask
         with pytest.raises(ValueError):
             ep.cube_truncation_study(half_widths, phi, dim=2, shape=17,
                                      n_levels=2, ops=ops[:1])
@@ -289,6 +299,11 @@ class TestTruncationStudy:
                 for R in half_widths]
         with pytest.raises(ValueError):
             ep.cube_truncation_study(half_widths, phi, n_levels=2, ops=even)
+
+    def test_prebuilt_laplacian_boxes_are_never_factored(self):
+        # B of a Laplacian box is solved by DST
+        ops = self._prebuilt_study(None)
+        assert not any(op.is_factored for op in ops)
 
     def test_origin_decay_with_floor_escape(self):
         def rec(value):

@@ -159,3 +159,67 @@ def test_factor_uses_a_fill_reducing_ordering():
     u = lu.solve(rhs)
     scale = abs(B).max() * np.abs(u).max() + np.abs(rhs).max()
     assert np.max(np.abs(B @ u - rhs)) <= 1e-12 * scale
+
+
+# --------------------------------------------- solves with B = -A_II
+
+def _box(dim, shape, bounds):
+    return ep.box_mask(ep.build_grid(dim, shape, bounds))
+
+
+def _solve_error(op, rng):
+    """Relative sup distance of op.solve from the LU solve, and whether
+    op.solve went through a factor."""
+    rhs = rng.uniform(-1.0, 1.0, op.n_interior)
+    x = op.solve(rhs)
+    used_factor = op.is_factored
+    ref = op.factor().solve(rhs)
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref))), used_factor
+
+
+_ANISO_3D = ([9, 11, 13], [(0.0, 1.0), (-2.0, 3.0), (0.0, 0.5)])
+
+
+@pytest.mark.parametrize(
+    "mask, coeffs",
+    [
+        (_box(1, 65, (0.0, 1.0)), None),
+        (_box(2, [17, 25], [(0.0, 1.0), (-2.0, 3.0)]),
+         ep.CoefficientSet(a=np.array([1.0, 3.0]), c=-2.5)),
+        (_box(3, *_ANISO_3D), ep.CoefficientSet(a=np.array([2.0, 1.0, 0.5]), c=-1.0)),
+        (ep.build_exhaustion(_box(3, *_ANISO_3D), 3).levels[0],
+         ep.CoefficientSet(a=np.array([2.0, 1.0, 0.5]))),
+    ],
+    ids=["1d", "2d-aniso-c", "3d-aniso-c", "3d-exhaustion-sub-box"],
+)
+def test_box_solve_by_dst_matches_the_factor(rng, mask, coeffs):
+    op = ep.assemble(mask, coeffs)
+    err, used_factor = _solve_error(op, rng)
+    assert not used_factor
+    assert err <= 1e-12
+
+
+_DISC = ep.mask_from_predicate(ep.build_grid(2, 25, (-1.0, 1.0)),
+                               lambda pts: np.sum(pts**2, axis=1) < 0.81)
+_SQUARE = _box(2, 17, (-1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "mask, coeffs, scheme",
+    [
+        (_DISC, None, None),
+        (_SQUARE, ep.CoefficientSet(b=np.array([1.0, 0.0])), None),
+        (_SQUARE, ep.CoefficientSet(c=lambda pts: -1.0 - pts[:, 0] ** 2), None),
+        (_SQUARE, ep.CoefficientSet(a=lambda pts: 1.0 + pts[:, 0] ** 2), None),
+        (_SQUARE, ep.CoefficientSet(a=np.array([[1.0, 0.3], [0.3, 1.0]])), None),
+        (_SQUARE, ep.CoefficientSet(a=np.array([[1.0, 0.3], [0.3, 1.0]])),
+         ep.SchemeOptions(cross="tilted")),
+    ],
+    ids=["disc", "upwind-drift", "variable-c", "variable-a", "cross-corner",
+         "cross-tilted"],
+)
+def test_solve_falls_back_to_the_factor(rng, mask, coeffs, scheme):
+    op = ep.assemble(mask, coeffs, scheme)
+    err, used_factor = _solve_error(op, rng)
+    assert used_factor
+    assert err == 0.0

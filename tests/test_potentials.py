@@ -101,6 +101,18 @@ def test_green_row_matches_green_apply(rng, unit_square_17):
     assert got == pytest.approx(expected, rel=1e-10)
 
 
+def test_green_row_on_a_box_matches_the_transposed_factor_row():
+    mask = ep.box_mask(ep.build_grid(3, [9, 11, 7], [(0.0, 1.0), (0.0, 2.0), (-1.0, 0.0)]))
+    op = ep.assemble(mask, ep.CoefficientSet(a=np.array([1.0, 2.0, 0.5]), c=-3.0))
+    x0 = mask.interior_points()[100]
+    row = ep.green_row(op, x0).interior()
+    assert not op.is_factored
+    e = np.zeros(mask.n_interior)
+    e[100] = 1.0
+    ref = op.factor().solve(e, trans="T") / mask.grid.cell_volume()
+    assert np.max(np.abs(row - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 # ------------------------------------------------------------ Kato kernel
 
 def test_pinned_cell_average_constants():

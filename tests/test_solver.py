@@ -273,14 +273,10 @@ def test_cg_inner_solves_meet_the_outer_gate(m):
     npt.assert_allclose(u.interior(), ref, atol=1e-8)
 
 
-def test_2d_solve_pays_for_a_shifted_factor():
-    # in 2D a factor costs fewer multiply-adds than the CG iterations a
-    # Picard step needs, so the ledger switches to a shifted LU
-    mask = ep.box_mask(ep.build_grid(2, 65, (-1.0, 1.0)))
+def _pays_for_a_shifted_factor(mask):
     op = ep.assemble(mask)
     u, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
     assert rep.converged
-    assert rep.factorizations >= 2
 
     def phi_vec(v):
         return np.sqrt(np.maximum(v, 0.0))
@@ -289,3 +285,22 @@ def test_2d_solve_pays_for_a_shifted_factor():
     assert res <= 10.0 * rep.tol
     ref = oracles.newton_semilinear(B, rhs, phi_vec, u0=u.interior())
     npt.assert_allclose(u.interior(), ref, atol=1e-8)
+    return op, rep
+
+
+def test_2d_solve_pays_for_a_shifted_factor():
+    # in 2D a factor costs fewer multiply-adds than the CG iterations a
+    # Picard step needs, so the ledger switches to a shifted LU; a disc
+    # is no box, so its B is factored too
+    grid = ep.build_grid(2, 65, (-1.0, 1.0))
+    disc = ep.mask_from_predicate(grid, lambda pts: np.sum(pts**2, axis=1) < 0.81)
+    _, rep = _pays_for_a_shifted_factor(disc)
+    assert rep.factorizations >= 2
+
+
+def test_2d_box_pays_for_a_shifted_factor_only():
+    # on a box the ledger prices the factor from _BOX_FILL, and B itself
+    # is solved by DST: every factorization counted is a shifted one
+    op, rep = _pays_for_a_shifted_factor(ep.box_mask(ep.build_grid(2, 65, (-1.0, 1.0))))
+    assert not op.is_factored
+    assert rep.factorizations == 1 + rep.lambda_refreshes
