@@ -17,6 +17,7 @@ Numer. Anal. 7, 1970); any other operator is factored once by SuperLU.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,9 +229,6 @@ def check_ellipticity(coeffs, mask):
     return EllipticityReport(lo, hi, cmax, symmetric, ok, messages)
 
 
-_UNSET = object()  # marks the box solver as not yet looked for
-
-
 class AssembledOperator:
     """Sparse discretization of L over the active points of a mask.
 
@@ -249,7 +247,6 @@ class AssembledOperator:
         self._A_II = None
         self._A_IB = None
         self._lu = None
-        self._box = _UNSET
         self._assemble()
 
     @property
@@ -273,6 +270,16 @@ class AssembledOperator:
         """Whether :meth:`factor` has already built and cached its LU."""
         return self._lu is not None
 
+    @functools.cached_property
+    def _box(self):
+        """The DST-I solver of B when the box path applies, else None."""
+        return _BoxSolver.of(self)
+
+    @property
+    def solves_by_dst(self):
+        """Whether :meth:`solve` takes the DST-I box path, not the factor."""
+        return self._box is not None
+
     def factor(self):
         """Cached sparse LU of minus the interior block.
 
@@ -294,8 +301,6 @@ class AssembledOperator:
         box path applies is decided once per operator, by comparing B with
         the Kronecker sum rebuilt from B's own entries.
         """
-        if self._box is _UNSET:
-            self._box = _BoxSolver.of(self)
         if self._box is not None:
             return self._box.solve(rhs)
         return self.factor().solve(rhs, trans=trans)

@@ -27,7 +27,7 @@ residual tol (a tenth of the 10 * tol equation gate; at the fixed point of
 the inexact map the equation residual equals the inner one), checked on
 the true residual.  A work ledger in multiply-adds, priced by the fill of
 a factor of B (read off the operator's factor, or estimated from the box
-lattice where B has none), sums the CG work in excess of triangular
+lattice when B is solved by DST), sums the CG work in excess of triangular
 solves; once one more iteration would push that excess past the cost of a
 factorization, B + Lambda is factored and the solve stays on that factor,
 refactoring at each shift refresh.  The rule uses no timing, so equal
@@ -172,24 +172,18 @@ class _ShiftedSolve:
     Jacobi-CG runs while a work ledger, in multiply-adds, says it is
     cheaper than a factor: a factorization costs about nnz(LU)^2 / n, a
     triangular solve nnz(LU) and a CG iteration nnz(B + lam) + 5 n, with
-    nnz(LU) from the operator's factor when it has one and from
-    _BOX_FILL on a box solved by DST.  Once one more iteration would
+    nnz(LU) the fill of a factor of B: measured on the operator's factor,
+    or _BOX_FILL on a box solved by DST.  Once one more iteration would
     push the summed excess of CG over triangular solves past the
     factorization cost, the matrix is factored for good.  B that is not
     exactly symmetric is factored from the start.
     """
 
-    def __init__(self, op, B, lam):
+    def __init__(self, B, lam, lu_nnz):
         self.B = B
         self.n = B.shape[0]
-        # a box whose B is solved by DST has no factor to read the fill off
-        if op.is_factored:
-            self.lu_nnz = int(op.factor().nnz)
-        else:
-            coef, power = _BOX_FILL[min(op.mask.grid.dim, 3)]
-            self.lu_nnz = coef * self.n**power
-        self.factor_work = self.lu_nnz**2 / self.n
-        self.tri_work = self.lu_nnz
+        self.factor_work = lu_nnz * lu_nnz / self.n
+        self.tri_work = lu_nnz
         self.excess = 0.0
         self.lu = None
         self.on_lu = (B != B.T).nnz > 0
@@ -283,13 +277,22 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     harm = op.solve(rhs_b)
     if not np.all(np.isfinite(harm)):
         raise SolverBreakdownError("harmonic extension is not finite")
+    # the fill that prices a factor in the ledger; it follows the path
+    # op.solve takes, not whether some caller already factored B
+    if op.solves_by_dst:
+        coef, power = _BOX_FILL[min(mask.grid.dim, 3)]
+        lu_nnz = coef * mask.n_interior**power
+    else:
+        lu_nnz = int(op.factor().nnz)
+    # the operator's own factor counts when the harmonic extension built it
+    factorizations, factor_nnz = (1, lu_nnz) if fresh and op.is_factored else (0, 0)
 
     message = ""
     if f.size and float(f.min()) < 0:
         message = "boundary data has negative values; monotonicity not guaranteed"
 
     lam = _slope_profile(phi_b, np.maximum(harm, 0.0))
-    shifted = _ShiftedSolve(op, B, lam)
+    shifted = _ShiftedSolve(B, lam, lu_nnz)
     refreshes = 0
 
     # solutions cannot dip below the boundary minimum (or zero, whichever
@@ -359,11 +362,8 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     if not np.isfinite(res):
         res = float(np.max(np.abs(B @ u + phi_b(u) - rhs_b)))
 
-    factorizations = shifted.factorizations
-    factor_nnz = shifted.factor_nnz
-    if fresh and op.is_factored:  # the harmonic extension factored B
-        factorizations += 1
-        factor_nnz += shifted.lu_nnz
+    factorizations += shifted.factorizations
+    factor_nnz += shifted.factor_nnz
     gphi = op.solve(phi_b(u))
     identity_residual = float(np.max(np.abs(harm - u - gphi), initial=0.0))
 

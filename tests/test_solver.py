@@ -304,3 +304,19 @@ def test_2d_box_pays_for_a_shifted_factor_only():
     op, rep = _pays_for_a_shifted_factor(ep.box_mask(ep.build_grid(2, 65, (-1.0, 1.0))))
     assert not op.is_factored
     assert rep.factorizations == 1 + rep.lambda_refreshes
+
+
+def test_box_ledger_does_not_depend_on_a_cached_factor():
+    # the ledger's price follows the path op.solve takes, so a box that a
+    # caller has already factored runs the same iterations as a fresh one
+    mask = ep.box_mask(ep.build_grid(2, 33, (-1.0, 1.0)))
+    phi = ep.power_phi(1.0, 0.5)
+    fresh = ep.assemble(mask)
+    factored = ep.assemble(mask)
+    factored.factor()
+    u0, rep0 = ep.solve_semilinear_dirichlet(fresh, phi, 1.0)
+    u1, rep1 = ep.solve_semilinear_dirichlet(factored, phi, 1.0)
+    assert fresh.solves_by_dst and not fresh.is_factored
+    assert rep1.inner_iterations == rep0.inner_iterations
+    assert (rep1.factorizations, rep1.factor_nnz) == (rep0.factorizations, rep0.factor_nnz)
+    npt.assert_array_equal(u1.values, u0.values)
