@@ -5,14 +5,15 @@ Building a concave majorant for an absorption term
 Many comparison arguments need the absorption phi(x, t) replaced by a
 dominating reaction phi_1 that is concave and nondecreasing in t, still
 vanishes at t = 0, and grows at most linearly.  The library builds one
-by mollifying phi in t with a per-point smoothing width, adding a linear
-term sized by the weight p(x):
+for a separable phi = p(x) rho(t) by mollifying rho in t over a ladder
+of smoothing widths and adding a linear term, all scaled by the weight
+p(x):
 
-    phi_1(x, t) = 2 p(x) t + psi(x, min(t, 1)),
+    phi_1(x, t) = p(x) (2 t + psi(min(t, 1))),
 
-with psi tabulated on a t-grid per grid point.  The result is a
-reaction object like any other: it can be evaluated, audited, and fed
-straight back into the solver.
+with psi one concave profile tabulated on a t-grid.  The result is a
+reaction object like any other: it can be evaluated at any point,
+audited, and fed straight back into the solver.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ import ellipot as ep
 
 grid = ep.build_grid(2, 17, (-1.0, 1.0))
 mask = ep.box_mask(grid)
+pts = grid.points()
 bowl = lambda pts: 1.0 / (1.0 + np.sum(pts * pts, axis=1))
 
 # ---------------------------------------------------------------
@@ -28,7 +30,7 @@ bowl = lambda pts: 1.0 / (1.0 + np.sum(pts * pts, axis=1))
 #
 # For each base we report the three numbers that define "valid
 # majorant": the domination defect min(phi_1 - phi) over a sample
-# (must be >= 0 up to rounding), the concavity defect of the psi table
+# (must be >= 0 up to rounding), the concavity defect of the psi profile
 # (second differences, must be <= 0 up to rounding, reported as its
 # negative), and the linear growth constant C with
 # phi_1 <= C p (t + 1).
@@ -40,8 +42,7 @@ bases = {
 }
 
 for label, base in bases.items():
-    maj = ep.build_concave_majorant(base, bowl, mask)
-    pts = grid.points()[maj.table_flat]
+    maj = ep.build_concave_majorant(base)
     dom = ep.domination_defect(base, maj, pts)
     print(f"base {label}: domination defect {dom:+.2e}, "
           f"concavity defect {maj.concavity_defect():+.2e}, "
@@ -55,7 +56,7 @@ for label, base in bases.items():
 # reaction against its majorant: the majorant hugs the base from above
 # and switches to pure linear growth past t = 1.
 # ---------------------------------------------------------------
-maj = ep.build_concave_majorant(bases["sqrt(t)    "], bowl, mask)
+maj = ep.build_concave_majorant(bases["sqrt(t)    "])
 center = np.zeros((1, 2))
 print("\n    t      sqrt-base   majorant")
 for t in (0.0, 0.05, 0.25, 1.0, 2.0, 4.0):

@@ -51,7 +51,8 @@ print(f"compiled    : p(0) = {decay(pts)[0]:.4f}, "
 # reaction from [phi], solves with the [experiment] boundary data, and
 # writes solution.csv, report.json, and a manifest with hashes of
 # every artifact (re-running the same config reproduces them bit for
-# bit).
+# bit).  Each command gets its own output folder, so each manifest
+# covers every artifact next to it.
 # ---------------------------------------------------------------
 outdir = pathlib.Path(__file__).parent / "output" / "cli_solve"
 outdir.mkdir(parents=True, exist_ok=True)
@@ -91,15 +92,15 @@ boundary = 1.0
 seed = 7
 """)
 
-proc = ellipot("solve", "--config", "run.cfg", "--out", ".")
-print(f"\n$ ellipot solve --config run.cfg --out .   (exit {proc.returncode})")
+proc = ellipot("solve", "--config", "run.cfg", "--out", "solve")
+print(f"\n$ ellipot solve --config run.cfg --out solve   (exit {proc.returncode})")
 
-report = json.loads((outdir / "report.json").read_text())
+report = json.loads((outdir / "solve" / "report.json").read_text())
 print(f"report      : converged={report['converged']}, "
       f"iterations={report['iterations']}, "
       f"identity residual {report['identity_residual']:.2e}")
 
-manifest = json.loads((outdir / "manifest.json").read_text())
+manifest = json.loads((outdir / "solve" / "manifest.json").read_text())
 print("artifacts   :")
 for art in manifest["artifacts"]:
     print(f"  {art['name']:14s} {art['bytes']:7d} bytes  "
@@ -115,6 +116,7 @@ for art in manifest["artifacts"]:
 # ---------------------------------------------------------------
 bad = outdir / "bad.cfg"
 bad.write_text(cfg.read_text().replace("gamma = 0.5", "gamma = 3.0"))
-for name, expect in (("run.cfg", 0), ("bad.cfg", 2)):
-    proc = ellipot("checks", "--config", name, "--out", ".", expect=expect)
+for name, out, expect in (("run.cfg", "checks_run", 0),
+                          ("bad.cfg", "checks_bad", 2)):
+    proc = ellipot("checks", "--config", name, "--out", out, expect=expect)
     print(f"checks on {name}: exit {proc.returncode}")

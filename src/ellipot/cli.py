@@ -43,7 +43,14 @@ from .experiments import (
     green_potential_diagnostic,
     run_exhaustion,
 )
-from .geometry import box_mask, build_exhaustion, build_grid, mask_from_predicate, values_at
+from .geometry import (
+    EXTERIOR,
+    box_mask,
+    build_exhaustion,
+    build_grid,
+    mask_from_predicate,
+    values_at,
+)
 from .nonlinearity import (
     AffinePhi,
     Mollifier,
@@ -181,7 +188,7 @@ def _compile_profile(text):
     return rho
 
 
-def _build_phi(cfg, dim, mask=None):
+def _build_phi(cfg, dim):
     """Reaction and its density from the [phi] section.
 
     Returns (phi, p) where p is the density used by hypothesis checks.
@@ -206,9 +213,7 @@ def _build_phi(cfg, dim, mask=None):
     else:
         raise ConfigError(f"[phi] family: unknown family {family!r}")
     if cfg.get("phi", "use_majorant", default=False, kind="bool"):
-        if mask is None:
-            raise ConfigError("[phi] use_majorant needs a single-domain geometry")
-        phi = build_concave_majorant(phi, p, mask)
+        phi = build_concave_majorant(phi)
     return phi, p
 
 
@@ -330,7 +335,7 @@ def cmd_solve(cfg, emit):
     dim = mask.grid.dim
     coeffs, scheme = _build_coeffs(cfg, dim)
     op = assemble(mask, coeffs, scheme)
-    phi, _ = _build_phi(cfg, dim, mask)
+    phi, _ = _build_phi(cfg, dim)
     params = _build_params(cfg)
     boundary = _boundary_data(cfg, dim)
     field, report = solve_semilinear_dirichlet(op, phi, boundary, params)
@@ -359,7 +364,7 @@ def cmd_exhaust(cfg, emit):
     mask = _build_mask(cfg)
     dim = mask.grid.dim
     coeffs, scheme = _build_coeffs(cfg, dim)
-    phi, _ = _build_phi(cfg, dim, mask)
+    phi, _ = _build_phi(cfg, dim)
     params = _build_params(cfg)
     n_levels = cfg.get("geometry", "levels", default=3, kind="int")
     c = cfg.get("experiment", "c", default=1.0, kind="float")
@@ -389,27 +394,25 @@ def cmd_majorant(cfg, emit):
     dim = mask.grid.dim
     phi, p = _build_phi(cfg, dim)
     moll = Mollifier()
-    maj = build_concave_majorant(phi, p, mask, mollifier=moll)
-    pts = mask.grid.points()[maj.table_flat]
+    maj = build_concave_majorant(phi, mollifier=moll)
+    # the active points, interior and boundary, in flat-index order
+    pts = mask.grid.points()[mask.classes.ravel() != EXTERIOR]
     defect = domination_defect(phi, maj, pts)
     concavity = maj.concavity_defect()
     monotone = maj.monotone_defect()
     bound_c = maj.linear_bound_constant()
-    zero_row = float(np.max(np.abs(maj.psi_table[:, 0])))
+    zero_row = abs(float(maj.psi[0]))
 
-    n_pts = len(maj.table_flat)
-    stride = max(1, n_pts // 8)
-    sample = np.arange(0, n_pts, stride)[:8]
+    # eight evenly strided active points; their psi columns are p(x)
+    # times the majorant's profile
+    n_pts = len(pts)
+    sample = pts[:: max(1, n_pts // 8)][:8]
+    pv = values_at(p, sample)
     header = ["t"] + [f"psi_point{j + 1}" for j in range(len(sample))]
-    rows = []
-    for jt, t in enumerate(maj.t_grid):
-        rows.append([float(t)] + [float(maj.psi_table[s, jt]) for s in sample])
+    rows = [[float(t)] + list(pv * psi) for t, psi in zip(maj.t_grid, maj.psi)]
     emit.write_csv("psi_table.csv", header, rows)
     pheader = [f"x{k + 1}" for k in range(dim)] + ["p"]
-    prow = [
-        [*(float(x) for x in pts[s]), float(maj.p_values[s])] for s in sample
-    ]
-    emit.write_csv("psi_points.csv", pheader, prow)
+    emit.write_csv("psi_points.csv", pheader, [[*x, v] for x, v in zip(sample, pv)])
     summary = {
         "phi": phi.name,
         "slope_constant": moll.slope_constant(),
@@ -438,7 +441,7 @@ def cmd_blowup(cfg, emit):
     dim = mask.grid.dim
     coeffs, scheme = _build_coeffs(cfg, dim)
     op = assemble(mask, coeffs, scheme)
-    phi, p = _build_phi(cfg, dim, mask)
+    phi, p = _build_phi(cfg, dim)
     params = _build_params(cfg)
     probes = None
     if cfg.has("experiment", "probe"):
@@ -540,7 +543,7 @@ def cmd_checks(cfg, emit):
         if not mm.is_m_matrix:
             failures.append("interior block is not an M-matrix")
 
-    phi, p = _build_phi(cfg, dim, mask)
+    phi, p = _build_phi(cfg, dim)
     sample = mask.interior_points()[:: max(1, mask.n_interior // 512)]
     hyp = check_hypotheses(phi, p, sample)
     rule = _reaction_rule(hyp)

@@ -1,15 +1,18 @@
 """Reaction terms phi(x, t), their hypotheses, and concave majorants.
 
-Every reaction vanishes for t <= 0 (the solver relies on that to keep
-iterates nonnegative).  The rule is written once, in the private helper
-``_vanishing`` that every reaction's ``bind`` returns; calling a reaction
-is binding it to the points and evaluating once.  The structural
+Every reaction the package builds is separable, p(x) * rho(t)
+(:class:`ProductPhi`), and vanishes for t <= 0 (the solver relies on that
+to keep iterates nonnegative).  The rule is written once, in the private
+helper ``_vanishing`` that every reaction's ``bind`` returns; calling a
+reaction is binding it to the points and evaluating once.  The structural
 hypotheses checked are: nondecreasing and continuous in t on [0, inf), a
 linear growth bound phi(x, t) <= C p(x) (t + 1), and optionally concavity
 in t.  For reactions that are not concave, :func:`build_concave_majorant`
-produces a pointwise dominating reaction that is concave in t and still
-linearly bounded, by taking a minimum of affine functions built from
-mollified values at zero.
+produces a dominating reaction that is concave in t and still linearly
+bounded, by taking a minimum of affine functions built from mollified
+values at zero.  For p(x) * rho(t) that construction factors exactly: the
+majorant is p(x) * rho1(t), with rho1 read off one 257-node profile built
+from rho alone (:class:`MajorantPhi`).
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from .geometry import values_at
 # the mollified values at zero; fixed, so that repeated constructions
 # agree to the last bit
 _MOLLIFIER_NODES = 64
-# uniform t-nodes, starting at 0, on which majorant tables are built and
-# hypotheses and domination are audited; the range covers the cap t = 1
-# of the majorant's psi part and the linear growth beyond it
+# uniform t-nodes, starting at 0, on which the majorant profile is built
+# and hypotheses and domination are audited; the range covers the cap
+# t = 1 of the majorant's psi part and the linear growth beyond it
 _T_GRID = np.linspace(0.0, 2.0, 257)
 _T_GRID.setflags(write=False)
 # linear-growth constants above this count as unbounded on the sample
@@ -54,7 +57,7 @@ class Phi:
 
     ``phi(points, t)`` is ``phi.bind(points)(t)``: ``bind`` fixes the
     points once and returns a function of t that is zero where t <= 0.
-    Subclasses implement ``bind`` with their own cached data and return
+    :class:`ProductPhi` is the one implementation; its ``bind`` returns
     ``_vanishing`` so the rule for t <= 0 is written once.
     """
 
@@ -132,15 +135,6 @@ class Mollifier:
     def __call__(self, s):
         return self.norm * self._unnormalized(s)
 
-    def derivative(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.zeros(s.shape)
-        inside = np.abs(s) < 1.0
-        si = s[inside]
-        q = 1.0 - si * si
-        out[inside] = self.norm * np.exp(-1.0 / q) * (-2.0 * si / q**2)
-        return out
-
     def height(self):
         """eta(0)."""
         return self.norm * float(np.exp(-1.0))
@@ -177,118 +171,69 @@ def mollified_at_zero(phi, points, delta, mollifier=None):
     return acc
 
 
-class MajorantPhi(Phi):
-    """Concave-in-t dominating reaction built on a fixed set of lattice points.
+class MajorantPhi(ProductPhi):
+    """Concave-in-t dominating reaction p(x) * rho1(t).
 
-    phi1(x, t) = 2 p(x) t + psi(x, min(t, 1)) for t > 0 and 0 otherwise,
-    where psi is stored as a per-point table over a uniform t-grid and is
-    concave and nondecreasing in t with psi(x, 0) = 0.  Evaluation is only
-    defined at the lattice points the table was built on.
+    rho1(t) = 2 t + psi(min(t, 1)), where the profile ``psi`` is stored on
+    ``t_grid`` (read linearly in between), is concave and nondecreasing,
+    and vanishes at t = 0.  Like every ProductPhi it evaluates at any
+    points its density p evaluates at.
     """
 
-    def __init__(self, grid, table_flat, p_values, psi_table, t_grid, name="majorant"):
-        self.grid = grid
-        self.table_flat = np.asarray(table_flat, dtype=np.int64)
-        self.p_values = np.asarray(p_values, dtype=float)
-        self.psi_table = np.asarray(psi_table, dtype=float)
-        self.t_grid = np.asarray(t_grid, dtype=float)
-        self.name = name
-        self._row_of = np.full(grid.size, -1, dtype=np.int64)
-        self._row_of[self.table_flat] = np.arange(len(self.table_flat))
-        self._dt = float(self.t_grid[1] - self.t_grid[0])
-        self._t_cap = 1.0
+    t_grid = _T_GRID
 
-    def _rows_for(self, points):
-        try:
-            flat = self.grid.flat_index_of(points)
-        except ValueError:
-            raise MajorantError(
-                "majorant evaluated at a point outside its construction set"
-            )
-        rows = self._row_of[flat]
-        if np.any(rows < 0):
-            raise MajorantError(
-                "majorant evaluated at a point outside its construction set"
-            )
-        return rows
+    def __init__(self, p, psi, name="majorant"):
+        psi = np.array(psi, dtype=float)
+        psi.setflags(write=False)
+        self.psi = psi
+        super().__init__(p, self._rho1, name)
 
-    def psi_at_rows(self, rows, t):
-        """Interpolated psi for table rows at clamped arguments t."""
-        tc = np.clip(t, self.t_grid[0], self.t_grid[-1])
-        pos = (tc - self.t_grid[0]) / self._dt
-        i0 = np.minimum(pos.astype(np.int64), len(self.t_grid) - 2)
-        wgt = pos - i0
-        tab = self.psi_table
-        return tab[rows, i0] * (1.0 - wgt) + tab[rows, i0 + 1] * wgt
+    # perfbench/tracing.py wraps ``bind`` in this class's own dict
+    bind = ProductPhi.bind
 
-    def bind(self, points):
-        rows = self._rows_for(np.asarray(points, dtype=float))
-        pv = self.p_values[rows]
-        return _vanishing(
-            len(rows),
-            lambda pos, t: 2.0 * pv[pos] * t
-            + self.psi_at_rows(rows[pos], np.minimum(t, self._t_cap)),
-        )
+    def _rho1(self, t):
+        return 2.0 * t + np.interp(np.minimum(t, 1.0), self.t_grid, self.psi)
 
     def concavity_defect(self):
-        """min over points and interior t-nodes of 2 psi_j - psi_{j-1} - psi_{j+1}.
+        """min over interior t-nodes of 2 psi_j - psi_{j-1} - psi_{j+1}.
 
         Nonnegative (up to rounding) certifies midpoint concavity on the
         grid.
         """
-        tab = self.psi_table
-        defect = 2.0 * tab[:, 1:-1] - tab[:, :-2] - tab[:, 2:]
-        return float(defect.min())
+        psi = self.psi
+        return float((2.0 * psi[1:-1] - psi[:-2] - psi[2:]).min())
 
     def monotone_defect(self):
         """min over consecutive t-nodes of psi_{j+1} - psi_j (>= 0 expected)."""
-        return float(np.diff(self.psi_table, axis=1).min())
+        return float(np.diff(self.psi).min())
 
     def linear_bound_constant(self):
-        """Smallest C with phi1(x, t) <= C p(x) (t + 1) over the table range.
-
-        Positions with p(x) = 0 are skipped (there phi1 vanishes too).
-        """
-        pv = self.p_values
-        nz = pv > 0
-        if not nz.any():
-            return 0.0
-        rows = np.flatnonzero(nz)
-        best = 0.0
-        for tj in self.t_grid:
-            tcap = np.full(rows.shape, min(float(tj), self._t_cap))
-            vals = 2.0 * pv[rows] * float(tj) + self.psi_at_rows(rows, tcap)
-            ratio = vals / (pv[rows] * (float(tj) + 1.0))
-            best = max(best, float(ratio.max()))
-        return best
+        """Smallest C with rho1(t) <= C (t + 1) on ``t_grid``, so that
+        phi1(x, t) <= C p(x) (t + 1) wherever p(x) >= 0."""
+        t = self.t_grid
+        return float(np.max(self.rho(t) / (t + 1.0)))
 
 
-def build_concave_majorant(
-    phi,
-    p,
-    mask,
-    deltas=None,
-    mollifier=None,
-    name=None,
-):
-    """Dominating concave reaction from mollified values at zero.
+def build_concave_majorant(phi, deltas=None, mollifier=None, name=None):
+    """Dominating concave reaction of a separable phi = p(x) rho(t).
 
     For a ladder of smoothing radii delta the affine-in-t bounds
 
         psi_delta(x, t) = (2 c1 / delta) p(x) t + 2 (phi_x * eta_delta)(0)
 
-    with c1 = 4 int |eta'| are tabulated on _T_GRID and their pointwise
-    minimum is taken; a minimum of nondecreasing affine functions is
-    concave and nondecreasing, and its value at t = 0 is forced to zero
-    (the limiting value as the smoothing radius shrinks).  The result
-    dominates phi wherever the linear-growth hypothesis with density p
-    holds, satisfies the same hypothesis with a universal constant, and is
-    concave in t, which is what the dichotomy machinery needs.
-
-    Tables are built on the active points of ``mask``, so the majorant can
-    be evaluated on any subdomain; an array ``p`` lists them interior
-    points first, as :meth:`Field.active` does.
+    with c1 = 4 int |eta'| are the paper's construction.  For phi = p rho
+    the mollified value at zero is p(x) times that of rho alone, so
+    psi_delta = p(x) psih_delta(t) and the whole construction is done once,
+    on the profile psih = min over delta of psih_delta tabulated on
+    _T_GRID.  A minimum of nondecreasing affine functions is concave and
+    nondecreasing; its value at t = 0 is forced to zero (the limiting
+    value as the smoothing radius shrinks).  The result
+    p(x) (2 t + psih(min(t, 1))) dominates phi wherever p >= 0, grows
+    at most like C p(x) (t + 1) with a universal C, and is concave in t,
+    which is what the dichotomy machinery needs.
     """
+    if not isinstance(phi, ProductPhi):
+        raise MajorantError("a majorant is built for reactions p(x) * rho(t) only")
     if deltas is None:
         deltas = 2.0 ** (-np.arange(13, dtype=float))
     else:
@@ -298,31 +243,20 @@ def build_concave_majorant(
     if mollifier is None:
         mollifier = Mollifier()
 
-    active = np.concatenate([mask.interior_flat, mask.boundary_flat])
-    pv = values_at(p, mask.grid.points()[active])
-    order = np.argsort(active)
-    active, pv = active[order], pv[order]
-    points = mask.grid.points()[active]
-    if np.any(pv < 0):
-        raise MajorantError("density p must be nonnegative")
-
+    unit, origin = ProductPhi(1.0, phi.rho), np.zeros((1, 1))
     c1 = mollifier.slope_constant()
-    psi = np.full((len(points), len(_T_GRID)), np.inf)
+    psi = np.full(len(_T_GRID), np.inf)
     for d in deltas:
-        intercept = 2.0 * mollified_at_zero(phi, points, d, mollifier)
-        slope = (2.0 * c1 / d) * pv
-        cand = slope[:, None] * _T_GRID[None, :] + intercept[:, None]
-        np.minimum(psi, cand, out=psi)
+        intercept = 2.0 * mollified_at_zero(unit, origin, d, mollifier)[0]
+        np.minimum(psi, (2.0 * c1 / d) * _T_GRID + intercept, out=psi)
     # the infimum over shrinking radii vanishes at t = 0; pinning the
-    # first column keeps the table exact there and preserves midpoint
+    # first node keeps the profile exact there and preserves midpoint
     # concavity (lowering an endpoint of a concave table cannot break it)
-    psi[:, 0] = 0.0
+    psi[0] = 0.0
 
-    maj = MajorantPhi(
-        mask.grid, active, pv, psi, _T_GRID, name=name or f"majorant({phi.name})"
-    )
+    maj = MajorantPhi(phi.p, psi, name=name or f"majorant({phi.name})")
     if maj.monotone_defect() < -1e-12:
-        raise MajorantError("majorant table lost monotonicity")
+        raise MajorantError("majorant profile lost monotonicity")
     return maj
 
 

@@ -141,3 +141,30 @@ def kato_direct_sum(mask, p, alpha):
         if total > best:
             best, best_x = total, x
     return best, best_x
+
+
+def majorant_table(phi, points, deltas):
+    """The concave majorant of phi built point by point, on t = linspace(0, 2, 257).
+
+    Each point gets its own affine bounds (2 c1 / delta) p(x) t
+    + 2 (phi_x * eta_delta)(0), their minimum over ``deltas`` is pinned
+    to 0 at t = 0 and read at min(t, 1), and 2 p(x) t is added, so the
+    profile is never factored out of p.  Shares the mollifier and
+    ``mollified_at_zero`` with the package.  Returns (t, table) with one
+    row per point.
+    """
+    import ellipot as ep
+    from ellipot.geometry import values_at
+
+    points = np.asarray(points, dtype=float)
+    t = np.linspace(0.0, 2.0, 257)
+    tc = np.minimum(t, 1.0)
+    pv = values_at(phi.p, points)
+    c1 = ep.Mollifier().slope_constant()
+    psi = np.full((len(points), len(t)), np.inf)
+    for d in deltas:
+        intercept = 2.0 * ep.mollified_at_zero(phi, points, d)
+        psi = np.minimum(psi, (2.0 * c1 / d) * pv[:, None] * tc[None, :]
+                         + intercept[:, None])
+    psi[:, tc == 0.0] = 0.0
+    return t, 2.0 * pv[:, None] * t[None, :] + psi

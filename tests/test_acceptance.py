@@ -96,7 +96,7 @@ def test_2_decomposition_identity_on_random_instances(capsys):
         elif fam == 1:
             phi = ep.power_phi(_bowl, 1.0)
         else:
-            phi = ep.build_concave_majorant(ep.power_phi(_bowl, 0.5), _bowl, mask)
+            phi = ep.build_concave_majorant(ep.power_phi(_bowl, 0.5))
         assert ep.check_m_matrix(op).is_m_matrix
         fval = float(rng.uniform(0.5, 3.0))
         u, _ = ep.solve_semilinear_dirichlet(op, phi, fval)
@@ -222,8 +222,8 @@ def test_3_order_properties_on_random_instances(capsys):
 
 def test_4_concave_majorants_dominate(capsys):
     t0 = time.perf_counter()
-    grid = ep.build_grid(2, 17, (-1.0, 1.0))
-    mask = ep.box_mask(grid)
+    # every point of the box is active: interior and boundary alike
+    pts = ep.build_grid(2, 17, (-1.0, 1.0)).points()
     bases = [
         ep.power_phi(_bowl, 0.5),
         ep.power_phi(_bowl, 0.9),
@@ -234,12 +234,11 @@ def test_4_concave_majorants_dominate(capsys):
     worst_zero = 0.0
     worst_c = 0.0
     for base in bases:
-        maj = ep.build_concave_majorant(base, _bowl, mask)
-        pts = grid.points()[maj.table_flat]
+        maj = ep.build_concave_majorant(base)
         worst_dom = min(worst_dom, ep.domination_defect(base, maj, pts))
         worst_conc = min(worst_conc, maj.concavity_defect())
         zero = max(
-            float(np.abs(maj.psi_table[:, 0]).max()),
+            abs(float(maj.psi[0])),
             float(np.abs(maj(pts, 0.0)).max()),
         )
         worst_zero = max(worst_zero, zero)

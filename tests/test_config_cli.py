@@ -265,6 +265,31 @@ m_count = 4
 """
 
 
+# a 17^2 box that serves every command, with the concave majorant of
+# p sqrt(t) as its reaction
+MAJORANT_CFG = """\
+[geometry]
+dim = 2
+shape = 17
+bounds = [-1.0, 1.0]
+half_widths = [1.0, 2.0]
+levels = 2
+
+[phi]
+family = power
+gamma = 0.5
+p = "1/(1 + x1^2+x2^2)"
+use_majorant = true
+
+[experiment]
+boundary = 1.0
+c = 1.0
+m_min = 1.0
+m_max = 100.0
+m_count = 4
+"""
+
+
 @pytest.fixture
 def factored(monkeypatch):
     """Every operator factored while the test runs, once per new factor."""
@@ -414,6 +439,50 @@ class TestCliCommands:
         assert report["domination_defect"] >= -1e-12
         assert report["value_at_zero"] == 0.0
         assert (out / "psi_table.csv").exists()
+
+    def test_use_majorant_runs_in_every_command(self, tmp_path):
+        cfg = _write(tmp_path, MAJORANT_CFG)
+        codes = {
+            command: main([command, "--config", str(cfg),
+                           "--out", str(tmp_path / command)])
+            for command in ("solve", "exhaust", "majorant", "blowup", "potential",
+                            "checks", "dichotomy")
+        }
+        for command in ("solve", "exhaust", "majorant", "blowup", "potential"):
+            assert codes[command] == 0, command
+        # the dichotomy completes; its verdict is descriptive because the
+        # majorant's growth constant exceeds 1 (see the checks test below)
+        assert codes["dichotomy"] in (0, 2)
+        report = json.loads((tmp_path / "dichotomy" / "dichotomy.json").read_text())
+        assert report["verdict"]["hypotheses_ok"] is False
+
+    def test_checks_audits_the_majorant_it_would_solve(self, tmp_path):
+        # checks audits the reaction that is actually solved: the majorant
+        # p (2 t + psi(min(t, 1))) grows with a universal constant near 7.9
+        # against its own density, over the admissible bound 1
+        cfg = _write(tmp_path, MAJORANT_CFG)
+        out = tmp_path / "o"
+        assert main(["checks", "--config", str(cfg), "--out", str(out)]) == 2
+        checks = json.loads((out / "checks.json").read_text())
+        assert checks["hypotheses"]["linear_bound_constant"] == pytest.approx(
+            7.898685598015407, rel=1e-9)
+        assert checks["failures"] == [
+            "linear growth bound fails with the given density (constant 7.899 > 1)"
+        ]
+        plain = _write(tmp_path, MAJORANT_CFG.replace("use_majorant = true\n", ""),
+                       name="plain.cfg")
+        assert main(["checks", "--config", str(plain), "--out", str(tmp_path / "p")]) == 0
+
+    def test_majorant_flags_a_negative_density(self, tmp_path):
+        # p = x1 changes sign on the box; where p < 0 the majorant p rho1
+        # lies below p rho, so domination fails (exit 2)
+        text = MAJORANT_CFG.replace("use_majorant = true\n", "").replace(
+            'p = "1/(1 + x1^2+x2^2)"', 'p = "x1"')
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["majorant", "--config", str(cfg), "--out", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["domination_defect"] < 0.0
 
     def test_blowup_command(self, tmp_path):
         text = SOLVE_CFG + "m_min = 1\nm_max = 100\nm_count = 5\n"

@@ -12,11 +12,8 @@ PTS2 = np.array([[0.0, 0.0], [0.5, 0.0], [0.3, 0.4], [1.0, 1.0]])
 
 
 def _small_majorant(p=1.0):
-    """Majorant of p * t^(1/2) tabulated on a lattice holding PTS2."""
-    mask = ep.box_mask(ep.build_grid(2, 11, (0.0, 1.0)))
-    return ep.build_concave_majorant(
-        ep.power_phi(p, 0.5), p, mask, deltas=[1.0, 0.5, 0.25]
-    )
+    """Majorant of p * t^(1/2) from three smoothing radii."""
+    return ep.build_concave_majorant(ep.power_phi(p, 0.5), deltas=[1.0, 0.5, 0.25])
 
 
 def _table(values):
@@ -113,58 +110,87 @@ def test_mollified_at_zero_linear_reaction_identity():
 
 # ------------------------------------------------------------- majorant
 
-@pytest.mark.parametrize(
-    "make_phi",
-    [
-        lambda p: ep.power_phi(p, 0.5),
-        lambda p: ep.power_phi(p, 0.9),
-        lambda p: ep.capped_linear_phi(p, 1.0),
-    ],
-    ids=["sqrt", "pow09", "capped"],
-)
+_BOWL = lambda pts: 1.0 / (1.0 + np.sum(pts**2, axis=1))
+_MAJORANT_BASES = [
+    lambda p: ep.power_phi(p, 0.5),
+    lambda p: ep.power_phi(p, 0.9),
+    lambda p: ep.capped_linear_phi(p, 1.0),
+]
+_MAJORANT_IDS = ["sqrt", "pow09", "capped"]
+
+
+@pytest.mark.parametrize("make_phi", _MAJORANT_BASES, ids=_MAJORANT_IDS)
 def test_majorant_properties(unit_square_17, make_phi):
-    p = lambda pts: 1.0 / (1.0 + np.sum(pts**2, axis=1))
-    phi = make_phi(p)
-    maj = ep.build_concave_majorant(phi, p, unit_square_17)
-    pts = unit_square_17.grid.points()[maj.table_flat]
+    phi = make_phi(_BOWL)
+    maj = ep.build_concave_majorant(phi)
+    pts = unit_square_17.grid.points()
     assert ep.domination_defect(phi, maj, pts) >= -1e-12
     assert maj.concavity_defect() >= -1e-9
     assert maj.monotone_defect() >= -1e-12
-    npt.assert_array_equal(maj.psi_table[:, 0], 0.0)
+    assert maj.psi[0] == 0.0
+    assert not maj.psi.flags.writeable
     t0 = maj(pts, np.zeros(len(pts)))
     npt.assert_array_equal(t0, 0.0)
     assert np.isfinite(maj.linear_bound_constant())
 
 
-def test_majorant_rejects_off_table_points(unit_square_17):
-    phi = ep.power_phi(1.0, 0.5)
-    maj = ep.build_concave_majorant(phi, 1.0, unit_square_17)
-    with pytest.raises(MajorantError):
-        maj(np.array([[17.0, -4.0]]), np.array([0.5]))
+@pytest.mark.parametrize("density", ["callable", "array"])
+@pytest.mark.parametrize("make_phi", _MAJORANT_BASES, ids=_MAJORANT_IDS)
+def test_majorant_matches_per_point_construction(unit_square_17, make_phi, density):
+    # p times one profile equals the construction carried out at every
+    # point with that point's own density
+    pts = unit_square_17.grid.points()
+    p = _BOWL if density == "callable" else _BOWL(pts)
+    phi = make_phi(p)
+    deltas = 2.0 ** (-np.arange(13, dtype=float))
+    t, table = oracles.majorant_table(phi, pts, deltas)
+    bound = ep.build_concave_majorant(phi).bind(pts)
+    got = np.stack([bound(tj) for tj in t], axis=1)
+    npt.assert_allclose(got, table, rtol=1e-14, atol=0.0)
 
 
-def test_majorant_reads_array_density_in_field_order():
-    # an array p lists active points interior first, as Field.active() and
-    # the Kato estimate read it, not in flat-index order
+def test_majorant_array_and_callable_density_agree():
     mask = ep.box_mask(ep.build_grid(2, 5, (0.0, 1.0)))
     p = lambda pts: 1.0 + pts[:, 0] + 2.0 * pts[:, 1]
-    phi = ep.power_phi(1.0, 0.5)
-    from_callable = ep.build_concave_majorant(phi, p, mask, deltas=[1.0, 0.5])
+    pts = mask.interior_points()
+    from_callable = ep.build_concave_majorant(ep.power_phi(p, 0.5), deltas=[1.0, 0.5])
     from_array = ep.build_concave_majorant(
-        phi, ep.Field.from_function(mask, p).active(), mask, deltas=[1.0, 0.5]
+        ep.power_phi(ep.Field.from_function(mask, p).interior(), 0.5),
+        deltas=[1.0, 0.5],
     )
-    npt.assert_array_equal(from_array.table_flat, from_callable.table_flat)
-    npt.assert_array_equal(from_array.p_values, from_callable.p_values)
-    npt.assert_array_equal(from_array.psi_table, from_callable.psi_table)
+    npt.assert_array_equal(from_array.psi, from_callable.psi)
+    for t in (0.0, 0.3, 1.0, 1.7, 5.0):
+        npt.assert_array_equal(from_array(pts, t), from_callable(pts, t))
+
+
+def test_majorant_evaluates_off_the_lattice(rng):
+    # the majorant is p(x) rho1(t): any point p evaluates at will do,
+    # on or off the lattice the reaction was first solved on
+    phi = ep.power_phi(_BOWL, 0.5)
+    maj = ep.build_concave_majorant(phi)
+    pts = np.vstack([[[17.0, -4.0], [0.123, 0.456]], rng.uniform(-3.0, 3.0, (6, 2))])
+    t, table = oracles.majorant_table(phi, pts, 2.0 ** (-np.arange(13, dtype=float)))
+    bound = maj.bind(pts)
+    npt.assert_allclose(np.stack([bound(tj) for tj in t], axis=1), table,
+                        rtol=1e-14, atol=0.0)
+    assert ep.domination_defect(phi, maj, pts) >= -1e-12
+
+
+def test_majorant_needs_a_separable_reaction():
+    class Other(ep.Phi):
+        def bind(self, points):
+            return lambda t: np.zeros(len(points))
+
+    with pytest.raises(MajorantError):
+        ep.build_concave_majorant(Other())
 
 
 def test_majorant_beats_reaction_above_table_range(unit_square_17):
     # domination persists for t far beyond the table because the linear
     # branch grows while the capped reaction saturates
-    p = 1.0
-    phi = ep.capped_linear_phi(p, 1.0)
-    maj = ep.build_concave_majorant(phi, p, unit_square_17)
-    pts = unit_square_17.grid.points()[maj.table_flat][:5]
+    phi = ep.capped_linear_phi(1.0, 1.0)
+    maj = ep.build_concave_majorant(phi)
+    pts = unit_square_17.grid.points()[:5]
     t = np.full(5, 50.0)
     assert np.all(maj(pts, t) >= phi(pts, t) - 1e-12)
 
