@@ -329,21 +329,21 @@ def save_field(field, path):
             + " ".join(f"{v:.17g}" for pair in g.bounds for v in pair)
             + "\n"
         )
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"x{k + 1}" for k in range(g.dim)] + ["index", "class", "value"]
-        )
+        # CSV rows as csv.writer's default dialect writes them: no field
+        # needs quoting, and lines end in \r\n
+        head = [f"x{k + 1}" for k in range(g.dim)] + ["index", "class", "value"]
+        fh.write(",".join(head) + "\r\n")
         active = np.concatenate(
             [field.mask.interior_flat, field.mask.boundary_flat]
         )
         active.sort()
-        pts = g.points()
-        for idx in active:
-            ch = "i" if classes[idx] == INTERIOR else "b"
-            writer.writerow(
-                [f"{x:.17g}" for x in pts[idx]]
-                + [int(idx), ch, f"{vals[idx]:.17g}"]
-            )
+        row = ",".join(["%.17g"] * g.dim + ["%d", "%s", "%.17g"]) + "\r\n"
+        cols = g.points()[active].T.tolist() + [
+            active.tolist(),
+            np.where(classes[active] == INTERIOR, "i", "b").tolist(),
+            vals[active].tolist(),
+        ]
+        fh.write("".join([row % rec for rec in zip(*cols)]))
 
 
 def load_field(path):

@@ -10,17 +10,27 @@ the working range,
 Because B is an M-matrix and t -> Lambda t - phi(t) is nondecreasing, the
 iterates decrease monotonically from the harmonic extension and stay
 nonnegative for nonnegative data, so the limit is the largest solution
-below the harmonic extension; convergence is geometric.  The constants
-below fix how the shift is estimated and refreshed and when a stalled
-run is accepted.
+below the harmonic extension; convergence is geometric.  Next to a dead
+core of a sublinear phi the shift cannot match phi' = gamma u^(gamma-1),
+which is unbounded, and Picard alone stalls.  So in a solve where some
+shift exceeds B's diagonal, each Picard step is followed by one exact
+nonlinear Gauss-Seidel sweep (nonlinear SOR for M-functions, Ortega and
+Rheinboldt, Iterative Solution of Nonlinear Equations in Several
+Variables, ch. 13): colour by colour on the lattice parity, every point
+solves its scalar equation B_ii t + p_i rho(t) = s_i to tol / 100.
+Convergence is declared on the increment and the recomputed residual; a
+run whose increment stays flat without meeting them stops as stagnated,
+not converged.  The constants below fix how the shift is estimated and
+refreshed, when a run counts as stalled, and how the pointwise roots
+stop.
 
-Linear algebra.  The harmonic extension and the identity certificate
-are solves with B through ``AssembledOperator.solve``: on a full box with
-constant coefficients and no drift or cross terms, two type-I discrete
-sine transforms; elsewhere the operator's cached SuperLU factor
-(minimum-degree ordering of A^T + A, see ``operators._sparse_lu``), so an
-operator reused across solves is factored at most once.  The shifted
-systems with B + Lambda are solved without a factor while that is
+Linear algebra.  The harmonic extension, the identity certificate and the
+error bound are solves with B through ``AssembledOperator.solve``: on a
+full box with constant coefficients and no drift or cross terms, two
+type-I discrete sine transforms; elsewhere the operator's cached SuperLU
+factor (minimum-degree ordering of A^T + A, see ``operators._sparse_lu``),
+so an operator reused across solves is factored at most once.  The
+shifted systems with B + Lambda are solved without a factor while that is
 cheaper: when B is exactly symmetric, each step runs Jacobi-preconditioned
 CG warm-started from the current iterate, to the absolute sup-norm
 residual tol (a tenth of the 10 * tol equation gate; at the fixed point of
@@ -32,11 +42,12 @@ solves; once one more iteration would push that excess past the cost of a
 factorization, B + Lambda is factored and the solve stays on that factor,
 refactoring at each shift refresh.  The rule uses no timing, so equal
 inputs take equal paths.  Non-symmetric B is factored from the start.
-The report counts the factorizations a solve built, their fill and its CG
+The Gauss-Seidel sweep needs no solve: per colour, one matrix-vector
+product with the colour's rows of B's off-diagonal part.  The report
+counts the factorizations a solve built, their fill and its CG
 iterations, and each solve logs one DEBUG line on the ``ellipot.solver``
 logger.
 """
-
 from __future__ import annotations
 
 import json
@@ -48,6 +59,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonConvergenceError, SolverBreakdownError
+from .geometry import values_at
+from .nonlinearity import ProductPhi
 from .operators import _sparse_lu
 from .potentials import Field, boundary_values, interior_values
 
@@ -55,9 +68,8 @@ log = logging.getLogger(__name__)
 
 # Slopes are probed down to _T_FLOOR: for reactions with unbounded slope
 # at zero (fractional powers) the secant from the floor replaces the
-# derivative.  Values below it are unresolved, and points straddling the
-# zero set can keep flickering at that scale, so a run whose increment
-# stays flat at or below _T_FLOOR over _STALL_WINDOW steps is accepted,
+# derivative.  A run whose increment stays flat at or below _T_FLOOR over
+# _STALL_WINDOW steps without meeting the gates is stopped as stagnated,
 # with the residual reported as measured.
 _T_FLOOR = 1e-8
 _STALL_WINDOW = 200
@@ -77,6 +89,17 @@ _REFRESH_EVERY = 50
 # 15^3 / 23^3 / 31^3 give 16,182 / 483,686 / 3,459,696 / 15,048,832; 1D
 # is about 4 n.
 _BOX_FILL = {1: (4.0, 1.0), 2: (8.7, 1.16), 3: (2.0, 1.53)}
+# the pointwise roots of the Gauss-Seidel sweep stop at |g| <= tol /
+# _ROOT_SHARE, or after _ROOT_STEPS trials where rho jumps at t = 0 (an
+# affine offset) and no such point exists
+_ROOT_SHARE = 100.0
+_ROOT_STEPS = 60
+# a residual row is computed to within a few units in the last place of
+# its largest terms, so no iterate meets an equation gate below
+# _ROUNDING * max(|B| |u| + |phi(u)| + |A_IB f|); a positive tol whose
+# gate lies below that floor is held to the floor (large boundary data),
+# and a pointwise root stops within _ROUNDING * s of its right side s
+_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -84,7 +107,9 @@ class SemilinearParams:
     """Settings of one semilinear solve.
 
     tol : convergence requires the sup-norm increment <= tol and the
-        equation residual <= 10 * tol.
+        equation residual <= 10 * tol, or, for tol > 0, <= the rounding
+        floor of the residual when that is larger (``_ROUNDING``); tol = 0
+        asks for an exact solve and ends as stagnated.
     """
 
     tol: float = 1e-10
@@ -106,6 +131,14 @@ class SolveReport:
     ``inner_iterations`` counts the CG iterations of the shifted solves,
     including those of an attempt abandoned for a factor; it is 0 on a
     pure LU path.
+    ``converged`` is True only when both gates of ``SemilinearParams.tol``
+    were met; a stagnated run reports False, with a ``message`` starting
+    "increment stagnated".  ``final_residual`` is the sup-norm of
+    r = B u + phi(u) - A_IB f recomputed at the returned u, and
+    ``error_bound`` = sup |B^-1 |r||, one more solve with B, bounds the
+    distance to the discrete solution u*: u - u* = (B + D)^-1 r for a
+    diagonal D >= 0 since phi is nondecreasing, and
+    0 <= (B + D)^-1 <= B^-1 entrywise for the M-matrix B.
     """
 
     converged: bool
@@ -113,6 +146,7 @@ class SolveReport:
     final_increment: float
     final_residual: float
     identity_residual: float
+    error_bound: float
     lambda_max: float
     lambda_refreshes: int
     sup_solution: float
@@ -255,6 +289,145 @@ class _ShiftedSolve:
         return x
 
 
+def _lattice_colours(mask, off):
+    """Colour of each interior point such that no two points of one colour
+    are coupled by the off-diagonal part ``off`` of B.
+
+    Red-black (parity of the index sum) when that suffices, else the
+    parity vector sum_k (i_k mod 2) 2^k, which separates every pair of
+    points within one lattice step per axis, cross legs included.
+    """
+    parity = [i % 2 for i in np.unravel_index(mask.interior_flat, mask.grid.shape)]
+    coo = off.tocoo()
+    colours = sum(parity) % 2
+    if np.any(colours[coo.row] == colours[coo.col]):
+        colours = sum(bit << k for k, bit in enumerate(parity))
+    return colours
+
+
+def _pointwise_root(b, p, rho, s, t0, eps):
+    """Per entry, t in [0, s/b] with |b t + p rho(t) - s| <= eps, or within
+    the rounding of s (_ROUNDING * s) where that is larger.
+
+    Needs b > 0, p >= 0, s > 0 and rho nondecreasing and nonnegative for
+    t > 0, so that G(t) = b t + p rho(t) is increasing and G(s/b) >= s.
+    One Newton step from the warm start ``t0`` (s/b where t0 is outside
+    [0, s/b]), its slope a forward difference, settles most entries of a
+    sweep; the rest go on to ``_bracketed_root`` from there.
+    """
+    hi = s / b
+    t = np.where((t0 > 0.0) & (t0 < hi), t0, hi)
+    t_fd = t * (1.0 + 2.0**-26)
+    r_fd = b * t_fd + p * rho(t_fd) - s
+    r = b * t + p * rho(t) - s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = t - r * (t - t_fd) / (r - r_fd)
+    t = np.where((step > 0.0) & (step < hi), step, t)
+    gate = np.maximum(eps, _ROUNDING * s)
+    rest = np.flatnonzero(np.abs(b * t + p * rho(t) - s) > gate)
+    if rest.size:
+        t[rest] = _bracketed_root(b[rest], p[rest], rho, s[rest], t[rest], eps)
+    return t
+
+
+def _bracketed_root(b, p, rho, s, t0, eps):
+    """``_pointwise_root`` by safeguarded secants on the bracket [0, s/b].
+
+    The first trial is the warm start ``t0`` when it lies in the bracket,
+    else s/b.  Each next trial follows the secant through the last two
+    points, the first of them a forward difference at the first trial (a
+    Newton step).  Where the bracket spans more than a factor 2 and either
+    has a point below the root or the linear secant falls below 0, the
+    secant is taken in log-log coordinates, exact for a power of t, so a
+    root decades below the warm start is reached in a few steps.  A trial
+    outside the bracket is replaced by geometric bisection, or, while no
+    trial has fallen below the root, by the chord of G from the origin,
+    moving at least halfway to 0 (rho(0+) > 0 flattens that chord).
+    Entries without such a point after _ROOT_STEPS trials (rho jumping at
+    0) return the bracket's upper end.
+    """
+    hi = s / b
+    out = hi.copy()
+    t = np.where((t0 > 0.0) & (t0 < hi), t0, hi)
+    lo = np.zeros(t.size)
+    # G - s at hi, known once a trial lands at or above the root
+    r_hi = np.full(t.size, np.inf)
+    todo = np.arange(t.size)
+    t_prev = t * (1.0 + 2.0**-26)
+    r_prev = b * t_prev + p * rho(t_prev) - s
+    for _ in range(_ROOT_STEPS):
+        r = b * t + p * rho(t) - s
+        settle = np.abs(r) <= np.maximum(eps, _ROUNDING * s)
+        settle |= hi - lo <= 1e-15 * hi
+        below = r < 0.0
+        lo = np.where(below, t, lo)
+        hi = np.where(below, hi, t)
+        r_hi = np.where(below, r_hi, r)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            trial = t - r * (t - t_prev) / (r - r_prev)
+            wide = np.flatnonzero((hi > 2.0 * lo) & ((lo > 0.0) | ~(trial > 0.0)))
+            if wide.size:
+                tw, gw, sw = t[wide], r[wide] + s[wide], s[wide]
+                trial[wide] = tw * (sw / gw) ** (
+                    np.log(tw / t_prev[wide]) / np.log(gw / (r_prev[wide] + sw))
+                )
+            out_of = np.flatnonzero(~((trial > lo) & (trial < hi)))
+            if out_of.size:
+                lo_o, hi_o, s_o = lo[out_of], hi[out_of], s[out_of]
+                trial[out_of] = np.where(
+                    lo_o > 0.0,
+                    np.sqrt(lo_o * hi_o),
+                    hi_o * np.minimum(s_o / (r_hi[out_of] + s_o), 0.5),
+                )
+        t_prev, r_prev, t = t, r, trial
+        if settle.any():
+            out[todo[settle]] = t_prev[settle]
+            keep = ~settle
+            if not keep.any():
+                return out
+            todo, b, p, s, lo, hi, r_hi, t_prev, r_prev, t = (
+                a[keep] for a in (todo, b, p, s, lo, hi, r_hi, t_prev, r_prev, t)
+            )
+    out[todo] = hi
+    return out
+
+
+class _ExactSweep:
+    """One nonlinear Gauss-Seidel sweep of  B u + p rho(u) = A_IB f.
+
+    Colour by colour, every point solves its own scalar equation
+    B_ii t + p_i rho(t) = s_i, s_i = (A_IB f - B_off u)_i, exactly
+    (``_pointwise_root``); points of one colour never couple, so a colour
+    is one row-slice matvec and one vectorized root.  The result is
+    clamped to ``lower`` as the Picard iterate is.  Points with p < 0 are
+    left to Picard, as their scalar equation need not be monotone.
+    """
+
+    def __init__(self, mask, B, p, rho, rhs, eps):
+        B = sp.csr_matrix(B)
+        diag = B.diagonal()
+        off = (B - sp.diags(diag)).tocsr()
+        off.eliminate_zeros()
+        colours = _lattice_colours(mask, off)
+        self.rho = rho
+        self.eps = eps
+        self.parts = []
+        for c in np.unique(colours):
+            rows = np.flatnonzero((colours == c) & (p >= 0.0))
+            self.parts.append((rows, off[rows], diag[rows], p[rows], rhs[rows]))
+
+    def __call__(self, u, lower):
+        """Sweep ``u`` in place."""
+        for rows, off, diag, p, rhs in self.parts:
+            s = rhs - off @ u
+            t = s / diag
+            pos = s > 0.0
+            t[pos] = _pointwise_root(
+                diag[pos], p[pos], self.rho, s[pos], u[rows[pos]], self.eps
+            )
+            u[rows] = np.maximum(t, lower)
+
+
 def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     """Solve  L u = phi(., u)  in the interior with u = f on the boundary.
 
@@ -294,6 +467,12 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     lam = _slope_profile(phi_b, np.maximum(harm, 0.0))
     shifted = _ShiftedSolve(B, lam, lu_nnz)
     refreshes = 0
+    # the exact sweep joins in once some shift exceeds B's diagonal, as
+    # it does next to a dead core; elsewhere the solve is plain Picard.  It
+    # solves p(x) rho(t) pointwise, so a reaction of another form (none
+    # the package builds) stays on plain Picard
+    b_diag = B.diagonal() if isinstance(phi, ProductPhi) else np.inf
+    sweep = None
 
     # solutions cannot dip below the boundary minimum (or zero, whichever
     # is smaller): where u < 0 the reaction vanishes and u is L-harmonic,
@@ -303,7 +482,6 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
 
     u = harm.copy()
     inc = np.inf
-    res = np.inf
     converged = False
     inc_hist = []
     k = 0
@@ -313,12 +491,29 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
         if not np.all(np.isfinite(u_new)):
             raise SolverBreakdownError(f"non-finite iterate at step {k}")
         np.maximum(u_new, lower, out=u_new)
+        if sweep is None and np.any(lam > b_diag):
+            sweep = _ExactSweep(
+                mask, B, values_at(phi.p, pts), phi.rho, rhs_b,
+                params.tol / _ROOT_SHARE,
+            )
+        if sweep is not None:
+            sweep(u_new, lower)
         inc = float(np.max(np.abs(u_new - u)))
         u = u_new
         if inc <= params.tol:
-            res = float(np.max(np.abs(B @ u + phi_b(u) - rhs_b)))
-            if res <= 10.0 * params.tol:
-                converged = True
+            phi_u = phi_b(u)
+            res = float(np.max(np.abs(B @ u + phi_u - rhs_b)))
+            converged = res <= 10.0 * params.tol
+            if not converged and params.tol > 0.0:
+                terms = abs(B) @ np.abs(u) + np.abs(phi_u) + np.abs(rhs_b)
+                floor = _ROUNDING * float(terms.max())
+                if res <= floor:
+                    converged = True
+                    message = (
+                        f"residual {res:.3e} met the rounding floor {floor:.3e}, "
+                        f"not 10 * tol" + (f"; {message}" if message else "")
+                    )
+            if converged:
                 break
         inc_hist.append(inc)
         if (
@@ -326,12 +521,10 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
             and len(inc_hist) > _STALL_WINDOW
             and inc >= 0.95 * inc_hist[-1 - _STALL_WINDOW]
         ):
-            # a genuinely flat small increment means the flickering is
-            # confined to the unresolved zero-set ring; slow geometric
-            # convergence still shows clear decay over the window and
-            # keeps iterating
-            converged = True
-            # the stagnation text stays first: reports are classified by it
+            # a flat small increment that never meets the gates ends the
+            # solve unconverged (slow geometric convergence still decays
+            # clearly over the window and keeps iterating); the stagnation
+            # text stays first, as reports are classified by it
             message = (
                 "increment stagnated at "
                 f"{inc:.3e}; values below the slope floor are unresolved"
@@ -359,12 +552,14 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
                 shifted.shift(lam)
                 refreshes += 1
 
-    if not np.isfinite(res):
-        res = float(np.max(np.abs(B @ u + phi_b(u) - rhs_b)))
-
     factorizations += shifted.factorizations
     factor_nnz += shifted.factor_nnz
-    gphi = op.solve(phi_b(u))
+    phi_u = phi_b(u)
+    r = B @ u + phi_u - rhs_b
+    res = float(np.max(np.abs(r), initial=0.0))
+    # why this bounds |u - u*|: see SolveReport
+    error_bound = float(np.max(op.solve(np.abs(r)), initial=0.0))
+    gphi = op.solve(phi_u)
     identity_residual = float(np.max(np.abs(harm - u - gphi), initial=0.0))
 
     report = SolveReport(
@@ -373,6 +568,7 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
         final_increment=inc,
         final_residual=res,
         identity_residual=identity_residual,
+        error_bound=error_bound,
         lambda_max=float(lam.max(initial=0.0)),
         lambda_refreshes=refreshes,
         sup_solution=float(u.max(initial=0.0)),
@@ -385,19 +581,21 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     )
     log.debug(
         "solve: %s after %d iterations, %d factorizations (fill %d), "
-        "%d CG iterations, %.3f s%s",
+        "%d CG iterations, error bound %.3e, %.3f s%s",
         "converged" if converged else "not converged",
         k,
         factorizations,
         factor_nnz,
         shifted.inner_iterations,
+        error_bound,
         time.perf_counter() - t_start,
         f"; {message}" if message else "",
     )
     if not converged and params.raise_on_fail:
         raise NonConvergenceError(
             f"no convergence in {k} iterations "
-            f"(increment {inc:.3e}, residual {res:.3e})",
+            f"(increment {inc:.3e}, residual {res:.3e})"
+            + (f"; {message}" if message else ""),
             iterations=k,
             final_increment=inc,
         )

@@ -168,3 +168,33 @@ def majorant_table(phi, points, deltas):
                          + intercept[:, None])
     psi[:, tc == 0.0] = 0.0
     return t, 2.0 * pv[:, None] * t[None, :] + psi
+
+
+def field_csv_rows(field):
+    """The data rows of ``save_field``'s CSV as ``csv.writer`` writes them,
+    one row per active point in flat-index order."""
+    import csv
+    import io
+
+    from ellipot.geometry import INTERIOR
+
+    g = field.mask.grid
+    classes = field.mask.classes.ravel()
+    vals = field.values.ravel()
+    active = np.sort(np.concatenate([field.mask.interior_flat, field.mask.boundary_flat]))
+    pts = g.points()
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow([f"x{k + 1}" for k in range(g.dim)] + ["index", "class", "value"])
+    for idx in active:
+        ch = "i" if classes[idx] == INTERIOR else "b"
+        writer.writerow([f"{x:.17g}" for x in pts[idx]] + [int(idx), ch, f"{vals[idx]:.17g}"])
+    return out.getvalue()
+
+
+def domination_gap(phi, majorant, points):
+    """min over points and the majorant's t-grid of majorant - phi,
+    both bound and evaluated at every point and node."""
+    upper = majorant.bind(points)
+    lower = phi.bind(points)
+    return min(float((upper(t) - lower(t)).min()) for t in majorant.t_grid)

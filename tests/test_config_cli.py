@@ -162,6 +162,11 @@ class TestCliSolve:
         assert "report.json" in names
         assert all(len(a["sha256"]) == 64 for a in manifest["artifacts"])
 
+    def test_report_carries_the_error_bound(self, tmp_path):
+        # sup |B^-1 |r|| bounds the distance to the discrete solution
+        report, _ = self._solve_report(tmp_path, SOLVE_CFG)
+        assert 0.0 <= report["error_bound"] <= 1e-8
+
     def test_end_to_end_on_a_box_factors_no_operator(self, tmp_path):
         # the interval is solved by DST: only the shifted factors count
         report, _ = self._solve_report(tmp_path, SOLVE_CFG)

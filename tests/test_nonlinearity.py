@@ -232,3 +232,24 @@ def test_linear_reaction_bound_constant_is_one():
     assert rep.linear_bound_constant == pytest.approx(2.0 / 3.0, rel=1e-6)
     # with density p the reaction p*t sits under p*(t+1) with constant
     # sup t/(t+1) = 2/3 over the probed range [0, 2]
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        ep.power_phi(_BOWL, 0.5),
+        ep.power_phi(_BOWL, 3.0),
+        ep.capped_linear_phi(_BOWL, 0.3),
+        ep.AffinePhi(_BOWL, 2.0, 0.5),
+        ep.power_phi(lambda q: q[:, 0], 0.5),  # p changes sign
+        ep.power_phi(0.7, 0.5),
+    ],
+    ids=["sqrt", "cubic", "capped", "affine", "signed_p", "constant_p"],
+)
+def test_domination_defect_matches_pointwise_gap(unit_square_17, phi):
+    # the shared-p shortcut reads the gap off rho1 - rho; the reference
+    # evaluates both reactions at every point and node
+    pts = unit_square_17.grid.points()
+    maj = ep.build_concave_majorant(phi)
+    ref = oracles.domination_gap(phi, maj, pts)
+    npt.assert_allclose(ep.domination_defect(phi, maj, pts), ref, rtol=1e-12, atol=1e-14)

@@ -275,3 +275,17 @@ def test_field_csv_column_layout(tmp_path, unit_square_17):
     header = next(l for l in lines if not l.startswith("#"))
     assert header.split(",")[:2] == ["x1", "x2"]
     assert header.split(",")[-1] == "value"
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_field_csv_rows_match_csv_writer(tmp_path, disc_mask, dim):
+    # the rows are written in one join; they must be the bytes csv.writer
+    # writes, including -0, nan, inf and extreme exponents
+    mask = disc_mask if dim == 2 else ep.box_mask(ep.build_grid(3, 7, (-1.0, 2.0)))
+    f = ep.Field.from_function(mask, lambda q: np.sin(3.0 * q[:, 0]) * 1e-7 + q[:, 1] ** 3)
+    f.values.ravel()[mask.interior_flat[:5]] = [-0.0, np.nan, np.inf, 1e300, -1e-300]
+    path = tmp_path / "f.csv"
+    ep.save_field(f, path)
+    with open(path, newline="") as fh:
+        body = "".join(line for line in fh if not line.startswith("#"))
+    assert body == oracles.field_csv_rows(f)

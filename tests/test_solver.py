@@ -3,9 +3,13 @@ import logging
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import ellipot as ep
+from ellipot import cli
 from ellipot.errors import NonConvergenceError
+from ellipot.solver import _lattice_colours, _pointwise_root
 
 import oracles
 
@@ -320,3 +324,211 @@ def test_box_ledger_does_not_depend_on_a_cached_factor():
     assert rep1.inner_iterations == rep0.inner_iterations
     assert (rep1.factorizations, rep1.factor_nnz) == (rep0.factorizations, rep0.factor_nnz)
     npt.assert_array_equal(u1.values, u0.values)
+
+
+def test_stagnated_solve_is_not_converged():
+    # the stagnation branch stops a solve that cannot meet its gates; it
+    # reports the stop and, under raise_on_fail, raises
+    mask = ep.box_mask(ep.build_grid(2, 9, (-1.0, 1.0)))
+    op = ep.assemble(mask)
+    params = ep.SemilinearParams(tol=0.0, max_iterations=3000, raise_on_fail=False)
+    _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 1.0), 1.0, params)
+    assert not rep.converged
+    assert rep.iterations < params.max_iterations
+    assert rep.message.startswith("increment stagnated")
+    params.raise_on_fail = True
+    with pytest.raises(NonConvergenceError, match="increment stagnated"):
+        ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 1.0), 1.0, params)
+
+
+def _cross_operator(cross, mask=None):
+    if mask is None:
+        mask = ep.box_mask(ep.build_grid(2, 17, (-1.0, 1.0)))
+    dim = mask.grid.dim
+    a = 0.7 * np.eye(dim) + 0.15 * np.ones((dim, dim))
+    return ep.assemble(mask, ep.CoefficientSet(a=a), ep.SchemeOptions(cross=cross))
+
+
+@pytest.mark.parametrize(
+    "make_op, n_colours",
+    [
+        (lambda: ep.assemble(ep.box_mask(ep.build_grid(2, 17, (-1.0, 1.0)))), 2),
+        (lambda: ep.assemble(ep.box_mask(ep.build_grid(3, 9, (0.0, 1.0)))), 2),
+        (lambda: ep.assemble(ep.mask_from_predicate(
+            ep.build_grid(2, 33, (-1.0, 1.0)), lambda q: np.sum(q**2, axis=1) < 0.81)), 2),
+        # cross legs couple diagonal neighbours: 2^d colours
+        (lambda: _cross_operator("corner"), 4),
+        (lambda: _cross_operator("tilted"), 4),
+        (lambda: _cross_operator("tilted", ep.box_mask(ep.build_grid(3, 9, (0.0, 1.0)))), 8),
+    ],
+    ids=["box2d", "box3d", "disc", "corner", "tilted", "tilted3d"],
+)
+def test_no_colour_couples_to_itself(make_op, n_colours):
+    op = make_op()
+    B = sp.csr_matrix(-op.interior_matrix)
+    off = (B - sp.diags(B.diagonal())).tocoo()
+    off.eliminate_zeros()
+    colours = _lattice_colours(op.mask, off)
+    assert off.nnz > 0
+    assert not np.any(colours[off.row] == colours[off.col])
+    assert len(np.unique(colours)) == n_colours
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        lambda t: np.power(t, 0.5),
+        lambda t: np.power(t, 3.0),
+        lambda t: np.minimum(t, 0.3),
+        lambda t: 2.0 * t + 0.5,
+        cli._compile_profile("t^0.25 + t/(1 + t)"),
+        ep.build_concave_majorant(ep.power_phi(1.0, 0.5)).rho,
+    ],
+    ids=["sqrt", "cubic", "capped", "affine", "expr", "majorant"],
+)
+def test_pointwise_root_is_exact(rho):
+    # known roots from 1e-20 to 10, warm starts off by factors of 1e13
+    # down to exact, densities from 0 to 1e3
+    rng = np.random.default_rng(3)
+    n = 400
+    root = 10.0 ** rng.uniform(-20.0, 1.0, n)
+    root[:50] = 10.0 ** rng.uniform(-20.5, -19.5, 50)
+    b = 10.0 ** rng.uniform(0.0, 4.0, n)
+    p = np.where(np.arange(n) % 7 == 0, 0.0, 10.0 ** rng.uniform(-1.0, 3.0, n))
+    s = b * root + p * rho(root)
+    t0 = root * 10.0 ** rng.uniform(-1.0, 13.0, n)
+    t0[:50] = 1e-7
+    t0[-20:] = root[-20:]
+    eps = 1e-12
+    t = _pointwise_root(b, p, rho, s, t0, eps)
+    g = np.abs(b * t + p * rho(t) - s)
+    # within eps, or within the rounding of s where s is too large for eps
+    floor = 4.0 * np.finfo(float).eps * s
+    assert np.all(g[floor <= eps] <= eps)
+    assert np.all(g <= np.maximum(eps, floor))
+    assert np.all(t >= 0.0)
+
+
+def test_pointwise_root_stops_at_a_jump():
+    # rho = t + 1 jumps at t = 0, so b t + rho(t) = 1/2 has no root: the
+    # trial budget runs out and the bracket's upper end, near 0, comes back
+    t = _pointwise_root(
+        np.array([4.0]), np.array([1.0]), lambda t: t + 1.0, np.array([0.5]),
+        np.array([0.1]), 1e-12,
+    )
+    assert 0.0 < t[0] < 1e-6
+
+
+def _dead_core_box_65():
+    mask = ep.box_mask(ep.build_grid(2, 65, (-8.0, 8.0)))
+    op = ep.assemble(mask)
+    u, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
+    return op, u, rep
+
+
+def test_dead_core_box_converges_honestly():
+    # sqrt absorption empties the middle of a 2D box: the exact pointwise
+    # sweep settles the ring around the dead core, so the solve meets the
+    # gate on the recomputed residual instead of stalling
+    op, u, rep = _dead_core_box_65()
+    assert u.at([0.0, 0.0]) == 0.0
+    assert rep.converged
+    assert not rep.message.startswith("increment stagnated")
+
+    def phi_vec(v):
+        return np.sqrt(np.maximum(v, 0.0))
+
+    res, _, _ = _equation_residual(op, u.interior(), phi_vec, 1.0)
+    assert res <= 10.0 * rep.tol
+    assert rep.error_bound <= 1e-8
+
+
+def test_dead_core_with_cross_terms_converges():
+    # tilted cross legs couple diagonal neighbours, so the sweep runs on
+    # the four parity colours; the solve still meets its gate
+    mask = ep.box_mask(ep.build_grid(2, 49, (-8.0, 8.0)))
+    op = _cross_operator("tilted", mask)
+    u, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
+    assert u.at([0.0, 0.0]) == 0.0
+    assert rep.converged
+    res, _, _ = _equation_residual(op, u.interior(), lambda v: np.sqrt(np.maximum(v, 0.0)), 1.0)
+    assert res <= 10.0 * rep.tol
+    assert rep.error_bound <= 1e-8
+
+
+def test_error_bound_covers_the_true_error():
+    # a loose tol leaves a visible error; the linear reaction q t has its
+    # discrete solution in closed form, (B + q) u* = A_IB f
+    mask = ep.box_mask(ep.build_grid(2, 33, (-1.0, 1.0)))
+    op = ep.assemble(mask)
+    q = 3.0 * (1.0 + mask.interior_points()[:, 0] ** 2)
+    params = ep.SemilinearParams(tol=1e-5)
+    u, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(q, 1.0), 1.0, params)
+    B = -op.interior_matrix + sp.diags(q)
+    exact = spla.spsolve(sp.csc_matrix(B), op.boundary_matrix @ np.ones(mask.n_boundary))
+    err = float(np.max(np.abs(u.interior() - exact)))
+    assert err > 0.0
+    assert err <= rep.error_bound <= 1e3 * err
+
+
+def test_error_bound_covers_the_newton_solution(unit_square_17):
+    op = ep.assemble(unit_square_17)
+    params = ep.SemilinearParams(tol=1e-6)
+    u, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(5.0, 0.5), 1.0, params)
+
+    def phi_vec(v):
+        return 5.0 * np.sqrt(np.maximum(v, 0.0))
+
+    _, B, rhs = _equation_residual(op, u.interior(), phi_vec, 1.0)
+    ref = oracles.newton_semilinear(B, rhs, phi_vec, u0=u.interior())
+    assert float(np.max(np.abs(u.interior() - ref))) <= rep.error_bound
+
+
+def test_debug_line_reports_the_error_bound(caplog):
+    with caplog.at_level(logging.DEBUG, logger="ellipot.solver"):
+        _, _, rep = _dead_core_box_65()
+    lines = [r.getMessage() for r in caplog.records if r.name == "ellipot.solver"]
+    assert f"error bound {rep.error_bound:.3e}" in lines[0]
+
+
+def test_no_sweep_where_shifts_stay_below_the_diagonal(unit_square_17, monkeypatch):
+    # without a dead core every shift stays below B's diagonal and the
+    # solve is plain shifted Picard
+    from ellipot import solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep built")
+
+    monkeypatch.setattr(solver, "_ExactSweep", refuse)
+    _, rep = ep.solve_semilinear_dirichlet(
+        ep.assemble(unit_square_17), ep.power_phi(1.0, 0.5), 1.0
+    )
+    assert rep.converged
+
+
+def test_large_data_is_held_to_the_rounding_floor():
+    # with u ~ 1e4 next to the wall, no double vector has a residual below
+    # about 1e-8 on this grid: the gate is the rounding floor, and the
+    # report says so instead of stagnating
+    op = ep.assemble(ep.box_mask(ep.build_grid(1, 257, (-1.0, 1.0))))
+    u, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 3.0), 1e4)
+    assert rep.converged
+    assert rep.final_residual > 10.0 * rep.tol
+    assert rep.message.startswith(f"residual {rep.final_residual:.3e} met the rounding floor")
+    assert rep.error_bound <= 1e-7
+
+
+def test_reaction_of_another_form_stays_on_picard():
+    # the sweep needs p(x) rho(t); any other Phi is solved by Picard alone,
+    # which stalls next to the dead core of test_dead_core_terminates_cleanly
+    # and says so, where the same reaction as a ProductPhi converges
+    class Wrapped(ep.Phi):
+        def bind(self, points):
+            return ep.power_phi(1.0, 0.5).bind(points)
+
+    op = ep.assemble(ep.box_mask(ep.build_grid(1, 257, (-20.0, 20.0))))
+    params = ep.SemilinearParams(raise_on_fail=False)
+    _, rep = ep.solve_semilinear_dirichlet(op, Wrapped(), 1.0, params)
+    _, ref = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
+    assert not rep.converged and rep.message.startswith("increment stagnated")
+    assert ref.converged
