@@ -264,28 +264,24 @@ def domination_defect(phi, majorant, points):
     """min over points and the majorant's t-grid of majorant(x, t) - phi(x, t).
 
     Nonnegative (up to rounding) certifies pointwise domination on the
-    sampled set.  For two ProductPhi sharing p the gap p(x) g(t), with
-    g = rho1 - rho (zero at t <= 0), is linear in p, so its minimum over
-    the points is min(p_min g(t), p_max g(t)) whatever the sign of p.
+    sampled set.  ``majorant`` is a :class:`MajorantPhi` sharing phi's
+    density p, as ``build_concave_majorant`` returns it: the gap
+    p(x) g(t), with g = rho1 - rho (zero at t <= 0), is linear in p, so
+    its minimum over the points is min(p_min g(t), p_max g(t)) whatever
+    the sign of p.
     """
-    if (
+    if not (
         isinstance(phi, ProductPhi)
-        and isinstance(majorant, ProductPhi)
+        and isinstance(majorant, MajorantPhi)
         and majorant.p is phi.p
     ):
-        pv = values_at(phi.p, np.asarray(points, dtype=float))
-        t = majorant.t_grid
-        pos = t > 0.0
-        g = np.zeros(t.shape)
-        g[pos] = majorant.rho(t[pos]) - phi.rho(t[pos])
-        return float(min((pv.min() * g).min(), (pv.max() * g).min()))
-    upper = majorant.bind(points)
-    lower = phi.bind(points)
-    worst = np.inf
-    for t in majorant.t_grid:
-        gap = upper(t) - lower(t)
-        worst = min(worst, float(gap.min()))
-    return worst
+        raise MajorantError("domination is audited for a majorant sharing phi's density")
+    pv = values_at(phi.p, np.asarray(points, dtype=float))
+    t = majorant.t_grid
+    pos = t > 0.0
+    g = np.zeros(t.shape)
+    g[pos] = majorant.rho(t[pos]) - phi.rho(t[pos])
+    return float(min((pv.min() * g).min(), (pv.max() * g).min()))
 
 
 @dataclass

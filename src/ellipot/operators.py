@@ -473,6 +473,21 @@ class MMatrixReport:
         return "\n".join(lines)
 
 
+def _sign_pattern(B):
+    """The M-matrix sign pattern of the CSR or CSC matrix B: whether its
+    diagonal is positive, its largest nonzero off-diagonal entry (0 if
+    none), its row sums, and the slack the tests allow, 1e-12 of its
+    largest entry and at least 1e-12."""
+    B.sum_duplicates()
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(B.data), initial=0.0)))
+    major = np.repeat(np.arange(B.indptr.size - 1), np.diff(B.indptr))
+    off = B.data[major != B.indices]
+    off = off[off != 0.0]
+    max_off = float(off.max()) if off.size else 0.0
+    rowsum = np.asarray(B.sum(axis=1)).ravel()
+    return bool(np.all(B.diagonal() > 0)), max_off, rowsum, tol
+
+
 def check_m_matrix(op):
     """Check that B = -A_II is a nonsingular M-matrix.
 
@@ -482,20 +497,9 @@ def check_m_matrix(op):
     inverse-positivity that the comparison arguments rely on.
     """
     B = (-op.interior_matrix).tocsr()
-    B.sum_duplicates()
     n = B.shape[0]
-    scale = max(1.0, float(np.max(np.abs(B.data))) if B.nnz else 0.0)
-    tol = 1e-12 * scale
-
-    d = B.diagonal()
-    positive_diagonal = bool(np.all(d > 0))
-
-    off = B - sp.diags(d)
-    off.eliminate_zeros()
-    max_pos = float(off.data.max()) if off.nnz else 0.0
+    positive_diagonal, max_pos, rowsum, tol = _sign_pattern(B)
     nonpositive_offdiagonal = max_pos <= tol
-
-    rowsum = np.asarray(B.sum(axis=1)).ravel()
     weakly_dominant = bool(np.all(rowsum >= -tol))
     has_strict_row = bool(np.any(rowsum > tol))
 

@@ -60,8 +60,7 @@ import scipy.sparse as sp
 
 from .errors import NonConvergenceError, SolverBreakdownError
 from .geometry import values_at
-from .nonlinearity import ProductPhi
-from .operators import _sparse_lu
+from .operators import _sign_pattern, _sparse_lu
 from .potentials import Field, boundary_values, interior_values
 
 log = logging.getLogger(__name__)
@@ -96,9 +95,10 @@ _ROOT_SHARE = 100.0
 _ROOT_STEPS = 60
 # a residual row is computed to within a few units in the last place of
 # its largest terms, so no iterate meets an equation gate below
-# _ROUNDING * max(|B| |u| + |phi(u)| + |A_IB f|); a positive tol whose
-# gate lies below that floor is held to the floor (large boundary data),
-# and a pointwise root stops within _ROUNDING * s of its right side s
+# _ROUNDING * (|B| |u| + |phi(u)| + |A_IB f|)_i in row i; for a positive
+# tol a row whose gate 10 * tol lies below its floor is held to the floor
+# (large boundary data), and a pointwise root stops within _ROUNDING * s
+# of its right side s
 _ROUNDING = 4.0 * np.finfo(float).eps
 
 
@@ -106,10 +106,10 @@ _ROUNDING = 4.0 * np.finfo(float).eps
 class SemilinearParams:
     """Settings of one semilinear solve.
 
-    tol : convergence requires the sup-norm increment <= tol and the
-        equation residual <= 10 * tol, or, for tol > 0, <= the rounding
-        floor of the residual when that is larger (``_ROUNDING``); tol = 0
-        asks for an exact solve and ends as stagnated.
+    tol : convergence requires the sup-norm increment <= tol and, in
+        every row, the equation residual <= 10 * tol, or, for tol > 0,
+        <= that row's rounding floor when it is larger (``_ROUNDING``);
+        tol = 0 asks for an exact solve and ends as stagnated.
     """
 
     tol: float = 1e-10
@@ -137,8 +137,12 @@ class SolveReport:
     r = B u + phi(u) - A_IB f recomputed at the returned u, and
     ``error_bound`` = sup |B^-1 |r||, one more solve with B, bounds the
     distance to the discrete solution u*: u - u* = (B + D)^-1 r for a
-    diagonal D >= 0 since phi is nondecreasing, and
-    0 <= (B + D)^-1 <= B^-1 entrywise for the M-matrix B.
+    diagonal D >= 0 when phi = p rho is nondecreasing in t (p >= 0 and rho
+    nondecreasing, the package's standing hypothesis on rho), and
+    0 <= (B + D)^-1 <= B^-1 entrywise when B is an M-matrix.  Where p < 0
+    somewhere or B breaks the M-matrix sign pattern (centered drift, the
+    corner cross scheme) the bound does not hold: ``error_bound`` is then
+    inf and the message says so.
     """
 
     converged: bool
@@ -311,54 +315,51 @@ def _pointwise_root(b, p, rho, s, t0, eps):
 
     Needs b > 0, p >= 0, s > 0 and rho nondecreasing and nonnegative for
     t > 0, so that G(t) = b t + p rho(t) is increasing and G(s/b) >= s.
-    One Newton step from the warm start ``t0`` (s/b where t0 is outside
-    [0, s/b]), its slope a forward difference, settles most entries of a
-    sweep; the rest go on to ``_bracketed_root`` from there.
-    """
-    hi = s / b
-    t = np.where((t0 > 0.0) & (t0 < hi), t0, hi)
-    t_fd = t * (1.0 + 2.0**-26)
-    r_fd = b * t_fd + p * rho(t_fd) - s
-    r = b * t + p * rho(t) - s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = t - r * (t - t_fd) / (r - r_fd)
-    t = np.where((step > 0.0) & (step < hi), step, t)
-    gate = np.maximum(eps, _ROUNDING * s)
-    rest = np.flatnonzero(np.abs(b * t + p * rho(t) - s) > gate)
-    if rest.size:
-        t[rest] = _bracketed_root(b[rest], p[rest], rho, s[rest], t[rest], eps)
-    return t
-
-
-def _bracketed_root(b, p, rho, s, t0, eps):
-    """``_pointwise_root`` by safeguarded secants on the bracket [0, s/b].
-
-    The first trial is the warm start ``t0`` when it lies in the bracket,
-    else s/b.  Each next trial follows the secant through the last two
-    points, the first of them a forward difference at the first trial (a
-    Newton step).  Where the bracket spans more than a factor 2 and either
-    has a point below the root or the linear secant falls below 0, the
-    secant is taken in log-log coordinates, exact for a power of t, so a
-    root decades below the warm start is reached in a few steps.  A trial
-    outside the bracket is replaced by geometric bisection, or, while no
-    trial has fallen below the root, by the chord of G from the origin,
-    moving at least halfway to 0 (rho(0+) > 0 flattens that chord).
-    Entries without such a point after _ROOT_STEPS trials (rho jumping at
-    0) return the bracket's upper end.
+    Safeguarded secants on the bracket [0, s/b].  The first trial is a
+    Newton step from the warm start ``t0`` (s/b where t0 is outside the
+    bracket), its slope a forward difference; it settles most entries of a
+    sweep, and settled entries leave before any bracket bookkeeping.  Where
+    that step leaves the bracket the first trial is the difference point,
+    whose secant with the warm start is that step again and so is replaced
+    like any trial outside the bracket.
+    Each next trial follows the secant through the last two points.  Where
+    the bracket spans more than a factor 2 and either has a point below the
+    root or the linear secant falls below 0, the secant is taken in log-log
+    coordinates, exact for a power of t, so a root decades below the warm
+    start is reached in a few steps.  A trial outside the bracket is
+    replaced by geometric bisection, or, while no trial has fallen below
+    the root, by the chord of G from the origin, moving at least halfway to
+    0 (rho(0+) > 0 flattens that chord).  Entries without such a point
+    after _ROOT_STEPS trials (rho jumping at 0) return the bracket's upper
+    end.
     """
     hi = s / b
     out = hi.copy()
-    t = np.where((t0 > 0.0) & (t0 < hi), t0, hi)
+    t0 = np.where((t0 > 0.0) & (t0 < hi), t0, hi)
+    t_fd = t0 * (1.0 + 2.0**-26)
+    r_fd = b * t_fd + p * rho(t_fd) - s
+    r0 = b * t0 + p * rho(t0) - s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = t0 - r0 * (t0 - t_fd) / (r0 - r_fd)
+    t = np.where((t > 0.0) & (t < hi), t, t_fd)
+    t_prev, r_prev = t0, r0
     lo = np.zeros(t.size)
     # G - s at hi, known once a trial lands at or above the root
     r_hi = np.full(t.size, np.inf)
+    gate = np.maximum(eps, _ROUNDING * s)
     todo = np.arange(t.size)
-    t_prev = t * (1.0 + 2.0**-26)
-    r_prev = b * t_prev + p * rho(t_prev) - s
     for _ in range(_ROOT_STEPS):
         r = b * t + p * rho(t) - s
-        settle = np.abs(r) <= np.maximum(eps, _ROUNDING * s)
-        settle |= hi - lo <= 1e-15 * hi
+        settle = (np.abs(r) <= gate) | (hi - lo <= 1e-15 * hi)
+        if settle.any():
+            out[todo[settle]] = t[settle]
+            keep = np.flatnonzero(~settle)
+            if not keep.size:
+                return out
+            todo, b, p, s, gate, lo, hi, r_hi, t_prev, r_prev, t, r = (
+                a[keep]
+                for a in (todo, b, p, s, gate, lo, hi, r_hi, t_prev, r_prev, t, r)
+            )
         below = r < 0.0
         lo = np.where(below, t, lo)
         hi = np.where(below, hi, t)
@@ -380,14 +381,6 @@ def _bracketed_root(b, p, rho, s, t0, eps):
                     hi_o * np.minimum(s_o / (r_hi[out_of] + s_o), 0.5),
                 )
         t_prev, r_prev, t = t, r, trial
-        if settle.any():
-            out[todo[settle]] = t_prev[settle]
-            keep = ~settle
-            if not keep.any():
-                return out
-            todo, b, p, s, lo, hi, r_hi, t_prev, r_prev, t = (
-                a[keep] for a in (todo, b, p, s, lo, hi, r_hi, t_prev, r_prev, t)
-            )
     out[todo] = hi
     return out
 
@@ -403,10 +396,8 @@ class _ExactSweep:
     left to Picard, as their scalar equation need not be monotone.
     """
 
-    def __init__(self, mask, B, p, rho, rhs, eps):
-        B = sp.csr_matrix(B)
-        diag = B.diagonal()
-        off = (B - sp.diags(diag)).tocsr()
+    def __init__(self, mask, B, diag, p, rho, rhs, eps):
+        off = sp.csr_matrix(B - sp.diags(diag))
         off.eliminate_zeros()
         colours = _lattice_colours(mask, off)
         self.rho = rho
@@ -464,14 +455,13 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     if f.size and float(f.min()) < 0:
         message = "boundary data has negative values; monotonicity not guaranteed"
 
+    p_vals = values_at(phi.p, pts)
     lam = _slope_profile(phi_b, np.maximum(harm, 0.0))
     shifted = _ShiftedSolve(B, lam, lu_nnz)
     refreshes = 0
     # the exact sweep joins in once some shift exceeds B's diagonal, as
-    # it does next to a dead core; elsewhere the solve is plain Picard.  It
-    # solves p(x) rho(t) pointwise, so a reaction of another form (none
-    # the package builds) stays on plain Picard
-    b_diag = B.diagonal() if isinstance(phi, ProductPhi) else np.inf
+    # it does next to a dead core; elsewhere the solve is plain Picard
+    b_diag = B.diagonal()
     sweep = None
 
     # solutions cannot dip below the boundary minimum (or zero, whichever
@@ -493,8 +483,7 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
         np.maximum(u_new, lower, out=u_new)
         if sweep is None and np.any(lam > b_diag):
             sweep = _ExactSweep(
-                mask, B, values_at(phi.p, pts), phi.rho, rhs_b,
-                params.tol / _ROOT_SHARE,
+                mask, B, b_diag, p_vals, phi.rho, rhs_b, params.tol / _ROOT_SHARE
             )
         if sweep is not None:
             sweep(u_new, lower)
@@ -502,16 +491,20 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
         u = u_new
         if inc <= params.tol:
             phi_u = phi_b(u)
-            res = float(np.max(np.abs(B @ u + phi_u - rhs_b)))
+            r = np.abs(B @ u + phi_u - rhs_b)
+            res = float(np.max(r, initial=0.0))
             converged = res <= 10.0 * params.tol
             if not converged and params.tol > 0.0:
+                # each row is held to its own rounding floor, never to
+                # that of a larger row
                 terms = abs(B) @ np.abs(u) + np.abs(phi_u) + np.abs(rhs_b)
-                floor = _ROUNDING * float(terms.max())
-                if res <= floor:
+                ratio = float(np.max(r / np.maximum(10.0 * params.tol, _ROUNDING * terms)))
+                if ratio <= 1.0:
                     converged = True
                     message = (
-                        f"residual {res:.3e} met the rounding floor {floor:.3e}, "
-                        f"not 10 * tol" + (f"; {message}" if message else "")
+                        f"residual {res:.3e} met the rounding floor of its rows "
+                        f"(worst |r_i| / floor_i {ratio:.2f}), not 10 * tol"
+                        + (f"; {message}" if message else "")
                     )
             if converged:
                 break
@@ -557,8 +550,22 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     phi_u = phi_b(u)
     r = B @ u + phi_u - rhs_b
     res = float(np.max(np.abs(r), initial=0.0))
-    # why this bounds |u - u*|: see SolveReport
-    error_bound = float(np.max(op.solve(np.abs(r)), initial=0.0))
+    # why this bounds |u - u*|, and when it does: see SolveReport
+    # B is nonsingular, so its M-matrix sign pattern and weak diagonal
+    # dominance make B^-1 >= 0; check_m_matrix audits the same pattern
+    positive_diagonal, max_off, rowsum, sign_tol = _sign_pattern(B)
+    inverse_positive = (
+        positive_diagonal
+        and max_off <= sign_tol
+        and float(rowsum.min(initial=0.0)) >= -sign_tol
+    )
+    if float(p_vals.min(initial=0.0)) < 0.0 or not inverse_positive:
+        # appended, as reports are classified by the message's start
+        error_bound = np.inf
+        note = "no error bound: B is not an M-matrix or p < 0 somewhere"
+        message = f"{message}; {note}" if message else note
+    else:
+        error_bound = float(np.max(op.solve(np.abs(r)), initial=0.0))
     gphi = op.solve(phi_u)
     identity_residual = float(np.max(np.abs(harm - u - gphi), initial=0.0))
 

@@ -253,3 +253,14 @@ def test_domination_defect_matches_pointwise_gap(unit_square_17, phi):
     maj = ep.build_concave_majorant(phi)
     ref = oracles.domination_gap(phi, maj, pts)
     npt.assert_allclose(ep.domination_defect(phi, maj, pts), ref, rtol=1e-12, atol=1e-14)
+
+
+def test_domination_defect_needs_a_majorant_of_the_same_density(unit_square_17):
+    pts = unit_square_17.grid.points()
+    phi = ep.power_phi(_BOWL, 0.5)
+    # the same values from another density object: no shared p to factor out
+    other = ep.build_concave_majorant(ep.power_phi(lambda q: _BOWL(q), 0.5))
+    with pytest.raises(MajorantError):
+        ep.domination_defect(phi, other, pts)
+    with pytest.raises(MajorantError):
+        ep.domination_defect(phi, ep.power_phi(_BOWL, 1.0), pts)

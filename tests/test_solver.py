@@ -518,17 +518,63 @@ def test_large_data_is_held_to_the_rounding_floor():
     assert rep.error_bound <= 1e-7
 
 
-def test_reaction_of_another_form_stays_on_picard():
-    # the sweep needs p(x) rho(t); any other Phi is solved by Picard alone,
-    # which stalls next to the dead core of test_dead_core_terminates_cleanly
-    # and says so, where the same reaction as a ProductPhi converges
-    class Wrapped(ep.Phi):
-        def bind(self, points):
-            return ep.power_phi(1.0, 0.5).bind(points)
+def test_each_row_is_held_to_its_own_rounding_floor():
+    # the rows next to the wall carry terms near 1e5 times those of the
+    # middle; a middle row (u ~ 2) is held to 10 tol, not to the floor of
+    # the wall rows, which is some 300 times larger
+    op = ep.assemble(ep.box_mask(ep.build_grid(1, 257, (-1.0, 1.0))))
+    u, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 3.0), 1e4)
+    B, rhs = -op.interior_matrix, op.boundary_matrix @ np.full(op.n_boundary, 1e4)
+    v = u.interior()
+    r = np.abs(B @ v + v**3 - rhs)
+    floor = 4.0 * np.finfo(float).eps * (abs(B) @ np.abs(v) + v**3 + np.abs(rhs))
+    small = floor < 10.0 * rep.tol
+    assert small.any() and r.max() < floor.max()
+    assert np.all(r[small] <= 10.0 * rep.tol)
+    assert np.all(r <= np.maximum(10.0 * rep.tol, floor))
 
-    op = ep.assemble(ep.box_mask(ep.build_grid(1, 257, (-20.0, 20.0))))
+
+def test_a_small_row_is_not_excused_by_the_floor_of_a_large_row():
+    # a reaction that wobbles by 1e-8 on the small values leaves the middle
+    # rows a residual near 1e-8: above 10 tol and above their own floor,
+    # below the floor of the wall rows (about 3e-7); the solve must not
+    # converge on it
+    op = ep.assemble(ep.box_mask(ep.build_grid(1, 257, (-1.0, 1.0))))
+    calls = [0]
+
+    def wobbly(t):
+        calls[0] += 1
+        return t**3 + 1e-8 * (-1.0) ** calls[0] * (t < 10.0)
+
+    params = ep.SemilinearParams(max_iterations=2000, raise_on_fail=False)
+    _, rep = ep.solve_semilinear_dirichlet(op, ep.ProductPhi(1.0, wobbly), 1e4, params)
+    assert not rep.converged
+    assert rep.message.startswith("increment stagnated")
+
+
+_DRIFT = ep.CoefficientSet(b=np.array([50.0, -50.0]))
+_CROSS = ep.CoefficientSet(a=np.array([[1.0, 0.8], [0.8, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "coeffs, scheme, p",
+    [
+        (None, None, 1.0),
+        (None, None, lambda q: q[:, 0] - 0.5),
+        (_DRIFT, None, 1.0),
+        (_DRIFT, ep.SchemeOptions(drift="centered"), 1.0),
+        (_CROSS, None, 1.0),
+        (_CROSS, ep.SchemeOptions(cross="tilted"), 1.0),
+    ],
+    ids=["laplacian", "signed_p", "upwind", "centered", "corner", "tilted"],
+)
+def test_error_bound_is_withheld_off_its_hypotheses(unit_square_17, coeffs, scheme, p):
+    # a reaction decreasing in t where p < 0, or a B whose inverse has
+    # negative entries, breaks (B + D)^-1 <= B^-1: no bound is claimed,
+    # and the operators check_m_matrix passes keep theirs
+    op = ep.assemble(unit_square_17, coeffs, scheme)
     params = ep.SemilinearParams(raise_on_fail=False)
-    _, rep = ep.solve_semilinear_dirichlet(op, Wrapped(), 1.0, params)
-    _, ref = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
-    assert not rep.converged and rep.message.startswith("increment stagnated")
-    assert ref.converged
+    _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(p, 0.5), 1.0, params)
+    held = ep.check_m_matrix(op).is_m_matrix and not callable(p)
+    assert np.isfinite(rep.error_bound) == held
+    assert ("no error bound" in rep.message) == (not held)
