@@ -89,8 +89,7 @@ _CONFIG_KEYS = {
     "solver": ("tol", "max_iterations"),
     "experiment": ("boundary", "c", "seed", "probe", "excluded", "alpha",
                    "require_concave", "m_values", "m_min", "m_max", "m_count",
-                   "sweep_half_width", "trivial_fraction", "band_fraction",
-                   "core_fraction"),
+                   "sweep_half_width"),
     "output": ("dir",),
 }
 
@@ -239,14 +238,6 @@ def _boundary_data(cfg, dim):
     return _scalar_or_expr(raw, dim, "[experiment] boundary")
 
 
-def _sup_bands(cfg):
-    return {
-        key: cfg.get("experiment", key, kind="float")
-        for key in ("trivial_fraction", "band_fraction", "core_fraction")
-        if cfg.has("experiment", key)
-    }
-
-
 def _m_values(cfg):
     if cfg.has("experiment", "m_values"):
         return np.asarray(cfg.get("experiment", "m_values", kind="list"), dtype=float)
@@ -257,6 +248,17 @@ def _m_values(cfg):
 
 
 # ---------------------------------------------------------------- emission
+
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float, however nested, as None."""
+    if isinstance(obj, float):
+        return obj if np.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
 
 class Emitter:
     """Writes artifacts and finishes with a checksum manifest."""
@@ -290,8 +292,11 @@ class Emitter:
         return path
 
     def write_json(self, name, obj):
+        """Strict JSON: a non-finite float (a withheld bound) becomes null."""
         path = self.outdir / name
-        path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+        text = json.dumps(_finite_or_null(obj), sort_keys=True, indent=2,
+                          allow_nan=False)
+        path.write_text(text + "\n")
         self._register(path)
         return path
 
@@ -372,7 +377,7 @@ def cmd_exhaust(cfg, emit):
     run = run_exhaustion(
         exh, phi, c, params=params, coeffs=coeffs, scheme=scheme, keep_fields=False
     )
-    rep = check_sup_identity(run, **_sup_bands(cfg))
+    rep = check_sup_identity(run)
     header, rows = run.tables()["levels"]
     emit.write_csv("levels.csv", header, rows)
     emit.write_field("vc.csv", run.v_c)
@@ -614,7 +619,6 @@ def cmd_dichotomy(cfg, emit):
         coeffs=coeffs,
         scheme=scheme,
         params=params,
-        sup_bands=_sup_bands(cfg),
         ops=ops,
     )
 

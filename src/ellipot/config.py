@@ -99,9 +99,6 @@ class RunConfig:
             return section in self.data
         return section in self.data and key in self.data[section]
 
-    def section(self, name):
-        return dict(self.data.get(name, {}))
-
     def get(self, section, key, default=_MISSING, kind=None):
         """Fetch a value with optional type enforcement.
 

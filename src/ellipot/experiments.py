@@ -35,6 +35,12 @@ _SATURATION_RTOL = 0.01
 _DIVERGENCE_RATIO = 0.9
 # bounded needs the two largest truncations' sups within 5% of c
 _STABILITY_RTOL = 0.05
+# sup-identity bands: a run is trivial when its core sup is at most
+# _TRIVIAL_FRACTION of c, saturating when its sup is at least
+# _BAND_FRACTION of c and its core sup at least _CORE_FRACTION of its sup
+_TRIVIAL_FRACTION = 0.05
+_BAND_FRACTION = 0.9
+_CORE_FRACTION = 0.5
 
 
 def assemble_levels(exhaustion, coeffs=None, scheme=None):
@@ -198,8 +204,7 @@ class SupIdentityReport:
         }
 
 
-def check_sup_identity(run, trivial_fraction=0.05, band_fraction=0.9,
-                       core_fraction=0.5):
+def check_sup_identity(run):
     """Classify a run as trivial / saturating / intermediate.
 
     The core supremum (over the innermost level) guards against calling a
@@ -209,14 +214,14 @@ def check_sup_identity(run, trivial_fraction=0.05, band_fraction=0.9,
     c = run.c
     full = run.sup_estimate
     core = run.core_sup()
-    if core <= trivial_fraction * c:
+    if core <= _TRIVIAL_FRACTION * c:
         verdict = "trivial"
-    elif full >= band_fraction * c and core >= core_fraction * full:
+    elif full >= _BAND_FRACTION * c and core >= _CORE_FRACTION * full:
         verdict = "saturating"
     else:
         verdict = "intermediate"
     return SupIdentityReport(
-        verdict, c, full, core, trivial_fraction, band_fraction, core_fraction
+        verdict, c, full, core, _TRIVIAL_FRACTION, _BAND_FRACTION, _CORE_FRACTION
     )
 
 
@@ -521,7 +526,7 @@ class TruncationStudy:
 
 def cube_truncation_study(half_widths, phi, c=1.0, dim=3, shape=33,
                           n_levels=3, coeffs=None, scheme=None, params=None,
-                          sup_bands=None, ops=None):
+                          ops=None):
     """Run exhaustions on concentric cubes of doubling half-width.
 
     Each cube uses the same lattice shape (so larger cubes are coarser),
@@ -542,7 +547,6 @@ def cube_truncation_study(half_widths, phi, c=1.0, dim=3, shape=33,
     shapes = [(int(shape),)] if ops is None else [op.mask.grid.shape for op in ops]
     if any(n % 2 == 0 for s in shapes for n in s):
         raise ValueError("shape must be odd so the origin is a lattice point")
-    bands = sup_bands or {}
     records = []
     for i, R in enumerate(half_widths):
         outer = ops[i] if ops is not None else assemble(
@@ -556,7 +560,7 @@ def cube_truncation_study(half_widths, phi, c=1.0, dim=3, shape=33,
         run = run_exhaustion(
             levels, phi, c, params=params, ref_point=origin, keep_fields=False
         )
-        rep = check_sup_identity(run, **bands)
+        rep = check_sup_identity(run)
         records.append(
             TruncationRecord(float(R), grid.shape, run, rep, run.v_c.at(origin))
         )

@@ -275,11 +275,6 @@ class AssembledOperator:
         """The DST-I solver of B when the box path applies, else None."""
         return _BoxSolver.of(self)
 
-    @property
-    def solves_by_dst(self):
-        """Whether :meth:`solve` takes the DST-I box path, not the factor."""
-        return self._box is not None
-
     def factor(self):
         """Cached sparse LU of minus the interior block.
 

@@ -29,22 +29,22 @@ error bound are solves with B through ``AssembledOperator.solve``: on a
 full box with constant coefficients and no drift or cross terms, two
 type-I discrete sine transforms; elsewhere the operator's cached SuperLU
 factor (minimum-degree ordering of A^T + A, see ``operators._sparse_lu``),
-so an operator reused across solves is factored at most once.  The
-shifted systems with B + Lambda are solved without a factor while that is
-cheaper: when B is exactly symmetric, each step runs Jacobi-preconditioned
-CG warm-started from the current iterate, to the absolute sup-norm
-residual tol (a tenth of the 10 * tol equation gate; at the fixed point of
-the inexact map the equation residual equals the inner one), checked on
-the true residual.  A work ledger in multiply-adds, priced by the fill of
-a factor of B (read off the operator's factor, or estimated from the box
-lattice when B is solved by DST), sums the CG work in excess of triangular
-solves; once one more iteration would push that excess past the cost of a
-factorization, B + Lambda is factored and the solve stays on that factor,
-refactoring at each shift refresh.  The rule uses no timing, so equal
-inputs take equal paths.  Non-symmetric B is factored from the start.
-The Gauss-Seidel sweep needs no solve: per colour, one matrix-vector
-product with the colour's rows of B's off-diagonal part.  The report
-counts the factorizations a solve built, their fill and its CG
+so an operator reused across solves is factored at most once.  The path
+for the shifted systems with B + Lambda is fixed per solve by the lattice
+and by B's symmetry, following nested-dissection fill (George, Nested
+dissection of a regular finite element mesh, SIAM J. Numer. Anal. 10,
+1973): a factor costs O(n^(3/2)) on a 2D lattice and O(n^2) on a 3D one.
+On a 1D or 2D lattice, or when B is not exactly symmetric, B + Lambda is
+factored from the first step and refactored at each shift refresh.  On a
+3D lattice with symmetric B each step runs Jacobi-preconditioned CG
+warm-started from the current iterate, to the absolute sup-norm residual
+tol (a tenth of the 10 * tol equation gate; at the fixed point of the
+inexact map the equation residual equals the inner one), checked on the
+true residual; should CG break down or miss tol within n iterations, its
+exact-arithmetic bound, the solve factors B + Lambda and stays on that
+factor.  The Gauss-Seidel sweep needs no solve: per colour, one
+matrix-vector product with the colour's rows of B's off-diagonal part.
+The report counts the factorizations a solve built, their fill and its CG
 iterations, and each solve logs one DEBUG line on the ``ellipot.solver``
 logger.
 """
@@ -80,14 +80,6 @@ _LAMBDA_SAFETY = 1.1
 # shrink; the matrix changes when the shifts halve or some point needs
 # more, and a solve on a shifted factor then refactors
 _REFRESH_EVERY = 50
-# nnz(LU) of SuperLU's factor of B on a box with n interior points, as
-# coef * n**power per dimension; the ledger prices factors with it on
-# boxes, whose B is solved by DST and has no factor to read the fill off.
-# Fitted within 7% to fills measured on box interiors: 2D 31^2 / 63^2 /
-# 127^2 / 255^2 give 25,498 / 126,628 / 657,020 / 3,382,288, 3D 7^3 /
-# 15^3 / 23^3 / 31^3 give 16,182 / 483,686 / 3,459,696 / 15,048,832; 1D
-# is about 4 n.
-_BOX_FILL = {1: (4.0, 1.0), 2: (8.7, 1.16), 3: (2.0, 1.53)}
 # the pointwise roots of the Gauss-Seidel sweep stop at |g| <= tol /
 # _ROOT_SHARE, or after _ROOT_STEPS trials where rho jumps at t = 0 (an
 # affine offset) and no such point exists
@@ -123,14 +115,16 @@ class SolveReport:
 
     ``factorizations`` counts the sparse LUs the solve built: the
     operator's own factor when it was not cached yet (never on a box whose
-    B is solved by DST, so 0 there unless the shifted matrix is factored),
-    plus the shifted matrix once the solve switched to a factor and again
-    at each later refresh (from the start when B is not symmetric).
+    B is solved by DST), plus the shifted matrix B + Lambda, factored on
+    1D and 2D lattices and for non-symmetric B from the first step, on 3D
+    lattices only once CG gave it up, and refactored at each later
+    refresh.  So a 1D or 2D box solve counts 1 + ``lambda_refreshes``.
     ``factor_nnz`` sums their fill as SuperLU reports it
     (``SuperLU.nnz``).
-    ``inner_iterations`` counts the CG iterations of the shifted solves,
-    including those of an attempt abandoned for a factor; it is 0 on a
-    pure LU path.
+    ``inner_iterations`` counts the CG iterations of the shifted solves
+    on 3D lattices with symmetric B, including those of an attempt given
+    up for a factor; it is 0 on 1D and 2D lattices and for non-symmetric
+    B.
     ``converged`` is True only when both gates of ``SemilinearParams.tol``
     were met; a stagnated run reports False, with a ``message`` starting
     "increment stagnated".  ``final_residual`` is the sup-norm of
@@ -207,24 +201,17 @@ def _slope_profile(phi_bound, t_max):
 class _ShiftedSolve:
     """Solves with B + diag(lam) for one semilinear solve.
 
-    Jacobi-CG runs while a work ledger, in multiply-adds, says it is
-    cheaper than a factor: a factorization costs about nnz(LU)^2 / n, a
-    triangular solve nnz(LU) and a CG iteration nnz(B + lam) + 5 n, with
-    nnz(LU) the fill of a factor of B: measured on the operator's factor,
-    or _BOX_FILL on a box solved by DST.  Once one more iteration would
-    push the summed excess of CG over triangular solves past the
-    factorization cost, the matrix is factored for good.  B that is not
-    exactly symmetric is factored from the start.
+    The path is chosen once, from the lattice dimension and B's exact
+    symmetry.  On a 1D or 2D lattice, or for B that is not symmetric, the
+    matrix is factored at once.  Otherwise Jacobi-CG runs, and the matrix
+    is factored for good once CG breaks down or misses its tolerance
+    within n = B.shape[0] iterations.
     """
 
-    def __init__(self, B, lam, lu_nnz):
+    def __init__(self, B, lam, dim):
         self.B = B
-        self.n = B.shape[0]
-        self.factor_work = lu_nnz * lu_nnz / self.n
-        self.tri_work = lu_nnz
-        self.excess = 0.0
         self.lu = None
-        self.on_lu = (B != B.T).nnz > 0
+        self.on_lu = dim <= 2 or (B != B.T).nnz > 0
         self.factorizations = 0
         self.factor_nnz = 0
         self.inner_iterations = 0
@@ -237,7 +224,6 @@ class _ShiftedSolve:
             self._factor()
         else:
             self.diag_inv = 1.0 / self.matrix.diagonal()
-            self.cg_work = self.matrix.nnz + 5 * self.n
 
     def _factor(self):
         # drop a stale factor first, so that one factor is alive at a time
@@ -257,9 +243,8 @@ class _ShiftedSolve:
         return self.lu.solve(rhs)
 
     def _cg(self, rhs, x0, tol):
-        """Warm-started Jacobi-CG within the ledger; None once it runs out."""
+        """Warm-started Jacobi-CG; None on breakdown or after n iterations."""
         A = self.matrix
-        budget = int((self.factor_work + self.tri_work - self.excess) // self.cg_work)
         x = x0.copy()
         r = rhs - A @ x
         converged = np.max(np.abs(r), initial=0.0) <= tol
@@ -267,7 +252,7 @@ class _ShiftedSolve:
         p = z.copy()
         rz = float(r @ z)
         its = 0
-        while not converged and its < budget:
+        while not converged and its < A.shape[0]:
             its += 1
             q = A @ p
             pq = float(p @ q)
@@ -287,10 +272,7 @@ class _ShiftedSolve:
             p += z
             rz = rz_new
         self.inner_iterations += its
-        if not converged:
-            return None
-        self.excess += its * self.cg_work - self.tri_work
-        return x
+        return x if converged else None
 
 
 def _lattice_colours(mask, off):
@@ -441,15 +423,10 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     harm = op.solve(rhs_b)
     if not np.all(np.isfinite(harm)):
         raise SolverBreakdownError("harmonic extension is not finite")
-    # the fill that prices a factor in the ledger; it follows the path
-    # op.solve takes, not whether some caller already factored B
-    if op.solves_by_dst:
-        coef, power = _BOX_FILL[min(mask.grid.dim, 3)]
-        lu_nnz = coef * mask.n_interior**power
-    else:
-        lu_nnz = int(op.factor().nnz)
     # the operator's own factor counts when the harmonic extension built it
-    factorizations, factor_nnz = (1, lu_nnz) if fresh and op.is_factored else (0, 0)
+    factorizations = factor_nnz = 0
+    if fresh and op.is_factored:
+        factorizations, factor_nnz = 1, int(op.factor().nnz)
 
     message = ""
     if f.size and float(f.min()) < 0:
@@ -457,7 +434,7 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
 
     p_vals = values_at(phi.p, pts)
     lam = _slope_profile(phi_b, np.maximum(harm, 0.0))
-    shifted = _ShiftedSolve(B, lam, lu_nnz)
+    shifted = _ShiftedSolve(B, lam, mask.grid.dim)
     refreshes = 0
     # the exact sweep joins in once some shift exceeds B's diagonal, as
     # it does next to a dead core; elsewhere the solve is plain Picard

@@ -415,8 +415,12 @@ class TestCliExitCodes:
             # a 2D operator has drift components b1 and b2 only
             ("solve", SOLVE_CFG.replace("dim = 1", "dim = 2")
              + "\n[operator]\nb3 = 1.0\n", "[operator] b3"),
+            # the sup-identity bands are constants, not settings
+            ("dichotomy", DICHOTOMY_CFG + "band_fraction = 0.8\n",
+             "[experiment] band_fraction"),
         ],
-        ids=["misspelt-key", "unread-solver-key", "unknown-section", "drift-beyond-dim"],
+        ids=["misspelt-key", "unread-solver-key", "unknown-section", "drift-beyond-dim",
+             "retired-sup-band"],
     )
     def test_unknown_key_exits_before_any_work(self, tmp_path, caplog, command,
                                                text, where):
@@ -427,7 +431,35 @@ class TestCliExitCodes:
         assert not out.exists()
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 class TestCliCommands:
+    @pytest.mark.parametrize(
+        "command, text, name, path",
+        [
+            # centered drift breaks the M-matrix sign pattern: no error bound
+            ("solve", SOLVE_CFG.replace("dim = 1", "dim = 2").replace(
+                "shape = 33", "shape = 17")
+             + "\n[operator]\ndrift = centered\nb1 = 40\n",
+             "report.json", ("error_bound",)),
+            # one half-width leaves the sup stability undefined
+            ("dichotomy", DICHOTOMY_CFG.replace("[1.0, 2.0, 4.0]", "[2.0]"),
+             "dichotomy.json", ("verdict", "sup_stability")),
+        ],
+        ids=["withheld-error-bound", "single-half-width"],
+    )
+    def test_non_finite_values_are_written_as_null(self, tmp_path, command, text,
+                                                   name, path):
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        value = json.loads((out / name).read_text(), parse_constant=_no_constant)
+        for key in path:
+            value = value[key]
+        assert value is None
+
     def test_checks_pass_for_sublinear(self, tmp_path):
         cfg = _write(tmp_path, SOLVE_CFG)
         out = tmp_path / "o"

@@ -293,8 +293,7 @@ def _pays_for_a_shifted_factor(mask):
 
 
 def test_2d_solve_pays_for_a_shifted_factor():
-    # in 2D a factor costs fewer multiply-adds than the CG iterations a
-    # Picard step needs, so the ledger switches to a shifted LU; a disc
+    # on a 2D lattice B + Lambda is factored from the first step; a disc
     # is no box, so its B is factored too
     grid = ep.build_grid(2, 65, (-1.0, 1.0))
     disc = ep.mask_from_predicate(grid, lambda pts: np.sum(pts**2, axis=1) < 0.81)
@@ -303,16 +302,36 @@ def test_2d_solve_pays_for_a_shifted_factor():
 
 
 def test_2d_box_pays_for_a_shifted_factor_only():
-    # on a box the ledger prices the factor from _BOX_FILL, and B itself
-    # is solved by DST: every factorization counted is a shifted one
+    # B itself is solved by DST: every factorization counted is a shifted one
     op, rep = _pays_for_a_shifted_factor(ep.box_mask(ep.build_grid(2, 65, (-1.0, 1.0))))
     assert not op.is_factored
     assert rep.factorizations == 1 + rep.lambda_refreshes
 
 
-def test_box_ledger_does_not_depend_on_a_cached_factor():
-    # the ledger's price follows the path op.solve takes, so a box that a
-    # caller has already factored runs the same iterations as a fresh one
+@pytest.mark.parametrize("dim, shape", [(1, 129), (2, 33)])
+def test_1d_and_2d_box_solves_factor_from_the_first_step(dim, shape):
+    # the lattice picks the path: no CG iteration before the shifted factor
+    op = ep.assemble(ep.box_mask(ep.build_grid(dim, shape, (-1.0, 1.0))))
+    _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
+    assert rep.converged
+    assert rep.inner_iterations == 0
+    assert rep.factorizations == 1 + rep.lambda_refreshes
+
+
+def test_3d_box_hands_over_to_a_factor_after_n_cg_iterations():
+    # a residual of 1e-14 is below what CG reaches on a 9^3 box, so the
+    # first step runs n = 7^3 iterations, then factors B + Lambda for good
+    op = ep.assemble(ep.box_mask(ep.build_grid(3, 9, (-1.0, 1.0))))
+    params = ep.SemilinearParams(tol=1e-14, max_iterations=3, raise_on_fail=False)
+    _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0, params)
+    assert not rep.converged
+    assert rep.inner_iterations == op.n_interior == 343
+    assert rep.factorizations == 1
+
+
+def test_box_solve_does_not_depend_on_a_cached_factor():
+    # the shifted path follows the lattice, so a box that a caller has
+    # already factored runs the same steps as a fresh one
     mask = ep.box_mask(ep.build_grid(2, 33, (-1.0, 1.0)))
     phi = ep.power_phi(1.0, 0.5)
     fresh = ep.assemble(mask)
@@ -320,7 +339,7 @@ def test_box_ledger_does_not_depend_on_a_cached_factor():
     factored.factor()
     u0, rep0 = ep.solve_semilinear_dirichlet(fresh, phi, 1.0)
     u1, rep1 = ep.solve_semilinear_dirichlet(factored, phi, 1.0)
-    assert fresh.solves_by_dst and not fresh.is_factored
+    assert not fresh.is_factored
     assert rep1.inner_iterations == rep0.inner_iterations
     assert (rep1.factorizations, rep1.factor_nnz) == (rep0.factorizations, rep0.factor_nnz)
     npt.assert_array_equal(u1.values, u0.values)
