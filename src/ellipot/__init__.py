@@ -55,7 +55,6 @@ from .potentials import (
     interior_values,
     kato_limit_scan,
     kato_norm_estimate,
-    load_field,
     save_field,
     solve_interior,
 )

@@ -505,9 +505,8 @@ def cmd_potential(cfg, emit):
     header, rows = diag.tables()["partial_sums"]
     emit.write_csv("partial_sums.csv", header, rows)
     emit.write_json("report.json", diag.summary_dict())
-    log.info(
-        "potential: verdict=%s exponent=%.3g", diag.verdict, diag.exponent
-    )
+    exponent = "n/a" if diag.exponent is None else f"{diag.exponent:.3g}"
+    log.info("potential: verdict=%s exponent=%s", diag.verdict, exponent)
     return EXIT_OK
 
 

@@ -26,12 +26,18 @@ class LinearSolveError(EllipotError):
 
 
 class NonConvergenceError(EllipotError):
-    """Fixed-point iteration did not converge within the iteration budget."""
+    """Fixed-point iteration did not converge: it ran out of iterations or
+    its increment stagnated.
 
-    def __init__(self, message, iterations=None, final_increment=None):
+    ``report`` is the solve's ``SolveReport`` (``converged`` False, the
+    iteration count, increment, residual and message as reached) and
+    ``field`` the iterate the solve stopped at.
+    """
+
+    def __init__(self, message, report=None, field=None):
         super().__init__(message)
-        self.iterations = iterations
-        self.final_increment = final_increment
+        self.report = report
+        self.field = field
 
 
 class SolverBreakdownError(EllipotError):

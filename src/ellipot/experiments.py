@@ -12,7 +12,6 @@ hypotheses on the reaction hold — the dichotomy the report surfaces.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -66,7 +65,6 @@ class ExhaustionRun:
     over the outermost level.
     """
 
-    sequence: object
     c: float
     per_level: list
     v_c: Field
@@ -120,12 +118,8 @@ def run_exhaustion(levels, phi, c, params=None, coeffs=None, scheme=None,
     c = float(c)
     if c <= 0:
         raise ValueError("boundary constant c must be positive")
-    if hasattr(levels, "levels"):
-        sequence = levels
-        ops = assemble_levels(sequence, coeffs, scheme)
-    else:
-        ops = list(levels)
-        sequence = None
+    ops = (assemble_levels(levels, coeffs, scheme) if hasattr(levels, "levels")
+           else list(levels))
     if not ops:
         raise ValueError("no levels to run")
     if params is None:
@@ -155,7 +149,6 @@ def run_exhaustion(levels, phi, c, params=None, coeffs=None, scheme=None,
     decreasing_ok = max_increase <= _ORDER_TOL
 
     return ExhaustionRun(
-        sequence=sequence,
         c=c,
         per_level=per_level,
         v_c=fields[-1],
@@ -381,14 +374,14 @@ class PotentialDiagnostic:
     over the k-th truncation minus the excluded set.  The verdict fits
     the increments: shrinking increments look summable, non-shrinking
     ones look divergent; ``exponent`` is the least-squares slope of
-    log(values) against log(radii).
+    log(values) against log(radii), None below two radii.
     """
 
     radii: np.ndarray
     values: np.ndarray
     probe: np.ndarray
     verdict: str
-    exponent: float
+    exponent: float | None
     increment_ratio: float
     nondecreasing_ok: bool
 
@@ -445,9 +438,11 @@ def green_potential_diagnostic(ops, radii, p, excluded=None, probe=None):
         ratio = float(inc[-1] / inc[-2])
     else:
         ratio = float("inf") if len(inc) and inc[-1] > 0 else 0.0
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.maximum(vals, 1e-300))
-    exponent = float(np.polyfit(np.log(radii), logs, 1)[0])
+    exponent = None
+    if len(radii) >= 2:
+        with np.errstate(divide="ignore"):
+            logs = np.log(np.maximum(vals, 1e-300))
+        exponent = float(np.polyfit(np.log(radii), logs, 1)[0])
     verdict = (
         "apparently divergent" if ratio >= _DIVERGENCE_RATIO else "apparently finite"
     )
@@ -598,9 +593,6 @@ class DichotomyReport:
             "diagnostic_verdict": self.diagnostic_verdict,
             "notes": self.notes,
         }
-
-    def to_json(self, indent=2):
-        return json.dumps(self.summary_dict(), indent=indent)
 
     def render(self):
         rows = [

@@ -72,12 +72,6 @@ class Grid:
             self._points.setflags(write=False)
         return self._points
 
-    def point(self, multi_index):
-        idx = np.asarray(multi_index)
-        return np.array(
-            [lo + h * i for (lo, _), h, i in zip(self.bounds, self.spacing, idx)]
-        )
-
     def flat_index_of(self, coords):
         """Flat indices of lattice points given coordinates (n, dim).
 
@@ -326,17 +320,15 @@ class ExhaustionSequence:
         self.omega = omega
         self.levels = list(levels)
 
-    def __len__(self):
-        return len(self.levels)
-
-    def check_nesting(self, strict=True):
-        """Verify closure(D_n) c interior(D_{n+1}) and the union property."""
+    def check_nesting(self):
+        """Verify closure(D_n) c interior(D_{n+1}), strict growth of the
+        interiors, and the union property."""
         for lo, hi in zip(self.levels[:-1], self.levels[1:]):
             hi_int = hi.classes.ravel() == INTERIOR
             closure = np.concatenate([lo.interior_flat, lo.boundary_flat])
             if not np.all(hi_int[closure]):
                 return False
-            if strict and lo.n_interior >= hi.n_interior:
+            if lo.n_interior >= hi.n_interior:
                 return False
         union = np.zeros(self.omega.grid.size, dtype=bool)
         for lv in self.levels:

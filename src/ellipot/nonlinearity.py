@@ -301,19 +301,6 @@ class HypothesisReport:
     def ok(self):
         return self.vanishes_nonpositive and self.nondecreasing and self.linearly_bounded
 
-    def summary(self):
-        rows = [
-            f"vanishes for t <= 0: {'yes' if self.vanishes_nonpositive else 'NO'}",
-            f"nondecreasing in t: {'yes' if self.nondecreasing else 'NO'}"
-            f" (min step {self.min_step:.3e})",
-            f"concave in t: {'yes' if self.concave else 'no'}"
-            f" (defect {self.concavity_defect:.3e})",
-            f"linear growth constant: {self.linear_bound_constant:.6g}"
-            + ("" if self.linearly_bounded else "  (UNBOUNDED on the grid)"),
-        ]
-        rows.extend(self.messages)
-        return "\n".join(rows)
-
 
 def check_hypotheses(phi, p, points):
     """Audit a reaction against the structural hypotheses on sample points.

@@ -27,7 +27,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .errors import EllipticityError, StencilError
-from .geometry import BOUNDARY, INTERIOR, values_at
+from .geometry import values_at
 
 # Lattice matrices are structurally symmetric, so SuperLU's minimum-degree
 # ordering on the pattern of A^T + A keeps far less fill than its default
@@ -460,12 +460,6 @@ class MMatrixReport:
     connected: bool
     max_positive_offdiagonal: float
     notes: list = field(default_factory=list)
-
-    def summary(self):
-        verdict = "M-matrix" if self.is_m_matrix else "NOT an M-matrix"
-        lines = [verdict]
-        lines += [f"  - {n}" for n in self.notes]
-        return "\n".join(lines)
 
 
 def _sign_pattern(B):

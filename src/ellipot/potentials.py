@@ -18,15 +18,14 @@ at most once.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
 
-from .errors import LinearSolveError, MaskError
-from .geometry import BOUNDARY, EXTERIOR, INTERIOR, DomainMask, Grid, values_at
+from .errors import LinearSolveError
+from .geometry import EXTERIOR, INTERIOR, values_at
 
 # cell averages of the Kato kernels over one lattice cell, used for the
 # self term of the singular sums:
@@ -40,8 +39,8 @@ class Field:
     """Grid function defined on the active points of a mask.
 
     Values are stored on the full lattice with NaN at exterior points, so
-    plotting and serialization stay shape-faithful while arithmetic only
-    ever trusts active entries.
+    plotting and serialization stay shape-faithful while computations only
+    ever read active entries.
     """
 
     def __init__(self, mask, values):
@@ -55,22 +54,6 @@ class Field:
         flat = self.values.ravel()
         flat[mask.classes.ravel() == EXTERIOR] = np.nan
 
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def zeros(cls, mask):
-        return cls(mask, np.zeros(mask.grid.shape))
-
-    @classmethod
-    def constant(cls, mask, value):
-        return cls(mask, np.full(mask.grid.shape, float(value)))
-
-    @classmethod
-    def from_function(cls, mask, fn):
-        vals = np.full(mask.grid.size, np.nan)
-        active = np.concatenate([mask.interior_flat, mask.boundary_flat])
-        vals[active] = values_at(fn, mask.grid.points()[active])
-        return cls(mask, vals)
-
     @classmethod
     def from_active(cls, mask, interior_values, boundary_values=None):
         vals = np.full(mask.grid.size, np.nan)
@@ -81,15 +64,11 @@ class Field:
             vals[mask.boundary_flat] = np.asarray(boundary_values, dtype=float)
         return cls(mask, vals)
 
-    # -- access -------------------------------------------------------
     def interior(self):
         return self.values.ravel()[self.mask.interior_flat]
 
     def boundary(self):
         return self.values.ravel()[self.mask.boundary_flat]
-
-    def active(self):
-        return np.concatenate([self.interior(), self.boundary()])
 
     def at(self, coords):
         """Value at an exact lattice point given by coordinates."""
@@ -101,47 +80,11 @@ class Field:
         vals = self.interior()
         return float(vals.max()) if vals.size else float("nan")
 
-    def inf_interior(self):
-        vals = self.interior()
-        return float(vals.min()) if vals.size else float("nan")
-
-    def sup_active(self):
-        return float(np.nanmax(self.values))
-
-    def restrict_to(self, submask):
-        """Same values viewed on a subdomain of the same grid."""
-        if submask.grid != self.mask.grid:
-            raise MaskError("restriction requires the same grid")
-        return Field(submask, self.values)
-
-    # -- arithmetic ---------------------------------------------------
-    def copy(self):
-        return Field(self.mask, self.values)
-
-    def __add__(self, other):
-        return Field(self.mask, self.values + _vals(other, self))
-
-    def __sub__(self, other):
-        return Field(self.mask, self.values - _vals(other, self))
-
-    def __mul__(self, scalar):
-        return Field(self.mask, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return (
-            f"Field(sup={self.sup_active():.6g}, "
+            f"Field(sup={self.sup_interior():.6g}, "
             f"interior={self.mask.n_interior})"
         )
-
-
-def _vals(other, like):
-    if isinstance(other, Field):
-        if not other.mask.same_as(like.mask):
-            raise MaskError("field arithmetic requires identical masks")
-        return other.values
-    return float(other)
 
 
 def boundary_values(mask, f):
@@ -344,43 +287,3 @@ def save_field(field, path):
             vals[active].tolist(),
         ]
         fh.write("".join([row % rec for rec in zip(*cols)]))
-
-
-def load_field(path):
-    """Read a field written by :func:`save_field`."""
-    header = {}
-    rows = []
-    with open(path, newline="") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) >= 2:
-                    header[parts[0]] = parts[1:]
-                continue
-            rows.append(line)
-    if "dim" not in header or "shape" not in header or "bounds" not in header:
-        raise MaskError(f"not a field file: {path}")
-    dim = int(header["dim"][0])
-    shape = [int(t) for t in header["shape"]]
-    bounds = np.array([float(t) for t in header["bounds"]]).reshape(dim, 2)
-    grid = Grid(dim, shape, bounds)
-
-    classes = np.full(grid.size, EXTERIOR, dtype=np.int8)
-    vals = np.full(grid.size, np.nan)
-    reader = csv.reader(rows)
-    head = next(reader)
-    try:
-        idx_col = head.index("index")
-        class_col = head.index("class")
-        value_col = head.index("value")
-    except ValueError:
-        raise MaskError("field file is missing its column header")
-    for rec in reader:
-        if not rec:
-            continue
-        idx = int(rec[idx_col])
-        classes[idx] = INTERIOR if rec[class_col] == "i" else BOUNDARY
-        vals[idx] = float(rec[value_col])
-    mask = DomainMask(grid, classes.reshape(grid.shape))
-    return Field(mask, vals)
-

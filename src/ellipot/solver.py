@@ -50,7 +50,6 @@ logger.
 """
 from __future__ import annotations
 
-import json
 import logging
 import time
 from dataclasses import asdict, dataclass
@@ -102,11 +101,14 @@ class SemilinearParams:
         every row, the equation residual <= 10 * tol, or, for tol > 0,
         <= that row's rounding floor when it is larger (``_ROUNDING``);
         tol = 0 asks for an exact solve and ends as stagnated.
+    max_iterations : the Picard step budget.
+
+    A solve that misses the gates within the budget, or stagnates first,
+    raises ``NonConvergenceError`` carrying its report and iterate.
     """
 
     tol: float = 1e-10
     max_iterations: int = 200000
-    raise_on_fail: bool = True
 
 
 @dataclass
@@ -126,11 +128,12 @@ class SolveReport:
     up for a factor; it is 0 on 1D and 2D lattices and for non-symmetric
     B.
     ``converged`` is True only when both gates of ``SemilinearParams.tol``
-    were met; a stagnated run reports False, with a ``message`` starting
-    "increment stagnated".  ``final_residual`` is the sup-norm of
-    r = B u + phi(u) - A_IB f recomputed at the returned u, and
-    ``error_bound`` = sup |B^-1 |r||, one more solve with B, bounds the
-    distance to the discrete solution u*: u - u* = (B + D)^-1 r for a
+    were met, and a solve returns only such reports; an unconverged one
+    rides on the ``NonConvergenceError`` the solve raises, and a stagnated
+    run's ``message`` starts "increment stagnated".  ``final_residual`` is
+    the sup-norm of r = B u + phi(u) - A_IB f recomputed at the returned u,
+    and ``error_bound`` = sup |B^-1 |r||, one more solve with B, bounds
+    the distance to the discrete solution u*: u - u* = (B + D)^-1 r for a
     diagonal D >= 0 when phi = p rho is nondecreasing in t (p >= 0 and rho
     nondecreasing, the package's standing hypothesis on rho), and
     0 <= (B + D)^-1 <= B^-1 entrywise when B is an M-matrix.  Where p < 0
@@ -158,9 +161,6 @@ class SolveReport:
 
     def as_dict(self):
         return asdict(self)
-
-    def to_json(self, indent=2):
-        return json.dumps(self.as_dict(), indent=indent)
 
 
 def _slope_profile(phi_bound, t_max):
@@ -407,7 +407,8 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     Returns ``(field, report)``.  The report carries the increment and
     residual actually reached plus the defect of the decomposition
     identity  (harmonic extension) = u + (Green potential of phi(., u)),
-    which is an independent certificate of the computed solution.
+    which is an independent certificate of the computed solution.  A solve
+    that does not converge raises ``NonConvergenceError`` with both.
     """
     if params is None:
         params = SemilinearParams()
@@ -575,15 +576,16 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
         time.perf_counter() - t_start,
         f"; {message}" if message else "",
     )
-    if not converged and params.raise_on_fail:
+    field = Field.from_active(mask, u, f)
+    if not converged:
         raise NonConvergenceError(
             f"no convergence in {k} iterations "
             f"(increment {inc:.3e}, residual {res:.3e})"
             + (f"; {message}" if message else ""),
-            iterations=k,
-            final_increment=inc,
+            report=report,
+            field=field,
         )
-    return Field.from_active(mask, u, f), report
+    return field, report
 
 
 def solve_linear_reaction(op, density, boundary):

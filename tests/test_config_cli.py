@@ -447,8 +447,14 @@ class TestCliCommands:
             # one half-width leaves the sup stability undefined
             ("dichotomy", DICHOTOMY_CFG.replace("[1.0, 2.0, 4.0]", "[2.0]"),
              "dichotomy.json", ("verdict", "sup_stability")),
+            # one radius fits no growth exponent, at unit radius as elsewhere
+            ("potential", DICHOTOMY_CFG.replace("[1.0, 2.0, 4.0]", "[1.0]"),
+             "report.json", ("exponent",)),
+            ("dichotomy", DICHOTOMY_CFG.replace("[1.0, 2.0, 4.0]", "[1.0]"),
+             "dichotomy.json", ("diagnostic", "exponent")),
         ],
-        ids=["withheld-error-bound", "single-half-width"],
+        ids=["withheld-error-bound", "single-half-width", "potential-unit-radius",
+             "dichotomy-unit-radius"],
     )
     def test_non_finite_values_are_written_as_null(self, tmp_path, command, text,
                                                    name, path):

@@ -23,7 +23,7 @@ def test_grid_axes_and_points():
 def test_grid_flat_index_round_trip():
     grid = ep.build_grid(3, 7, (-2.0, 2.0))
     for flat in [0, 17, 100, 342]:
-        coords = grid.point(np.unravel_index(flat, grid.shape))
+        coords = grid.points()[flat]
         npt.assert_array_equal(grid.flat_index_of(coords), [flat])
     with pytest.raises(ValueError):
         grid.flat_index_of([0.1, 0.0, 0.0])
@@ -95,7 +95,7 @@ def test_interior_depth_box():
 
 def test_exhaustion_nesting(unit_square_17):
     exh = ep.build_exhaustion(unit_square_17, 3)
-    assert len(exh) == 3
+    assert len(exh.levels) == 3
     assert exh.check_nesting()
     sizes = [lv.n_interior for lv in exh.levels]
     assert sizes == sorted(sizes)

@@ -155,7 +155,7 @@ def test_majorant_array_and_callable_density_agree():
     pts = mask.interior_points()
     from_callable = ep.build_concave_majorant(ep.power_phi(p, 0.5), deltas=[1.0, 0.5])
     from_array = ep.build_concave_majorant(
-        ep.power_phi(ep.Field.from_function(mask, p).interior(), 0.5),
+        ep.power_phi(p(pts), 0.5),
         deltas=[1.0, 0.5],
     )
     npt.assert_array_equal(from_array.psi, from_callable.psi)
@@ -223,7 +223,6 @@ def test_check_hypotheses_flags_decreasing_reaction():
     assert not rep.nondecreasing
     assert rep.min_step < 0
     assert not rep.ok
-    assert "nondecreasing" in rep.summary()
 
 
 def test_linear_reaction_bound_constant_is_one():

@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -103,13 +104,12 @@ def test_classify_super_sub(unit_square_17):
     phi = ep.power_phi(1.0, 0.5)
     u, _ = ep.solve_semilinear_dirichlet(op, phi, 1.0)
     assert ep.classify_super_sub(op, phi, u).verdict == "solution"
-    up = u + ep.Field.constant(unit_square_17, 0.3)
+    up = ep.Field(unit_square_17, u.values + 0.3)
     assert ep.classify_super_sub(op, phi, up).verdict == "supersolution"
-    down = u - ep.Field.constant(unit_square_17, 0.3)
+    down = ep.Field(unit_square_17, u.values - 0.3)
     assert ep.classify_super_sub(op, phi, down).verdict == "subsolution"
-    wob = ep.Field.from_function(
-        unit_square_17, lambda pts: 1.0 + np.sin(20.0 * pts[:, 0])
-    )
+    x = unit_square_17.grid.points()[:, 0]
+    wob = ep.Field(unit_square_17, 1.0 + np.sin(20.0 * x))
     assert ep.classify_super_sub(op, phi, wob).verdict == "neither"
 
 
@@ -129,15 +129,16 @@ def test_non_convergence_raises_with_details(unit_square_17):
     op = ep.assemble(unit_square_17)
     phi = ep.power_phi(1.0, 0.5)
     params = ep.SemilinearParams(tol=1e-14, max_iterations=2)
-    with pytest.raises(NonConvergenceError) as err:
+    with pytest.raises(NonConvergenceError, match="no convergence in 2 iterations") as err:
         ep.solve_semilinear_dirichlet(op, phi, 1.0, params)
-    assert err.value.iterations == 2
-    assert err.value.final_increment > 0
-
-    params = ep.SemilinearParams(tol=1e-14, max_iterations=2, raise_on_fail=False)
-    u, rep = ep.solve_semilinear_dirichlet(op, phi, 1.0, params)
+    rep = err.value.report
     assert not rep.converged
     assert rep.iterations == 2
+    assert rep.final_increment > 0
+    assert f"increment {rep.final_increment:.3e}" in str(err.value)
+    u = err.value.field
+    assert u.mask is unit_square_17
+    assert u.sup_interior() == rep.sup_solution
 
 
 def test_dead_core_terminates_cleanly():
@@ -178,9 +179,7 @@ def test_report_round_trips_to_json(unit_square_17):
     op = ep.assemble(unit_square_17)
     phi = ep.power_phi(1.0, 1.0)
     _, rep = ep.solve_semilinear_dirichlet(op, phi, 1.0)
-    import json
-
-    back = json.loads(rep.to_json())
+    back = json.loads(json.dumps(rep.as_dict()))
     assert back["converged"] is True
     assert back["method"] == "shifted-picard"
     assert back["iterations"] == rep.iterations
@@ -238,10 +237,12 @@ def test_stagnated_solve_keeps_negative_data_warning():
     # branch; the warning about negative boundary data must survive it
     mask = ep.box_mask(ep.build_grid(2, 9, (-1.0, 1.0)))
     op = ep.assemble(mask)
-    params = ep.SemilinearParams(tol=0.0, max_iterations=3000, raise_on_fail=False)
-    _, rep = ep.solve_semilinear_dirichlet(
-        op, ep.power_phi(1.0, 1.0), lambda pts: pts[:, 0], params
-    )
+    params = ep.SemilinearParams(tol=0.0, max_iterations=3000)
+    with pytest.raises(NonConvergenceError) as err:
+        ep.solve_semilinear_dirichlet(
+            op, ep.power_phi(1.0, 1.0), lambda pts: pts[:, 0], params
+        )
+    rep = err.value.report
     assert rep.iterations < params.max_iterations
     assert rep.message.startswith("increment stagnated")
     assert "boundary data has negative values" in rep.message
@@ -322,8 +323,10 @@ def test_3d_box_hands_over_to_a_factor_after_n_cg_iterations():
     # a residual of 1e-14 is below what CG reaches on a 9^3 box, so the
     # first step runs n = 7^3 iterations, then factors B + Lambda for good
     op = ep.assemble(ep.box_mask(ep.build_grid(3, 9, (-1.0, 1.0))))
-    params = ep.SemilinearParams(tol=1e-14, max_iterations=3, raise_on_fail=False)
-    _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0, params)
+    params = ep.SemilinearParams(tol=1e-14, max_iterations=3)
+    with pytest.raises(NonConvergenceError) as err:
+        ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0, params)
+    rep = err.value.report
     assert not rep.converged
     assert rep.inner_iterations == op.n_interior == 343
     assert rep.factorizations == 1
@@ -347,17 +350,16 @@ def test_box_solve_does_not_depend_on_a_cached_factor():
 
 def test_stagnated_solve_is_not_converged():
     # the stagnation branch stops a solve that cannot meet its gates; it
-    # reports the stop and, under raise_on_fail, raises
+    # raises, with the stop in its message and its report
     mask = ep.box_mask(ep.build_grid(2, 9, (-1.0, 1.0)))
     op = ep.assemble(mask)
-    params = ep.SemilinearParams(tol=0.0, max_iterations=3000, raise_on_fail=False)
-    _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 1.0), 1.0, params)
+    params = ep.SemilinearParams(tol=0.0, max_iterations=3000)
+    with pytest.raises(NonConvergenceError, match="increment stagnated") as err:
+        ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 1.0), 1.0, params)
+    rep = err.value.report
     assert not rep.converged
     assert rep.iterations < params.max_iterations
     assert rep.message.startswith("increment stagnated")
-    params.raise_on_fail = True
-    with pytest.raises(NonConvergenceError, match="increment stagnated"):
-        ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 1.0), 1.0, params)
 
 
 def _cross_operator(cross, mask=None):
@@ -565,8 +567,10 @@ def test_a_small_row_is_not_excused_by_the_floor_of_a_large_row():
         calls[0] += 1
         return t**3 + 1e-8 * (-1.0) ** calls[0] * (t < 10.0)
 
-    params = ep.SemilinearParams(max_iterations=2000, raise_on_fail=False)
-    _, rep = ep.solve_semilinear_dirichlet(op, ep.ProductPhi(1.0, wobbly), 1e4, params)
+    params = ep.SemilinearParams(max_iterations=2000)
+    with pytest.raises(NonConvergenceError) as err:
+        ep.solve_semilinear_dirichlet(op, ep.ProductPhi(1.0, wobbly), 1e4, params)
+    rep = err.value.report
     assert not rep.converged
     assert rep.message.startswith("increment stagnated")
 
@@ -592,8 +596,7 @@ def test_error_bound_is_withheld_off_its_hypotheses(unit_square_17, coeffs, sche
     # negative entries, breaks (B + D)^-1 <= B^-1: no bound is claimed,
     # and the operators check_m_matrix passes keep theirs
     op = ep.assemble(unit_square_17, coeffs, scheme)
-    params = ep.SemilinearParams(raise_on_fail=False)
-    _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(p, 0.5), 1.0, params)
+    _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(p, 0.5), 1.0)
     held = ep.check_m_matrix(op).is_m_matrix and not callable(p)
     assert np.isfinite(rep.error_bound) == held
     assert ("no error bound" in rep.message) == (not held)
