@@ -34,7 +34,7 @@ class NonConvergenceError(EllipotError):
     ``field`` the iterate the solve stopped at.
     """
 
-    def __init__(self, message, report=None, field=None):
+    def __init__(self, message, report, field):
         super().__init__(message)
         self.report = report
         self.field = field

@@ -238,22 +238,43 @@ def test_wrong_length_data_is_rejected(unit_square_17):
 # ------------------------------------------------------------ persistence
 
 def test_field_csv_round_trip(tmp_path, disc_mask, rng):
-    f = ep.Field.from_active(
-        disc_mask,
-        rng.normal(size=disc_mask.n_interior),
-        rng.normal(size=disc_mask.n_boundary),
+    # the skew box has unequal axes and bounds that %.6g would round
+    skew = ep.box_mask(
+        ep.build_grid(3, (5, 7, 9), ((-1.0, 2.0), (0.1, 0.7), (-1.0 / 3.0, 0.3)))
     )
-    path = tmp_path / "f.csv"
-    ep.save_field(f, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
-    index = np.array([int(r["index"]) for r in rows])
-    active = np.concatenate([disc_mask.interior_flat, disc_mask.boundary_flat])
-    npt.assert_array_equal(index, np.sort(active))
-    classes = disc_mask.classes.ravel()[index]
-    assert [r["class"] for r in rows] == ["i" if c == ep.INTERIOR else "b" for c in classes]
-    values = np.array([float(r["value"]) for r in rows])
-    npt.assert_array_equal(values, f.values.ravel()[index])  # %.17g is lossless
+    for k, mask in enumerate([disc_mask, skew]):
+        f = ep.Field.from_active(
+            mask,
+            rng.normal(size=mask.n_interior),
+            rng.normal(size=mask.n_boundary),
+        )
+        path = tmp_path / f"f{k}.csv"
+        ep.save_field(f, path)
+        with open(path, newline="") as fh:
+            lines = fh.readlines()
+        # the header describes the grid: dim, shape, and bounds exactly
+        # under %.17g
+        meta = dict(
+            line[2:].rstrip("\r\n").split(" ", 1)
+            for line in lines
+            if line.startswith("#")
+        )
+        g = mask.grid
+        assert meta["field"] == "v1"
+        assert int(meta["dim"]) == g.dim
+        assert tuple(int(n) for n in meta["shape"].split()) == g.shape
+        bounds = [float(v) for v in meta["bounds"].split()]
+        assert bounds == [v for pair in g.bounds for v in pair]
+        rows = list(csv.DictReader(l for l in lines if not l.startswith("#")))
+        index = np.array([int(r["index"]) for r in rows])
+        active = np.concatenate([mask.interior_flat, mask.boundary_flat])
+        npt.assert_array_equal(index, np.sort(active))
+        classes = mask.classes.ravel()[index]
+        assert [r["class"] for r in rows] == [
+            "i" if c == ep.INTERIOR else "b" for c in classes
+        ]
+        values = np.array([float(r["value"]) for r in rows])
+        npt.assert_array_equal(values, f.values.ravel()[index])  # lossless
 
 
 def test_field_csv_column_layout(tmp_path, unit_square_17):
