@@ -1,0 +1,53 @@
+"""
+A dead core on a 257^2 box by nonlinear multigrid
+=================================================
+
+With phi(x, t) = t^(1/2) and boundary value 1, the solution of
+u'' = sqrt(u) vanishes beyond distance 2 sqrt(3) from the wall: the
+sublinear reaction empties the middle of a wide box, and the edge of
+that dead core is a free boundary.  On a 2D box whose interior side
+halves to odd sides down to 3 (255 -> 127 -> ... -> 3), the semilinear
+solver runs Full Approximation Scheme V-cycles with the exact pointwise
+Gauss-Seidel sweep as smoother, instead of shifted Picard steps.  This
+demo solves the 257^2 box of half-width 8 (65,025 unknowns) and prints
+the cycle count, the time, the certified error bound and the area where
+the discrete solution may vanish.  The solve takes about 0.3 s on a
+2-core x86 VM.
+"""
+
+import time
+
+import numpy as np
+
+import ellipot as ep
+
+# ---------------------------------------------------------------
+# 1. The box and the solve.
+#
+# Half-width 8 with 257 points per axis: spacing 1/16.
+# ---------------------------------------------------------------
+grid = ep.build_grid(2, 257, (-8.0, 8.0))
+op = ep.assemble(ep.box_mask(grid))
+t_start = time.perf_counter()
+u, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
+seconds = time.perf_counter() - t_start
+print(f"257^2 box, half-width 8: {op.n_interior:,} unknowns, method {rep.method}, "
+      f"{rep.status} in {rep.iterations} cycles, {seconds:.2f} s")
+print(f"final residual {rep.final_residual:.2e} (gate {10 * rep.tol:.0e}), "
+      f"error bound {rep.error_bound:.2e}, factorizations {rep.factorizations}")
+
+# ---------------------------------------------------------------
+# 2. The dead core.
+#
+# error_bound bounds |u - u*| for the discrete solution u*, so u* can
+# vanish only where u <= error_bound.  In 1D the profile
+# (2 sqrt(3) - s)^4 / 144 reaches zero at distance 2 sqrt(3) from the
+# wall; the 2D dead core lies inside the square that leaves, and its
+# corners are rounded off by the two walls that meet there.
+# ---------------------------------------------------------------
+v = u.interior()
+area = float(np.count_nonzero(v <= rep.error_bound)) * grid.cell_volume()
+square = (16.0 - 4.0 * np.sqrt(3.0)) ** 2
+print(f"area where u <= error bound: {area:.2f} "
+      f"(inner square of the 1D profile: {square:.2f})")
+print(f"u at the origin: {u.at(np.zeros(2)):.1e}; sup u: {u.sup_interior():.6f}")

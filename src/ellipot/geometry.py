@@ -287,7 +287,9 @@ def box_mask(grid):
         hi[ax] = grid.shape[ax] - 1
         classes[tuple(lo)] = BOUNDARY
         classes[tuple(hi)] = BOUNDARY
-    return DomainMask(grid, classes)
+    # with at least 3 points per axis the box is a valid mask by
+    # construction: a nonempty, connected interior closed by its faces
+    return DomainMask(grid, classes, _validated=True)
 
 
 def interior_depth(mask):

@@ -18,11 +18,30 @@ nonlinear Gauss-Seidel sweep (nonlinear SOR for M-functions, Ortega and
 Rheinboldt, Iterative Solution of Nonlinear Equations in Several
 Variables, ch. 13): colour by colour on the lattice parity, every point
 solves its scalar equation B_ii t + p_i rho(t) = s_i to tol / 100.
-Convergence is declared on the increment and the recomputed residual; a
-run whose increment stays flat without meeting them stops as stagnated,
-not converged.  The constants below fix how the shift is estimated and
-refreshed, when a run counts as stalled, and how the pointwise roots
-stop.
+
+Nonlinear multigrid.  On a 2D lattice whose interior fills a full
+rectangular block with every side odd under m -> (m - 1) / 2 until it is
+at most _COARSEST_SIDE (127 -> 63 -> ... -> 3 qualifies, 65 -> 32 does
+not), and where p >= 0 and B has the M-matrix sign pattern, the solve runs
+Full Approximation Scheme V-cycles from the same start instead (Brandt,
+Multi-level adaptive solutions to boundary-value problems, Math. Comp.
+31, 1977; Brandt and Cryer, SIAM J. Sci. Stat. Comput. 4, 1983, for the
+free boundary that the edge of a dead core is).  F(u) = B u + phi(u) is
+then an M-function, so the same exact sweep is a convergent smoother on
+every level.  The hierarchy is built in the solve: each coarser level
+re-assembles the operator's coefficients and scheme on the box with
+sides (m - 1) / 2 over the same bounds, residuals restrict by full
+weighting, iterates by injection, and corrections prolong bilinearly and
+are clamped as Picard iterates are.  Every other solve (1D, 3D, discs and predicate masks,
+sides that do not halve, a signed p, centered drift or corner cross
+terms) takes shifted Picard.
+
+Both paths run in one loop with one set of gates: convergence is declared
+on the increment and the recomputed residual; a run whose increment
+stays flat without meeting them stops as stagnated, not converged; the
+step budget counts Picard steps or V-cycles.  The constants below fix
+how the shift is estimated and refreshed, when a run counts as stalled,
+how the pointwise roots stop and the shape of a cycle.
 
 Linear algebra.  The harmonic extension, the identity certificate and the
 error bound are solves with B through ``AssembledOperator.solve``: on a
@@ -43,10 +62,10 @@ inexact map the equation residual equals the inner one), checked on the
 true residual; should CG break down or miss tol within n iterations, its
 exact-arithmetic bound, the solve factors B + Lambda and stays on that
 factor.  The Gauss-Seidel sweep needs no solve: per colour, one
-matrix-vector product with the colour's rows of B's off-diagonal part.
-The report counts the factorizations a solve built, their fill and its CG
-iterations, and each solve logs one DEBUG line on the ``ellipot.solver``
-logger.
+matrix-vector product with the colour's rows of B's off-diagonal part; a
+FAS cycle needs none either.  The report names the path, counts the
+factorizations a solve built, their fill and its CG iterations, and each
+solve logs one DEBUG line on the ``ellipot.solver`` logger.
 """
 from __future__ import annotations
 
@@ -58,8 +77,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonConvergenceError, SolverBreakdownError
-from .geometry import values_at
-from .operators import _sign_pattern, _sparse_lu
+from .geometry import box_mask, build_grid, values_at
+from .nonlinearity import _vanishing
+from .operators import _sign_pattern, _sparse_lu, assemble
 from .potentials import Field, boundary_values, interior_values
 
 log = logging.getLogger(__name__)
@@ -91,6 +111,17 @@ _ROOT_STEPS = 60
 # (large boundary data), and a pointwise root stops within _ROUNDING * s
 # of its right side s
 _ROUNDING = 4.0 * np.finfo(float).eps
+# a FAS V-cycle sweeps _PRE_SWEEPS times before each coarse correction and
+# _POST_SWEEPS times after it: V(1, 1) takes 10 to 11 cycles on 127^2
+# dead-core boxes against 8 to 9 for V(2, 2), and about 20% less time
+_PRE_SWEEPS = 1
+_POST_SWEEPS = 1
+# a side stops coarsening at _COARSEST_SIDE points or fewer, and the
+# coarsest level (at most 9 points in 2D) gets _COARSEST_SWEEPS sweeps:
+# on dead-core, drift, cross-term and linear boxes 5 gave the cycle counts
+# of 40, and 3 added cycles
+_COARSEST_SIDE = 3
+_COARSEST_SWEEPS = 5
 
 
 @dataclass
@@ -101,7 +132,8 @@ class SemilinearParams:
         every row, the equation residual <= 10 * tol, or, for tol > 0,
         <= that row's rounding floor when it is larger (``_ROUNDING``);
         tol = 0 asks for an exact solve and ends as stagnated.
-    max_iterations : the Picard step budget.
+    max_iterations : the step budget: Picard steps, or V-cycles on the
+        FAS path (see the module docstring for which solves take it).
 
     A solve that misses the gates within the budget, or stagnates first,
     raises ``NonConvergenceError`` carrying its report and iterate.
@@ -115,22 +147,32 @@ class SemilinearParams:
 class SolveReport:
     """Outcome of one semilinear solve.
 
+    ``method`` names the path the solve took: "shifted-picard", or "fas"
+    on a 2D box that coarsens (module docstring), where ``iterations``
+    counts V-cycles instead of Picard steps.
     ``factorizations`` counts the sparse LUs the solve built: the
     operator's own factor when it was not cached yet (never on a box whose
     B is solved by DST), plus the shifted matrix B + Lambda, factored on
     1D and 2D lattices and for non-symmetric B from the first step, on 3D
     lattices only once CG gave it up, and refactored at each later
-    refresh.  So a 1D or 2D box solve counts 1 + ``lambda_refreshes``.
-    ``factor_nnz`` sums their fill as SuperLU reports it
-    (``SuperLU.nnz``).
+    refresh.  So a 1D or 2D Picard box solve counts 1 +
+    ``lambda_refreshes``.  ``factor_nnz`` sums their fill as SuperLU
+    reports it (``SuperLU.nnz``).
     ``inner_iterations`` counts the CG iterations of the shifted solves
     on 3D lattices with symmetric B, including those of an attempt given
     up for a factor; it is 0 on 1D and 2D lattices and for non-symmetric
     B.
+    ``lambda_max`` and ``lambda_refreshes`` describe the Picard shift.  A
+    FAS solve has no shift and no shifted system, so these two and
+    ``inner_iterations`` read 0 there, and ``factorizations`` counts only
+    the operator's own factor (drift or variable coefficients); the
+    fields stay so that every report has the same keys.
     ``converged`` is True only when both gates of ``SemilinearParams.tol``
     were met, and a solve returns only such reports; an unconverged one
-    rides on the ``NonConvergenceError`` the solve raises, and a stagnated
-    run's ``message`` starts "increment stagnated".  ``final_residual`` is
+    rides on the ``NonConvergenceError`` the solve raises.  ``status``
+    says how the loop ended: "converged", "stagnated" (the increment went
+    flat; ``message`` then starts "increment stagnated") or "failed" (the
+    step budget ran out).  ``final_residual`` is
     the sup-norm of r = B u + phi(u) - A_IB f recomputed at the returned u,
     and ``error_bound`` = sup |B^-1 |r||, one more solve with B, bounds
     the distance to the discrete solution u*: u - u* = (B + D)^-1 r for a
@@ -143,6 +185,7 @@ class SolveReport:
     """
 
     converged: bool
+    status: str
     iterations: int
     final_increment: float
     final_residual: float
@@ -373,12 +416,14 @@ class _ExactSweep:
     Colour by colour, every point solves its own scalar equation
     B_ii t + p_i rho(t) = s_i, s_i = (A_IB f - B_off u)_i, exactly
     (``_pointwise_root``); points of one colour never couple, so a colour
-    is one row-slice matvec and one vectorized root.  The result is
-    clamped to ``lower`` as the Picard iterate is.  Points with p < 0 are
-    left to Picard, as their scalar equation need not be monotone.
+    is one row-slice matvec and one vectorized root.  The right side is
+    given per call, so one sweep serves the Picard path and every level of
+    a FAS cycle.  The result is clamped to ``lower`` as the Picard iterate
+    is.  Points with p < 0 are left to Picard, as their scalar equation
+    need not be monotone.
     """
 
-    def __init__(self, mask, B, diag, p, rho, rhs, eps):
+    def __init__(self, mask, B, diag, p, rho, eps):
         off = sp.csr_matrix(B - sp.diags(diag))
         off.eliminate_zeros()
         colours = _lattice_colours(mask, off)
@@ -387,18 +432,206 @@ class _ExactSweep:
         self.parts = []
         for c in np.unique(colours):
             rows = np.flatnonzero((colours == c) & (p >= 0.0))
-            self.parts.append((rows, off[rows], diag[rows], p[rows], rhs[rows]))
+            self.parts.append((rows, off[rows], diag[rows], p[rows]))
 
-    def __call__(self, u, lower):
-        """Sweep ``u`` in place."""
-        for rows, off, diag, p, rhs in self.parts:
-            s = rhs - off @ u
+    def __call__(self, u, rhs, lower):
+        """Sweep ``u`` in place for the right side ``rhs``."""
+        for rows, off, diag, p in self.parts:
+            s = rhs[rows] - off @ u
             t = s / diag
             pos = s > 0.0
-            t[pos] = _pointwise_root(
-                diag[pos], p[pos], self.rho, s[pos], u[rows[pos]], self.eps
-            )
+            # a colour inside a dead core may have no point to solve
+            if pos.any():
+                t[pos] = _pointwise_root(
+                    diag[pos], p[pos], self.rho, s[pos], u[rows[pos]], self.eps
+                )
             u[rows] = np.maximum(t, lower)
+
+
+class _PicardStep:
+    """Shifted Picard steps of one solve, with the exact sweep next to a
+    dead core.
+
+    Each call solves (B + Lambda) u_new = Lambda u - phi(u) + A_IB f,
+    clamps to ``lower`` and, once some shift exceeds B's diagonal, sweeps
+    once.  Before every step after a multiple of _REFRESH_EVERY the shift
+    is re-estimated from the current iterate.
+    """
+
+    method = "shifted-picard"
+
+    def __init__(self, mask, B, phi_b, p, rho, rhs, harm, tol, lower):
+        self.mask, self.B, self.phi_b, self.p, self.rho = mask, B, phi_b, p, rho
+        self.rhs, self.tol, self.lower = rhs, tol, lower
+        self.lam = _slope_profile(phi_b, np.maximum(harm, 0.0))
+        self.shifted = _ShiftedSolve(B, self.lam, mask.grid.dim)
+        self.refreshes = 0
+        self.b_diag = B.diagonal()
+        self.sweep = None
+
+    # the report's counters, read off the shifted solves
+    factorizations = property(lambda self: self.shifted.factorizations)
+    factor_nnz = property(lambda self: self.shifted.factor_nnz)
+    inner_iterations = property(lambda self: self.shifted.inner_iterations)
+
+    @property
+    def lambda_max(self):
+        return float(self.lam.max(initial=0.0))
+
+    def __call__(self, u, k):
+        if k > 1 and (k - 1) % _REFRESH_EVERY == 0:
+            self._refresh(u)
+        u_new = self.shifted.solve(self.lam * u - self.phi_b(u) + self.rhs, u, self.tol)
+        if not np.all(np.isfinite(u_new)):
+            raise SolverBreakdownError(f"non-finite iterate at step {k}")
+        np.maximum(u_new, self.lower, out=u_new)
+        # the exact sweep joins in once some shift exceeds B's diagonal, as
+        # it does next to a dead core; elsewhere the solve is plain Picard
+        if self.sweep is None and np.any(self.lam > self.b_diag):
+            self.sweep = _ExactSweep(
+                self.mask, self.B, self.b_diag, self.p, self.rho, self.tol / _ROOT_SHARE
+            )
+        if self.sweep is not None:
+            self.sweep(u_new, self.rhs, self.lower)
+        return u_new
+
+    def _refresh(self, u):
+        # the iterates only decrease, so shifts fitted to the current
+        # per-point range stay valid except near a zero set, where the
+        # needed shift grows as the iterate collapses; refactor when any
+        # point needs more, or when the shifts shrink enough to pay for
+        # the factorization
+        lam = self.lam
+        lam_new = _slope_profile(self.phi_b, np.maximum(u, 0.0))
+        old_max = float(lam.max(initial=0.0))
+        old_mean = float(lam.mean()) if lam.size else 0.0
+        if np.any(lam_new > 1.05 * lam):
+            np.maximum(lam, lam_new, out=lam)
+        elif (
+            float(lam_new.max(initial=0.0)) <= 0.5 * old_max
+            or (lam.size and float(lam_new.mean()) <= 0.5 * old_mean)
+        ):
+            self.lam = lam_new
+        else:
+            return
+        self.shifted.shift(self.lam)
+        self.refreshes += 1
+
+
+def _fas_sides(mask):
+    """Interior sides of every FAS level, finest first, or None when the
+    lattice does not coarsen: it must be 2D, its interior a full
+    rectangular block, and every side odd under m -> (m - 1) / 2 until it
+    is at most _COARSEST_SIDE, where that side stops coarsening.
+    """
+    if mask.grid.dim != 2:
+        return None
+    idx = np.unravel_index(mask.interior_flat, mask.grid.shape)
+    sides = tuple(int(i.max() - i.min()) + 1 for i in idx)
+    if int(np.prod(sides)) != mask.n_interior:
+        return None
+    levels = [sides]
+    while max(sides) > _COARSEST_SIDE:
+        if any(m > _COARSEST_SIDE and m % 2 == 0 for m in sides):
+            return None
+        sides = tuple((m - 1) // 2 if m > _COARSEST_SIDE else m for m in sides)
+        levels.append(sides)
+    return levels
+
+
+def _axis_transfer(m, m_coarse):
+    """Full weighting from m interior points of one axis to the m_coarse =
+    (m - 1) / 2 at its odd points, with those points' indices; the
+    identity where the axis does not coarsen."""
+    if m_coarse == m:
+        return sp.identity(m, format="csr"), np.arange(m)
+    j = np.arange(m_coarse)
+    full = sp.csr_matrix(
+        (np.tile([0.25, 0.5, 0.25], m_coarse),
+         (np.repeat(j, 3), (2 * j[:, None] + np.arange(3)).ravel())),
+        shape=(m_coarse, m),
+    )
+    return full, 2 * j + 1
+
+
+class _FasCycle:
+    """FAS V-cycles (Brandt 1977) of one solve on a 2D box hierarchy.
+
+    Level 0 is the solve's own B and reaction.  Each coarser level is the
+    operator re-assembled with the same coefficients and scheme on the box
+    whose interior sides ``_fas_sides`` gives, over the same bounds, so
+    drift and variable a or c coarsen too; its density is the injected p.
+    Residuals restrict by full weighting, a Kronecker product of 1D
+    weightings, and corrections prolong by its scaled transpose, the
+    bilinear interpolation; iterates and p restrict by injection.
+    ``_ExactSweep`` smooths on every level, and a corrected iterate is
+    clamped to ``lower`` before its post-sweeps.
+    """
+
+    method = "fas"
+    lambda_max = 0.0
+    refreshes = inner_iterations = factorizations = factor_nnz = 0
+
+    def __init__(self, op, sides, B, phi_b, p, rho, rhs, eps, lower):
+        grid = op.mask.grid
+        idx = np.unravel_index(op.mask.interior_flat, grid.shape)
+        # the interior block with its boundary layer, which every level spans
+        bounds = [
+            (grid.axis(k)[i.min() - 1], grid.axis(k)[i.max() + 1])
+            for k, i in enumerate(idx)
+        ]
+        self.rhs, self.lower = rhs, lower
+        self.levels = []
+        mask, react = op.mask, phi_b
+        for fine, coarse in zip(sides, sides[1:] + [None]):
+            sweep = _ExactSweep(mask, B, B.diagonal(), p, rho, eps)
+            if coarse is None:
+                self.levels.append((B, react, sweep, None))
+                break
+            axes = [_axis_transfer(m, mc) for m, mc in zip(fine, coarse)]
+            full = axes[0][0]
+            for weights, _ in axes[1:]:
+                full = sp.kron(full, weights, format="csr")
+            # d-linear prolongation is R^T times 2 per axis that coarsens
+            halved = sum(mc < m for m, mc in zip(fine, coarse))
+            prolong = sp.csr_matrix(full.T * 2.0**halved)
+            inject = np.ravel_multi_index(np.ix_(*(odd for _, odd in axes)), fine).ravel()
+            self.levels.append((B, react, sweep, (full, inject, prolong)))
+            mask = box_mask(build_grid(grid.dim, [m + 2 for m in coarse], bounds))
+            # the coefficients were audited, or not, where op was assembled
+            coarse_op = assemble(mask, op.coeffs, op.scheme, validate=False)
+            B = sp.csr_matrix(-coarse_op.interior_matrix)
+            p = p[inject]
+            react = _vanishing(p.size, lambda pos, t, p=p: p[pos] * rho(t))
+
+    def __call__(self, u, k):
+        u = u.copy()
+        self._cycle(0, u, self.rhs)
+        if not np.all(np.isfinite(u)):
+            raise SolverBreakdownError(f"non-finite iterate at cycle {k}")
+        return u
+
+    def _cycle(self, level, u, rhs):
+        B, react, sweep, transfers = self.levels[level]
+        if transfers is None:
+            for _ in range(_COARSEST_SWEEPS):
+                sweep(u, rhs, self.lower)
+            return
+        for _ in range(_PRE_SWEEPS):
+            sweep(u, rhs, self.lower)
+        full, inject, prolong = transfers
+        B_c, react_c = self.levels[level + 1][:2]
+        u_c = u[inject]
+        # the FAS coarse right side: the restricted residual plus the coarse
+        # operator at the injected iterate, so the coarse solve moves u_c
+        # by the correction the fine level needs
+        rhs_c = B_c @ u_c + react_c(u_c) + full @ (rhs - B @ u - react(u))
+        v = u_c.copy()
+        self._cycle(level + 1, v, rhs_c)
+        u += prolong @ (v - u_c)
+        np.maximum(u, self.lower, out=u)
+        for _ in range(_POST_SWEEPS):
+            sweep(u, rhs, self.lower)
 
 
 def solve_semilinear_dirichlet(op, phi, boundary, params=None):
@@ -434,37 +667,38 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
         message = "boundary data has negative values; monotonicity not guaranteed"
 
     p_vals = values_at(phi.p, pts)
-    lam = _slope_profile(phi_b, np.maximum(harm, 0.0))
-    shifted = _ShiftedSolve(B, lam, mask.grid.dim)
-    refreshes = 0
-    # the exact sweep joins in once some shift exceeds B's diagonal, as
-    # it does next to a dead core; elsewhere the solve is plain Picard
-    b_diag = B.diagonal()
-    sweep = None
-
     # solutions cannot dip below the boundary minimum (or zero, whichever
     # is smaller): where u < 0 the reaction vanishes and u is L-harmonic,
     # so the discrete minimum principle applies; clamping to this bound
     # removes sub-floor negative excursions at the reaction's zero set
     lower = min(0.0, float(f.min())) if f.size else 0.0
+    # B is nonsingular, so its M-matrix sign pattern and weak diagonal
+    # dominance make B^-1 >= 0 (check_m_matrix audits the same pattern);
+    # with p >= 0 this carries the error bound (see SolveReport), and on a
+    # lattice that coarsens it chooses the FAS path
+    positive_diagonal, max_off, rowsum, sign_tol = _sign_pattern(B)
+    monotone = (
+        positive_diagonal
+        and max_off <= sign_tol
+        and float(rowsum.min(initial=0.0)) >= -sign_tol
+        and float(p_vals.min(initial=0.0)) >= 0.0
+    )
+    sides = _fas_sides(mask) if monotone else None
+    if sides is None:
+        step = _PicardStep(mask, B, phi_b, p_vals, phi.rho, rhs_b, harm, params.tol, lower)
+    else:
+        step = _FasCycle(
+            op, sides, B, phi_b, p_vals, phi.rho, rhs_b, params.tol / _ROOT_SHARE, lower
+        )
 
     u = harm.copy()
     inc = np.inf
-    converged = False
+    converged = stalled = False
     inc_hist = []
     k = 0
     while k < params.max_iterations:
         k += 1
-        u_new = shifted.solve(lam * u - phi_b(u) + rhs_b, u, params.tol)
-        if not np.all(np.isfinite(u_new)):
-            raise SolverBreakdownError(f"non-finite iterate at step {k}")
-        np.maximum(u_new, lower, out=u_new)
-        if sweep is None and np.any(lam > b_diag):
-            sweep = _ExactSweep(
-                mask, B, b_diag, p_vals, phi.rho, rhs_b, params.tol / _ROOT_SHARE
-            )
-        if sweep is not None:
-            sweep(u_new, lower)
+        u_new = step(u, k)
         inc = float(np.max(np.abs(u_new - u)))
         u = u_new
         if inc <= params.tol:
@@ -501,43 +735,17 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
                 f"{inc:.3e}; values below the slope floor are unresolved"
                 + (f"; {message}" if message else "")
             )
+            stalled = True
             break
-        if k % _REFRESH_EVERY == 0:
-            # the iterates only decrease, so shifts fitted to the current
-            # per-point range stay valid except near a zero set, where the
-            # needed shift grows as the iterate collapses; refactor when
-            # any point needs more, or when the shifts shrink enough to
-            # pay for the factorization
-            lam_new = _slope_profile(phi_b, np.maximum(u, 0.0))
-            old_max = float(lam.max(initial=0.0))
-            old_mean = float(lam.mean()) if lam.size else 0.0
-            if np.any(lam_new > 1.05 * lam):
-                np.maximum(lam, lam_new, out=lam)
-                shifted.shift(lam)
-                refreshes += 1
-            elif (
-                float(lam_new.max(initial=0.0)) <= 0.5 * old_max
-                or (lam.size and float(lam_new.mean()) <= 0.5 * old_mean)
-            ):
-                lam = lam_new
-                shifted.shift(lam)
-                refreshes += 1
+    status = "converged" if converged else "stagnated" if stalled else "failed"
 
-    factorizations += shifted.factorizations
-    factor_nnz += shifted.factor_nnz
+    factorizations += step.factorizations
+    factor_nnz += step.factor_nnz
     phi_u = phi_b(u)
     r = B @ u + phi_u - rhs_b
     res = float(np.max(np.abs(r), initial=0.0))
     # why this bounds |u - u*|, and when it does: see SolveReport
-    # B is nonsingular, so its M-matrix sign pattern and weak diagonal
-    # dominance make B^-1 >= 0; check_m_matrix audits the same pattern
-    positive_diagonal, max_off, rowsum, sign_tol = _sign_pattern(B)
-    inverse_positive = (
-        positive_diagonal
-        and max_off <= sign_tol
-        and float(rowsum.min(initial=0.0)) >= -sign_tol
-    )
-    if float(p_vals.min(initial=0.0)) < 0.0 or not inverse_positive:
+    if not monotone:
         # appended, as reports are classified by the message's start
         error_bound = np.inf
         note = "no error bound: B is not an M-matrix or p < 0 somewhere"
@@ -549,29 +757,32 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
 
     report = SolveReport(
         converged=converged,
+        status=status,
         iterations=k,
         final_increment=inc,
         final_residual=res,
         identity_residual=identity_residual,
         error_bound=error_bound,
-        lambda_max=float(lam.max(initial=0.0)),
-        lambda_refreshes=refreshes,
+        lambda_max=step.lambda_max,
+        lambda_refreshes=step.refreshes,
         sup_solution=float(u.max(initial=0.0)),
         min_solution=float(u.min(initial=0.0)),
         tol=params.tol,
         message=message,
+        method=step.method,
         factorizations=factorizations,
         factor_nnz=factor_nnz,
-        inner_iterations=shifted.inner_iterations,
+        inner_iterations=step.inner_iterations,
     )
     log.debug(
-        "solve: %s after %d iterations, %d factorizations (fill %d), "
+        "solve: %s (%s) after %d iterations, %d factorizations (fill %d), "
         "%d CG iterations, error bound %.3e, %.3f s%s",
-        "converged" if converged else "not converged",
+        status,
+        step.method,
         k,
         factorizations,
         factor_nnz,
-        shifted.inner_iterations,
+        step.inner_iterations,
         error_bound,
         time.perf_counter() - t_start,
         f"; {message}" if message else "",

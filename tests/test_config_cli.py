@@ -270,6 +270,11 @@ m_count = 4
 """
 
 
+# on 19^2 boxes the interior side 17 halves to 8, so the solves keep
+# shifted Picard and every operator assembled is one of the command's own
+PICARD_DICHOTOMY_CFG = DICHOTOMY_CFG.replace("shape = 17", "shape = 19")
+
+
 # a 17^2 box that serves every command, with the concave majorant of
 # p sqrt(t) as its reaction
 MAJORANT_CFG = """\
@@ -319,7 +324,7 @@ class TestCliDichotomy:
 
     def test_each_box_is_assembled_and_factored_once(self, tmp_path, assembled,
                                                      factored):
-        report = self._run(tmp_path, DICHOTOMY_CFG + DRIFT)
+        report = self._run(tmp_path, PICARD_DICHOTOMY_CFG + DRIFT)
         # three half-widths times two exhaustion levels; the study, the
         # sweep and the Green sums share the whole-box operators
         assert len(assembled) == 3 * 2
@@ -330,13 +335,26 @@ class TestCliDichotomy:
 
     def test_each_box_is_assembled_once_and_never_factored(self, tmp_path, assembled,
                                                            factored):
-        report = self._run(tmp_path, DICHOTOMY_CFG)
+        report = self._run(tmp_path, PICARD_DICHOTOMY_CFG)
         assert len(assembled) == 3 * 2
         assert factored == []
         assert report["verdict"]["consistent"] is True
 
+    def test_fas_boxes_add_only_their_coarse_levels(self, tmp_path, assembled,
+                                                   factored):
+        # interior side 15 halves to 7 and 3: each FAS solve re-assembles
+        # its coarse levels on coarser lattices, and factors none of them
+        report = self._run(tmp_path, DICHOTOMY_CFG)
+        own = [op for op in assembled if op.mask.grid.shape == (17, 17)]
+        assert len(own) == 3 * 2
+        assert len(assembled) > len(own)
+        assert all(op.mask.grid.shape in {(9, 9), (5, 5)}
+                   for op in assembled if op.mask.grid.shape != (17, 17))
+        assert factored == []
+        assert report["verdict"]["consistent"] is True
+
     def test_sweep_box_outside_the_family_is_assembled(self, tmp_path, assembled):
-        cfg = _write(tmp_path, DICHOTOMY_CFG + "sweep_half_width = 3.0\n")
+        cfg = _write(tmp_path, PICARD_DICHOTOMY_CFG + "sweep_half_width = 3.0\n")
         out = tmp_path / "o"
         assert main(["dichotomy", "--config", str(cfg), "--out", str(out)]) == 0
         assert len(assembled) == 3 * 2 + 1

@@ -15,6 +15,12 @@ from ellipot.solver import _lattice_colours, _pointwise_root
 import oracles
 
 
+def _picard_square():
+    # the unit square with 18 points a side: its interior side 16 does not
+    # halve to an odd side, so solves on it keep the shifted-Picard path
+    return ep.box_mask(ep.build_grid(2, 18, (0.0, 1.0)))
+
+
 def test_1d_linear_reaction_matches_cosh(unit_interval_65):
     # u'' = u with u = 1 at both ends has solution cosh(x - 1/2)/cosh(1/2)
     op = ep.assemble(unit_interval_65)
@@ -133,6 +139,7 @@ def test_non_convergence_raises_with_details(unit_square_17):
         ep.solve_semilinear_dirichlet(op, phi, 1.0, params)
     rep = err.value.report
     assert not rep.converged
+    assert rep.status == "failed"
     assert rep.iterations == 2
     assert rep.final_increment > 0
     assert f"increment {rep.final_increment:.3e}" in str(err.value)
@@ -175,8 +182,8 @@ def test_solve_linear_reaction_matches_dense(unit_square_17, rng):
         ep.solve_linear_reaction(op, -np.ones(unit_square_17.n_interior), 1.0)
 
 
-def test_report_round_trips_to_json(unit_square_17):
-    op = ep.assemble(unit_square_17)
+def test_report_round_trips_to_json():
+    op = ep.assemble(_picard_square())
     phi = ep.power_phi(1.0, 1.0)
     _, rep = ep.solve_semilinear_dirichlet(op, phi, 1.0)
     back = json.loads(json.dumps(rep.as_dict()))
@@ -185,10 +192,24 @@ def test_report_round_trips_to_json(unit_square_17):
     assert back["iterations"] == rep.iterations
 
 
-def test_upwind_drift_solve_certifies_and_counts_factorizations(unit_square_17):
+def test_fas_report_round_trips_to_json(unit_square_17):
+    # interior side 15 -> 7 -> 3: the box takes FAS, whose iterations are
+    # V-cycles and whose shift fields stay 0
+    op = ep.assemble(unit_square_17)
+    _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 1.0), 1.0)
+    back = json.loads(json.dumps(rep.as_dict()))
+    assert back["converged"] is True
+    assert back["status"] == "converged"
+    assert back["method"] == "fas"
+    assert back["iterations"] == rep.iterations
+    assert (back["lambda_max"], back["lambda_refreshes"]) == (0.0, 0)
+    assert (back["factorizations"], back["inner_iterations"]) == (0, 0)
+
+
+def test_upwind_drift_solve_certifies_and_counts_factorizations():
     # strong upwinded drift makes -A_II far from symmetric, so the LU's
     # partial pivoting is exercised under the fill-reducing ordering
-    op = ep.assemble(unit_square_17, ep.CoefficientSet(b=np.array([6.0, -4.0])))
+    op = ep.assemble(_picard_square(), ep.CoefficientSet(b=np.array([6.0, -4.0])))
     phi = ep.power_phi(1.0, 0.5)
     _, rep = ep.solve_semilinear_dirichlet(op, phi, lambda pts: 1.0 + pts[:, 0])
     assert rep.converged
@@ -203,6 +224,20 @@ def test_upwind_drift_solve_certifies_and_counts_factorizations(unit_square_17):
     assert again.identity_residual <= 1e-8
 
 
+def test_upwind_drift_fas_solve_factors_only_the_operator(unit_square_17):
+    # on a box that coarsens the drift operator takes FAS: the harmonic
+    # extension factors B once, and no shifted matrix is factored
+    op = ep.assemble(unit_square_17, ep.CoefficientSet(b=np.array([6.0, -4.0])))
+    phi = ep.power_phi(1.0, 0.5)
+    _, rep = ep.solve_semilinear_dirichlet(op, phi, lambda pts: 1.0 + pts[:, 0])
+    assert rep.method == "fas"
+    assert rep.identity_residual <= 1e-8
+    assert rep.factorizations == 1
+    assert rep.factor_nnz > 0
+    _, again = ep.solve_semilinear_dirichlet(op, phi, 2.0)
+    assert again.factorizations == again.factor_nnz == 0
+
+
 def test_each_solve_logs_one_debug_line(unit_square_17, caplog):
     op = ep.assemble(unit_square_17)
     with caplog.at_level(logging.DEBUG, logger="ellipot.solver"):
@@ -213,10 +248,10 @@ def test_each_solve_logs_one_debug_line(unit_square_17, caplog):
     assert f"{rep.factorizations} factorizations (fill {rep.factor_nnz})" in lines[0]
 
 
-def test_nonsymmetric_operator_never_enters_cg(unit_square_17):
+def test_nonsymmetric_operator_never_enters_cg():
     # CG needs a symmetric matrix: a drift term keeps the LU path, with
     # the shifted factor built before the first step
-    op = ep.assemble(unit_square_17, ep.CoefficientSet(b=np.array([0.4, -0.2])))
+    op = ep.assemble(_picard_square(), ep.CoefficientSet(b=np.array([0.4, -0.2])))
     _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
     assert rep.converged
     assert rep.inner_iterations == 0
@@ -304,14 +339,16 @@ def test_2d_solve_pays_for_a_shifted_factor():
 
 def test_2d_box_pays_for_a_shifted_factor_only():
     # B itself is solved by DST: every factorization counted is a shifted one
-    op, rep = _pays_for_a_shifted_factor(ep.box_mask(ep.build_grid(2, 65, (-1.0, 1.0))))
+    # (interior side 65 halves to 32, so the box keeps shifted Picard)
+    op, rep = _pays_for_a_shifted_factor(ep.box_mask(ep.build_grid(2, 67, (-1.0, 1.0))))
     assert not op.is_factored
     assert rep.factorizations == 1 + rep.lambda_refreshes
 
 
-@pytest.mark.parametrize("dim, shape", [(1, 129), (2, 33)])
+@pytest.mark.parametrize("dim, shape", [(1, 129), (2, 35)])
 def test_1d_and_2d_box_solves_factor_from_the_first_step(dim, shape):
     # the lattice picks the path: no CG iteration before the shifted factor
+    # (a 2D interior side of 33 halves to 16, so FAS does not apply)
     op = ep.assemble(ep.box_mask(ep.build_grid(dim, shape, (-1.0, 1.0))))
     _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
     assert rep.converged
@@ -335,7 +372,7 @@ def test_3d_box_hands_over_to_a_factor_after_n_cg_iterations():
 def test_box_solve_does_not_depend_on_a_cached_factor():
     # the shifted path follows the lattice, so a box that a caller has
     # already factored runs the same steps as a fresh one
-    mask = ep.box_mask(ep.build_grid(2, 33, (-1.0, 1.0)))
+    mask = ep.box_mask(ep.build_grid(2, 35, (-1.0, 1.0)))
     phi = ep.power_phi(1.0, 0.5)
     fresh = ep.assemble(mask)
     factored = ep.assemble(mask)
@@ -350,7 +387,8 @@ def test_box_solve_does_not_depend_on_a_cached_factor():
 
 def test_stagnated_solve_is_not_converged():
     # the stagnation branch stops a solve that cannot meet its gates; it
-    # raises, with the stop in its message and its report
+    # raises, with the stop in its message and its report (interior side
+    # 7 halves to 3, so the V-cycles of FAS reach rounding and go flat)
     mask = ep.box_mask(ep.build_grid(2, 9, (-1.0, 1.0)))
     op = ep.assemble(mask)
     params = ep.SemilinearParams(tol=0.0, max_iterations=3000)
@@ -358,6 +396,7 @@ def test_stagnated_solve_is_not_converged():
         ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 1.0), 1.0, params)
     rep = err.value.report
     assert not rep.converged
+    assert (rep.method, rep.status) == ("fas", "stagnated")
     assert rep.iterations < params.max_iterations
     assert rep.message.startswith("increment stagnated")
 
@@ -440,8 +479,10 @@ def test_pointwise_root_stops_at_a_jump():
     assert 0.0 < t[0] < 1e-6
 
 
-def _dead_core_box_65():
-    mask = ep.box_mask(ep.build_grid(2, 65, (-8.0, 8.0)))
+def _dead_core_box_67():
+    # interior side 65 halves to 32: the box keeps shifted Picard, whose
+    # iterates are clamped to exact zeros in the dead core
+    mask = ep.box_mask(ep.build_grid(2, 67, (-8.0, 8.0)))
     op = ep.assemble(mask)
     u, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
     return op, u, rep
@@ -451,7 +492,7 @@ def test_dead_core_box_converges_honestly():
     # sqrt absorption empties the middle of a 2D box: the exact pointwise
     # sweep settles the ring around the dead core, so the solve meets the
     # gate on the recomputed residual instead of stalling
-    op, u, rep = _dead_core_box_65()
+    op, u, rep = _dead_core_box_67()
     assert u.at([0.0, 0.0]) == 0.0
     assert rep.converged
     assert not rep.message.startswith("increment stagnated")
@@ -507,12 +548,12 @@ def test_error_bound_covers_the_newton_solution(unit_square_17):
 
 def test_debug_line_reports_the_error_bound(caplog):
     with caplog.at_level(logging.DEBUG, logger="ellipot.solver"):
-        _, _, rep = _dead_core_box_65()
+        _, _, rep = _dead_core_box_67()
     lines = [r.getMessage() for r in caplog.records if r.name == "ellipot.solver"]
     assert f"error bound {rep.error_bound:.3e}" in lines[0]
 
 
-def test_no_sweep_where_shifts_stay_below_the_diagonal(unit_square_17, monkeypatch):
+def test_no_sweep_where_shifts_stay_below_the_diagonal(monkeypatch):
     # without a dead core every shift stays below B's diagonal and the
     # solve is plain shifted Picard
     from ellipot import solver
@@ -522,7 +563,7 @@ def test_no_sweep_where_shifts_stay_below_the_diagonal(unit_square_17, monkeypat
 
     monkeypatch.setattr(solver, "_ExactSweep", refuse)
     _, rep = ep.solve_semilinear_dirichlet(
-        ep.assemble(unit_square_17), ep.power_phi(1.0, 0.5), 1.0
+        ep.assemble(_picard_square()), ep.power_phi(1.0, 0.5), 1.0
     )
     assert rep.converged
 
@@ -600,3 +641,96 @@ def test_error_bound_is_withheld_off_its_hypotheses(unit_square_17, coeffs, sche
     held = ep.check_m_matrix(op).is_m_matrix and not callable(p)
     assert np.isfinite(rep.error_bound) == held
     assert ("no error bound" in rep.message) == (not held)
+
+
+def test_fas_dead_core_box_matches_the_1d_profile():
+    # sqrt absorption on a 65-point box of half-width 8: the interior side
+    # 63 halves to 31, 15, 7 and 3, so the solve runs FAS V-cycles
+    mask = ep.box_mask(ep.build_grid(2, 65, (-8.0, 8.0)))
+    op = ep.assemble(mask)
+    u, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
+    assert (rep.method, rep.status) == ("fas", "converged")
+    # each cycle cuts the error by about an order of magnitude: ten
+    # cycles from the harmonic extension to tol
+    assert rep.iterations <= 15
+    v = u.interior()
+    res, _, _ = _equation_residual(op, v, lambda t: np.sqrt(np.maximum(t, 0.0)), 1.0)
+    assert res <= 10.0 * rep.tol
+    assert np.all(v >= 0.0)
+    # on the midline x2 = 0, far from the corners, the profile is the 1D
+    # quartic (2 sqrt(3) - s)^4 / 144 in the distance s to the wall
+    pts = mask.interior_points()
+    mid = pts[:, 1] == 0.0
+    s = 8.0 - np.abs(pts[mid, 0])
+    profile = np.maximum(2.0 * np.sqrt(3.0) - s, 0.0) ** 4 / 144.0
+    h = mask.grid.spacing[0]
+    assert np.max(np.abs(v[mid] - profile)) <= 10.0 * h * h
+
+
+@pytest.mark.parametrize(
+    "make_mask",
+    [
+        lambda: ep.box_mask(ep.build_grid(2, 33, (-1.0, 1.0))),
+        # sides 31 and 7: the short side stops coarsening at 3 while the
+        # long one goes on to 15, 7 and 3
+        lambda: ep.box_mask(ep.build_grid(2, (33, 9), ((-1.0, 1.0), (0.0, 0.5)))),
+        # an interior block inside a larger lattice: the levels span the
+        # block and its boundary layer, not the whole grid
+        lambda: ep.mask_from_interior(
+            ep.build_grid(2, 33, (-1.0, 1.0)),
+            np.pad(np.ones((15, 7), dtype=bool), ((4, 14), (8, 18))),
+        ),
+    ],
+    ids=["square", "oblong", "block"],
+)
+def test_fas_solve_with_drift_and_variable_coefficients_matches_newton(make_mask):
+    # upwinded drift, variable a and c <= 0 are re-assembled on every level
+    mask = make_mask()
+    coeffs = ep.CoefficientSet(
+        a=lambda q: 1.0 + 0.5 * q[:, 0] ** 2, b=np.array([4.0, -2.0]), c=-0.5
+    )
+    op = ep.assemble(mask, coeffs)
+    weight = lambda q: 2.0 / (1.0 + np.sum(q**2, axis=1))
+    f = lambda q: 1.0 + 0.5 * q[:, 0]
+    u, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(weight, 0.5), f)
+    assert (rep.method, rep.status) == ("fas", "converged")
+    p = weight(mask.interior_points())
+
+    def phi_vec(v):
+        return p * np.sqrt(np.maximum(v, 0.0))
+
+    res, B, rhs = _equation_residual(op, u.interior(), phi_vec, f)
+    assert res <= 10.0 * rep.tol
+    ref = oracles.newton_semilinear(B, rhs, phi_vec, u0=u.interior())
+    npt.assert_allclose(u.interior(), ref, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "make_mask",
+    [
+        # interior side 33 halves to 16
+        lambda: ep.box_mask(ep.build_grid(2, 35, (-1.0, 1.0))),
+        lambda: ep.mask_from_predicate(
+            ep.build_grid(2, 33, (-1.0, 1.0)), lambda q: np.sum(q**2, axis=1) < 0.81
+        ),
+        lambda: ep.box_mask(ep.build_grid(1, 129, (-1.0, 1.0))),
+        lambda: ep.box_mask(ep.build_grid(3, 9, (-1.0, 1.0))),
+    ],
+    ids=["box35", "disc", "box1d", "box3d"],
+)
+def test_lattices_off_the_fas_rule_keep_shifted_picard(make_mask):
+    op = ep.assemble(make_mask())
+    _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
+    assert (rep.method, rep.status) == ("shifted-picard", "converged")
+
+
+def test_picard_solve_at_zero_tol_ends_stagnated():
+    # the shifted-Picard twin of test_stagnated_solve_is_not_converged
+    params = ep.SemilinearParams(tol=0.0, max_iterations=3000)
+    with pytest.raises(NonConvergenceError, match="increment stagnated") as err:
+        ep.solve_semilinear_dirichlet(
+            ep.assemble(_picard_square()), ep.power_phi(1.0, 1.0), 1.0, params
+        )
+    rep = err.value.report
+    assert (rep.method, rep.status) == ("shifted-picard", "stagnated")
+    assert rep.iterations < params.max_iterations
