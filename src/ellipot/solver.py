@@ -17,24 +17,27 @@ shift exceeds B's diagonal, each Picard step is followed by one exact
 nonlinear Gauss-Seidel sweep (nonlinear SOR for M-functions, Ortega and
 Rheinboldt, Iterative Solution of Nonlinear Equations in Several
 Variables, ch. 13): colour by colour on the lattice parity, every point
-solves its scalar equation B_ii t + p_i rho(t) = s_i to tol / 100.
+solves its scalar equation B_ii t + p_i rho(t) = s_i to tol / 100, and a
+point with 0 < s_i <= tol / 100 takes t = 0 exactly, so a dead core holds
+exact zeros.
 
-Nonlinear multigrid.  On a 2D lattice whose interior fills a full
-rectangular block with every side odd under m -> (m - 1) / 2 until it is
-at most _COARSEST_SIDE (127 -> 63 -> ... -> 3 qualifies, 65 -> 32 does
-not), and where p >= 0 and B has the M-matrix sign pattern, the solve runs
-Full Approximation Scheme V-cycles from the same start instead (Brandt,
-Multi-level adaptive solutions to boundary-value problems, Math. Comp.
-31, 1977; Brandt and Cryer, SIAM J. Sci. Stat. Comput. 4, 1983, for the
-free boundary that the edge of a dead core is).  F(u) = B u + phi(u) is
-then an M-function, so the same exact sweep is a convergent smoother on
-every level.  The hierarchy is built in the solve: each coarser level
-re-assembles the operator's coefficients and scheme on the box with
-sides (m - 1) / 2 over the same bounds, residuals restrict by full
-weighting, iterates by injection, and corrections prolong bilinearly and
-are clamped as Picard iterates are.  Every other solve (1D, 3D, discs and predicate masks,
-sides that do not halve, a signed p, centered drift or corner cross
-terms) takes shifted Picard.
+Nonlinear multigrid.  On a 2D or 3D lattice whose interior fills a full
+box with every side odd under m -> (m - 1) / 2 until it is at most
+_COARSEST_SIDE (127 -> 63 -> ... -> 3 and 23 -> 11 -> 5 -> 2 qualify,
+65 -> 32 and 9 -> 4 do not), and where p >= 0 and B has the M-matrix
+sign pattern, the solve runs Full Approximation Scheme V-cycles from the
+same start instead (Brandt, Multi-level adaptive solutions to
+boundary-value problems, Math. Comp. 31, 1977; Brandt and Cryer, SIAM J.
+Sci. Stat. Comput. 4, 1983, for the free boundary that the edge of a dead
+core is).  F(u) = B u + phi(u) is then an M-function, so the same exact
+sweep is a convergent smoother on every level.  The hierarchy is built in
+the solve: each coarser level re-assembles the operator's coefficients
+and scheme on the box with sides (m - 1) / 2 over the same bounds,
+residuals restrict by full weighting, iterates by injection, and
+corrections prolong d-linearly and are clamped as Picard iterates are.
+Every other solve takes shifted Picard: 1D lattices, whose B + Lambda is
+tridiagonal and factors in O(n), discs, balls and predicate masks, sides
+that halve to even, a signed p, centered drift and corner cross terms.
 
 Both paths run in one loop with one set of gates: convergence is declared
 on the increment and the recomputed residual; a run whose increment
@@ -55,17 +58,19 @@ dissection of a regular finite element mesh, SIAM J. Numer. Anal. 10,
 1973): a factor costs O(n^(3/2)) on a 2D lattice and O(n^2) on a 3D one.
 On a 1D or 2D lattice, or when B is not exactly symmetric, B + Lambda is
 factored from the first step and refactored at each shift refresh.  On a
-3D lattice with symmetric B each step runs Jacobi-preconditioned CG
-warm-started from the current iterate, to the absolute sup-norm residual
-tol (a tenth of the 10 * tol equation gate; at the fixed point of the
-inexact map the equation residual equals the inner one), checked on the
-true residual; should CG break down or miss tol within n iterations, its
-exact-arithmetic bound, the solve factors B + Lambda and stays on that
-factor.  The Gauss-Seidel sweep needs no solve: per colour, one
-matrix-vector product with the colour's rows of B's off-diagonal part; a
-FAS cycle needs none either.  The report names the path, counts the
-factorizations a solve built, their fill and its CG iterations, and each
-solve logs one DEBUG line on the ``ellipot.solver`` logger.
+3D lattice off the FAS rule with symmetric B (balls, predicate masks,
+boxes whose sides halve to even, a signed p, corner cross terms) each
+step runs Jacobi-preconditioned CG warm-started from the current
+iterate, to the absolute sup-norm residual tol (a tenth of the 10 * tol
+equation gate; at the fixed point of the inexact map the equation
+residual equals the inner one), checked on the true residual; should CG
+break down or miss tol within n iterations, its exact-arithmetic bound,
+the solve factors B + Lambda and stays on that factor.  The Gauss-Seidel
+sweep needs no solve: per colour, one matrix-vector product with the
+colour's rows of B's off-diagonal part; a FAS cycle needs none either.
+The report names the path, counts the factorizations a solve built,
+their fill and its CG iterations, and each solve logs one DEBUG line on
+the ``ellipot.solver`` logger.
 """
 from __future__ import annotations
 
@@ -113,13 +118,15 @@ _ROOT_STEPS = 60
 _ROUNDING = 4.0 * np.finfo(float).eps
 # a FAS V-cycle sweeps _PRE_SWEEPS times before each coarse correction and
 # _POST_SWEEPS times after it: V(1, 1) takes 10 to 11 cycles on 127^2
-# dead-core boxes against 8 to 9 for V(2, 2), and about 20% less time
+# dead-core boxes against 8 to 9 for V(2, 2), and about 20% less time; on
+# 25^3 boxes it takes 14 to 18 cycles, and V(2, 1), V(1, 2) and V(2, 2)
+# take fewer but no less time
 _PRE_SWEEPS = 1
 _POST_SWEEPS = 1
 # a side stops coarsening at _COARSEST_SIDE points or fewer, and the
-# coarsest level (at most 9 points in 2D) gets _COARSEST_SWEEPS sweeps:
-# on dead-core, drift, cross-term and linear boxes 5 gave the cycle counts
-# of 40, and 3 added cycles
+# coarsest level (at most 9 points in 2D, 27 in 3D) gets _COARSEST_SWEEPS
+# sweeps: on 2D dead-core, drift, cross-term and linear boxes 5 gave the
+# cycle counts of 40, and 3 added cycles; on 25^3 boxes 10 took longer
 _COARSEST_SIDE = 3
 _COARSEST_SWEEPS = 5
 
@@ -148,20 +155,20 @@ class SolveReport:
     """Outcome of one semilinear solve.
 
     ``method`` names the path the solve took: "shifted-picard", or "fas"
-    on a 2D box that coarsens (module docstring), where ``iterations``
-    counts V-cycles instead of Picard steps.
+    on a 2D or 3D box that coarsens (module docstring), where
+    ``iterations`` counts V-cycles instead of Picard steps.
     ``factorizations`` counts the sparse LUs the solve built: the
     operator's own factor when it was not cached yet (never on a box whose
     B is solved by DST), plus the shifted matrix B + Lambda, factored on
     1D and 2D lattices and for non-symmetric B from the first step, on 3D
-    lattices only once CG gave it up, and refactored at each later
-    refresh.  So a 1D or 2D Picard box solve counts 1 +
+    lattices off the FAS path only once CG gave it up, and refactored at
+    each later refresh.  So a 1D or 2D Picard box solve counts 1 +
     ``lambda_refreshes``.  ``factor_nnz`` sums their fill as SuperLU
     reports it (``SuperLU.nnz``).
     ``inner_iterations`` counts the CG iterations of the shifted solves
-    on 3D lattices with symmetric B, including those of an attempt given
-    up for a factor; it is 0 on 1D and 2D lattices and for non-symmetric
-    B.
+    on 3D lattices off the FAS path with symmetric B, including those of
+    an attempt given up for a factor; it is 0 on 1D and 2D lattices and
+    for non-symmetric B.
     ``lambda_max`` and ``lambda_refreshes`` describe the Picard shift.  A
     FAS solve has no shift and no shifted system, so these two and
     ``inner_iterations`` read 0 there, and ``factorizations`` counts only
@@ -248,7 +255,8 @@ class _ShiftedSolve:
     symmetry.  On a 1D or 2D lattice, or for B that is not symmetric, the
     matrix is factored at once.  Otherwise Jacobi-CG runs, and the matrix
     is factored for good once CG breaks down or misses its tolerance
-    within n = B.shape[0] iterations.
+    within n = B.shape[0] iterations.  CG is reached only on 3D lattices
+    off the FAS rule (module docstring).
     """
 
     def __init__(self, B, lam, dim):
@@ -376,6 +384,10 @@ def _pointwise_root(b, p, rho, s, t0, eps):
     for _ in range(_ROOT_STEPS):
         r = b * t + p * rho(t) - s
         settle = (np.abs(r) <= gate) | (hi - lo <= 1e-15 * hi)
+        if settle.all():
+            # most calls of a sweep end here, on the first trial
+            out[todo] = t
+            return out
         if settle.any():
             out[todo[settle]] = t[settle]
             keep = np.flatnonzero(~settle)
@@ -415,12 +427,12 @@ class _ExactSweep:
 
     Colour by colour, every point solves its own scalar equation
     B_ii t + p_i rho(t) = s_i, s_i = (A_IB f - B_off u)_i, exactly
-    (``_pointwise_root``); points of one colour never couple, so a colour
-    is one row-slice matvec and one vectorized root.  The right side is
-    given per call, so one sweep serves the Picard path and every level of
-    a FAS cycle.  The result is clamped to ``lower`` as the Picard iterate
-    is.  Points with p < 0 are left to Picard, as their scalar equation
-    need not be monotone.
+    (``_pointwise_root``), or t = 0 where 0 < s_i <= eps; points of one
+    colour never couple, so a colour is one row-slice matvec and one
+    vectorized root.  The right side is given per call, so one sweep
+    serves the Picard path and every level of a FAS cycle.  The result is
+    clamped to ``lower`` as the Picard iterate is.  Points with p < 0 are
+    left to Picard, as their scalar equation need not be monotone.
     """
 
     def __init__(self, mask, B, diag, p, rho, eps):
@@ -432,19 +444,28 @@ class _ExactSweep:
         self.parts = []
         for c in np.unique(colours):
             rows = np.flatnonzero((colours == c) & (p >= 0.0))
-            self.parts.append((rows, off[rows], diag[rows], p[rows]))
+            # a colour whose points all have p < 0 has nothing to sweep
+            if rows.size:
+                self.parts.append((rows, off[rows], diag[rows], p[rows]))
 
     def __call__(self, u, rhs, lower):
         """Sweep ``u`` in place for the right side ``rhs``."""
         for rows, off, diag, p in self.parts:
             s = rhs[rows] - off @ u
-            t = s / diag
-            pos = s > 0.0
-            # a colour inside a dead core may have no point to solve
-            if pos.any():
-                t[pos] = _pointwise_root(
-                    diag[pos], p[pos], self.rho, s[pos], u[rows[pos]], self.eps
-                )
+            pos = s > self.eps
+            if pos.all():
+                # no point to exclude, so no copies of the colour's arrays
+                t = _pointwise_root(diag, p, self.rho, s, u[rows], self.eps)
+            else:
+                # rho vanishes at t <= 0: t = s / B_ii solves a point with
+                # s <= 0 exactly, and t = 0 one with 0 < s <= eps to within
+                # eps, so a dead core holds exact zeros; a colour inside a
+                # dead core may have no point left to solve
+                t = np.minimum(s, 0.0) / diag
+                if pos.any():
+                    t[pos] = _pointwise_root(
+                        diag[pos], p[pos], self.rho, s[pos], u[rows[pos]], self.eps
+                    )
             u[rows] = np.maximum(t, lower)
 
 
@@ -520,11 +541,12 @@ class _PicardStep:
 
 def _fas_sides(mask):
     """Interior sides of every FAS level, finest first, or None when the
-    lattice does not coarsen: it must be 2D, its interior a full
-    rectangular block, and every side odd under m -> (m - 1) / 2 until it
-    is at most _COARSEST_SIDE, where that side stops coarsening.
+    lattice does not coarsen: it must be 2D or 3D, its interior a full
+    box, and every side odd under m -> (m - 1) / 2 until it is at most
+    _COARSEST_SIDE, where that side stops coarsening.  1D solves keep
+    shifted Picard, whose tridiagonal B + Lambda factors in O(n).
     """
-    if mask.grid.dim != 2:
+    if mask.grid.dim not in (2, 3):
         return None
     idx = np.unravel_index(mask.interior_flat, mask.grid.shape)
     sides = tuple(int(i.max() - i.min()) + 1 for i in idx)
@@ -555,7 +577,7 @@ def _axis_transfer(m, m_coarse):
 
 
 class _FasCycle:
-    """FAS V-cycles (Brandt 1977) of one solve on a 2D box hierarchy.
+    """FAS V-cycles (Brandt 1977) of one solve on a 2D or 3D box hierarchy.
 
     Level 0 is the solve's own B and reaction.  Each coarser level is the
     operator re-assembled with the same coefficients and scheme on the box
@@ -563,7 +585,7 @@ class _FasCycle:
     drift and variable a or c coarsen too; its density is the injected p.
     Residuals restrict by full weighting, a Kronecker product of 1D
     weightings, and corrections prolong by its scaled transpose, the
-    bilinear interpolation; iterates and p restrict by injection.
+    d-linear interpolation; iterates and p restrict by injection.
     ``_ExactSweep`` smooths on every level, and a corrected iterate is
     clamped to ``lower`` before its post-sweeps.
     """

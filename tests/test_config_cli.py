@@ -182,8 +182,10 @@ class TestCliSolve:
         assert report["factorizations"] == 1
 
     def test_box_report_counts_cg_iterations_and_no_factor(self, tmp_path):
+        # interior side 16 halves to 8, not to an odd side, so the box keeps
+        # shifted Picard with CG; B itself is solved by DST
         report, _ = self._solve_report(tmp_path, SOLVE_CFG.replace(
-            "dim = 1", "dim = 3").replace("shape = 33", "shape = 17"))
+            "dim = 1", "dim = 3").replace("shape = 33", "shape = 18"))
         assert report["converged"] is True
         assert report["inner_iterations"] > 0
         assert report["factorizations"] == 0

@@ -258,8 +258,14 @@ def test_nonsymmetric_operator_never_enters_cg():
     assert rep.factorizations == 2 + rep.lambda_refreshes
 
 
+def _picard_cube(shape=10, bounds=(-1.0, 1.0)):
+    # a 3D box whose interior side halves to an even side (8 -> 4, 16 -> 8)
+    # keeps shifted Picard, whose shifted systems run Jacobi-CG
+    return ep.box_mask(ep.build_grid(3, shape, bounds))
+
+
 def test_debug_line_counts_cg_iterations(caplog):
-    op = ep.assemble(ep.box_mask(ep.build_grid(3, 9, (0.0, 1.0))))
+    op = ep.assemble(_picard_cube(bounds=(0.0, 1.0)))
     with caplog.at_level(logging.DEBUG, logger="ellipot.solver"):
         _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
     lines = [r.getMessage() for r in caplog.records if r.name == "ellipot.solver"]
@@ -289,19 +295,14 @@ def _equation_residual(op, u_int, phi_vec, f):
     return float(np.max(np.abs(B @ u_int + phi_vec(u_int) - rhs))), B, rhs
 
 
-@pytest.mark.parametrize("m", [1.0, 100.0, 1e4])
-def test_cg_inner_solves_meet_the_outer_gate(m):
-    # an off-centre 3D box keeps m = 1e4 clear of a dead core while its
-    # shifts reach 1e5, so CG runs on badly scaled systems; the absolute
-    # inner tolerance must still deliver the equation residual it claims
-    mask = ep.box_mask(ep.build_grid(3, 17, (2.0, 3.0)))
+def _badly_scaled_solve(mask, m):
+    # an off-centre 3D box keeps m = 1e4 clear of a dead core; the solve
+    # must deliver the equation residual it claims and Newton's solution
     op = ep.assemble(mask)
     weight = lambda q: m * (1.0 + np.sqrt(np.sum(q**2, axis=1))) ** -3
     p = weight(mask.interior_points())
     u, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(weight, 0.5), 1.0)
     assert rep.converged
-    assert rep.factorizations <= 1
-    assert rep.inner_iterations > 0
 
     def phi_vec(v):
         return p * np.sqrt(np.maximum(v, 0.0))
@@ -311,6 +312,26 @@ def test_cg_inner_solves_meet_the_outer_gate(m):
     assert rep.identity_residual <= 1e-8
     ref = oracles.newton_semilinear(B, rhs, phi_vec, u0=u.interior())
     npt.assert_allclose(u.interior(), ref, atol=1e-8)
+    return rep
+
+
+@pytest.mark.parametrize("m", [1.0, 100.0, 1e4])
+def test_cg_inner_solves_meet_the_outer_gate(m):
+    # on shifted Picard the shifts reach 1e5 at m = 1e4, so CG runs on
+    # badly scaled systems; its absolute inner tolerance must still
+    # deliver the equation residual
+    rep = _badly_scaled_solve(_picard_cube(18, (2.0, 3.0)), m)
+    assert rep.factorizations <= 1
+    assert rep.inner_iterations > 0
+
+
+@pytest.mark.parametrize("m", [1.0, 100.0, 1e4])
+def test_fas_solves_of_badly_scaled_reactions_match_newton(m):
+    # the FAS twin: interior side 15 halves to 7 and 3, so the same
+    # weights run V-cycles, and neither B nor a shifted matrix is factored
+    rep = _badly_scaled_solve(ep.box_mask(ep.build_grid(3, 17, (2.0, 3.0))), m)
+    assert (rep.method, rep.status) == ("fas", "converged")
+    assert rep.factorizations == rep.inner_iterations == 0
 
 
 def _pays_for_a_shifted_factor(mask):
@@ -357,15 +378,15 @@ def test_1d_and_2d_box_solves_factor_from_the_first_step(dim, shape):
 
 
 def test_3d_box_hands_over_to_a_factor_after_n_cg_iterations():
-    # a residual of 1e-14 is below what CG reaches on a 9^3 box, so the
-    # first step runs n = 7^3 iterations, then factors B + Lambda for good
-    op = ep.assemble(ep.box_mask(ep.build_grid(3, 9, (-1.0, 1.0))))
+    # a residual of 1e-14 is below what CG reaches on a 10^3 box, so the
+    # first step runs n = 8^3 iterations, then factors B + Lambda for good
+    op = ep.assemble(_picard_cube())
     params = ep.SemilinearParams(tol=1e-14, max_iterations=3)
     with pytest.raises(NonConvergenceError) as err:
         ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0, params)
     rep = err.value.report
     assert not rep.converged
-    assert rep.inner_iterations == op.n_interior == 343
+    assert rep.inner_iterations == op.n_interior == 512
     assert rep.factorizations == 1
 
 
@@ -643,28 +664,43 @@ def test_error_bound_is_withheld_off_its_hypotheses(unit_square_17, coeffs, sche
     assert ("no error bound" in rep.message) == (not held)
 
 
-def test_fas_dead_core_box_matches_the_1d_profile():
-    # sqrt absorption on a 65-point box of half-width 8: the interior side
-    # 63 halves to 31, 15, 7 and 3, so the solve runs FAS V-cycles
-    mask = ep.box_mask(ep.build_grid(2, 65, (-8.0, 8.0)))
+def _matches_the_1d_dead_core_profile(dim, shape):
+    # sqrt absorption on a box of half-width 8 whose interior side halves
+    # to odd sides down to 3, so the solve runs FAS V-cycles
+    mask = ep.box_mask(ep.build_grid(dim, shape, (-8.0, 8.0)))
     op = ep.assemble(mask)
     u, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
     assert (rep.method, rep.status) == ("fas", "converged")
-    # each cycle cuts the error by about an order of magnitude: ten
-    # cycles from the harmonic extension to tol
+    # each cycle cuts the error by about an order of magnitude: 10 cycles
+    # in 2D and 14 in 3D from the harmonic extension to tol
     assert rep.iterations <= 15
+    # a point whose scalar right side is at most the root tolerance is
+    # set to 0, which solves it to that tolerance: the dead core holds
+    # exact zeros
+    assert u.at([0.0] * dim) == 0.0
     v = u.interior()
     res, _, _ = _equation_residual(op, v, lambda t: np.sqrt(np.maximum(t, 0.0)), 1.0)
     assert res <= 10.0 * rep.tol
     assert np.all(v >= 0.0)
-    # on the midline x2 = 0, far from the corners, the profile is the 1D
-    # quartic (2 sqrt(3) - s)^4 / 144 in the distance s to the wall
+    # on the midline through the centre of a face, far from the edges,
+    # the profile is the 1D quartic (2 sqrt(3) - s)^4 / 144 in the
+    # distance s to the wall
     pts = mask.interior_points()
-    mid = pts[:, 1] == 0.0
+    mid = np.all(pts[:, 1:] == 0.0, axis=1)
     s = 8.0 - np.abs(pts[mid, 0])
     profile = np.maximum(2.0 * np.sqrt(3.0) - s, 0.0) ** 4 / 144.0
     h = mask.grid.spacing[0]
     assert np.max(np.abs(v[mid] - profile)) <= 10.0 * h * h
+
+
+def test_fas_dead_core_box_matches_the_1d_profile():
+    # interior side 63 -> 31 -> 15 -> 7 -> 3
+    _matches_the_1d_dead_core_profile(2, 65)
+
+
+def test_fas_dead_core_cube_matches_the_1d_profile():
+    # the 3D twin: interior side 31 -> 15 -> 7 -> 3
+    _matches_the_1d_dead_core_profile(3, 33)
 
 
 @pytest.mark.parametrize(
@@ -680,14 +716,18 @@ def test_fas_dead_core_box_matches_the_1d_profile():
             ep.build_grid(2, 33, (-1.0, 1.0)),
             np.pad(np.ones((15, 7), dtype=bool), ((4, 14), (8, 18))),
         ),
+        # interior side 7 halves to 3 on all three axes
+        lambda: ep.box_mask(ep.build_grid(3, 9, (-1.0, 1.0))),
     ],
-    ids=["square", "oblong", "block"],
+    ids=["square", "oblong", "block", "box3d"],
 )
 def test_fas_solve_with_drift_and_variable_coefficients_matches_newton(make_mask):
     # upwinded drift, variable a and c <= 0 are re-assembled on every level
     mask = make_mask()
     coeffs = ep.CoefficientSet(
-        a=lambda q: 1.0 + 0.5 * q[:, 0] ** 2, b=np.array([4.0, -2.0]), c=-0.5
+        a=lambda q: 1.0 + 0.5 * q[:, 0] ** 2,
+        b=np.array([4.0, -2.0, 1.0][: mask.grid.dim]),
+        c=-0.5,
     )
     op = ep.assemble(mask, coeffs)
     weight = lambda q: 2.0 / (1.0 + np.sum(q**2, axis=1))
@@ -714,7 +754,8 @@ def test_fas_solve_with_drift_and_variable_coefficients_matches_newton(make_mask
             ep.build_grid(2, 33, (-1.0, 1.0)), lambda q: np.sum(q**2, axis=1) < 0.81
         ),
         lambda: ep.box_mask(ep.build_grid(1, 129, (-1.0, 1.0))),
-        lambda: ep.box_mask(ep.build_grid(3, 9, (-1.0, 1.0))),
+        # interior side 8 halves to 4
+        _picard_cube,
     ],
     ids=["box35", "disc", "box1d", "box3d"],
 )
