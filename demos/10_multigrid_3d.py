@@ -4,12 +4,10 @@ Dead cores in 3D by nonlinear multigrid
 
 The 3D twin of demo 09.  With phi(x, t) = t^(1/2) and boundary value 1
 the solution of L u = sqrt(u) vanishes beyond distance 2 sqrt(3) from
-the nearest wall, away from edges and corners.  On a 3D box whose
-interior side halves to odd sides down to 3 (63 -> 31 -> 15 -> 7 -> 3),
-the semilinear solver runs Full Approximation Scheme V-cycles with the
-exact pointwise Gauss-Seidel sweep as smoother; shifted Picard with
-Jacobi-CG needs some 146 steps and about 20 s for the same box.  This
-demo solves
+the nearest wall, away from edges and corners.  On a 3D box (here the
+interior side halves 63 -> 31 -> 15 -> 7 -> 3) the semilinear solver
+runs Full Approximation Scheme V-cycles with the exact pointwise
+Gauss-Seidel sweep as smoother.  This demo solves
 
 1. the 65^3 box of half-width 8 (250,047 unknowns) and prints the cycle
    count, the time, the certified error bound and the volume of the dead

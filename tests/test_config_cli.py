@@ -174,22 +174,14 @@ class TestCliSolve:
         assert report["identity_residual"] < 1e-8
         assert report["factorizations"] == 1 + report["lambda_refreshes"]
 
-    def test_report_counts_cg_iterations(self, tmp_path):
-        # a 3D ball solves its shifted systems by CG: no shifted factor
+    def test_ball_report_counts_its_shifted_factors(self, tmp_path):
+        # a 3D ball takes shifted Picard: B is factored once, and B + Lambda
+        # from the first step and at each refresh
         report, _ = self._solve_report(tmp_path, BALL_3D)
         assert report["converged"] is True
-        assert report["inner_iterations"] > 0
-        assert report["factorizations"] == 1
-
-    def test_box_report_counts_cg_iterations_and_no_factor(self, tmp_path):
-        # interior side 16 halves to 8, not to an odd side, so the box keeps
-        # shifted Picard with CG; B itself is solved by DST
-        report, _ = self._solve_report(tmp_path, SOLVE_CFG.replace(
-            "dim = 1", "dim = 3").replace("shape = 33", "shape = 18"))
-        assert report["converged"] is True
-        assert report["inner_iterations"] > 0
-        assert report["factorizations"] == 0
-        assert report["factor_nnz"] == 0
+        assert report["method"] == "shifted-picard"
+        assert report["factorizations"] == 2 + report["lambda_refreshes"]
+        assert "inner_iterations" not in report
 
     def test_solution_csv_layout(self, tmp_path):
         cfg = _write(tmp_path, SOLVE_CFG)
@@ -272,9 +264,18 @@ m_count = 4
 """
 
 
-# on 19^2 boxes the interior side 17 halves to 8, so the solves keep
-# shifted Picard and every operator assembled is one of the command's own
-PICARD_DICHOTOMY_CFG = DICHOTOMY_CFG.replace("shape = 17", "shape = 19")
+# on 19^2 boxes the interior side 17 halves to 8, an even side, which
+# coarsens to pair midpoints: the FAS levels lie on lattices of their own
+EVEN_DICHOTOMY_CFG = DICHOTOMY_CFG.replace("shape = 17", "shape = 19")
+
+
+def _own_boxes(assembled, shape):
+    """The operators assembled on the command's own lattice; every other
+    one must be a coarse FAS level, on a smaller lattice."""
+    own = [op for op in assembled if op.mask.grid.shape == shape]
+    assert all(max(op.mask.grid.shape) < max(shape) for op in assembled
+               if op.mask.grid.shape != shape)
+    return own
 
 
 # a 17^2 box that serves every command, with the concave majorant of
@@ -326,40 +327,43 @@ class TestCliDichotomy:
 
     def test_each_box_is_assembled_and_factored_once(self, tmp_path, assembled,
                                                      factored):
-        report = self._run(tmp_path, PICARD_DICHOTOMY_CFG + DRIFT)
+        report = self._run(tmp_path, EVEN_DICHOTOMY_CFG + DRIFT)
         # three half-widths times two exhaustion levels; the study, the
-        # sweep and the Green sums share the whole-box operators
-        assert len(assembled) == 3 * 2
-        assert len(factored) == len(assembled)
-        assert {id(op) for op in factored} == {id(op) for op in assembled}
+        # sweep and the Green sums share the whole-box operators, and no
+        # coarse level is factored
+        own = _own_boxes(assembled, (19, 19))
+        assert len(own) == 3 * 2
+        assert len(factored) == len(own)
+        assert {id(op) for op in factored} == {id(op) for op in own}
         assert report["verdict"]["consistent"] is True
         assert len(report["study"]["sup_estimates"]) == 3
 
     def test_each_box_is_assembled_once_and_never_factored(self, tmp_path, assembled,
                                                            factored):
-        report = self._run(tmp_path, PICARD_DICHOTOMY_CFG)
-        assert len(assembled) == 3 * 2
+        report = self._run(tmp_path, EVEN_DICHOTOMY_CFG)
+        assert len(_own_boxes(assembled, (19, 19))) == 3 * 2
         assert factored == []
         assert report["verdict"]["consistent"] is True
 
     def test_fas_boxes_add_only_their_coarse_levels(self, tmp_path, assembled,
                                                    factored):
-        # interior side 15 halves to 7 and 3: each FAS solve re-assembles
-        # its coarse levels on coarser lattices, and factors none of them
+        # the outer boxes' interior side 15 halves to 7 and 3, the inner
+        # shells' 9 to 4 and 2: each FAS solve re-assembles its coarse
+        # levels on coarser lattices, and factors none of them
         report = self._run(tmp_path, DICHOTOMY_CFG)
         own = [op for op in assembled if op.mask.grid.shape == (17, 17)]
         assert len(own) == 3 * 2
         assert len(assembled) > len(own)
-        assert all(op.mask.grid.shape in {(9, 9), (5, 5)}
-                   for op in assembled if op.mask.grid.shape != (17, 17))
+        assert {op.mask.grid.shape for op in assembled if op not in own} == {
+            (9, 9), (5, 5), (6, 6), (4, 4)}
         assert factored == []
         assert report["verdict"]["consistent"] is True
 
     def test_sweep_box_outside_the_family_is_assembled(self, tmp_path, assembled):
-        cfg = _write(tmp_path, PICARD_DICHOTOMY_CFG + "sweep_half_width = 3.0\n")
+        cfg = _write(tmp_path, EVEN_DICHOTOMY_CFG + "sweep_half_width = 3.0\n")
         out = tmp_path / "o"
         assert main(["dichotomy", "--config", str(cfg), "--out", str(out)]) == 0
-        assert len(assembled) == 3 * 2 + 1
+        assert len(_own_boxes(assembled, (19, 19))) == 3 * 2 + 1
 
     def test_even_shape_is_rejected_before_any_assembly(self, tmp_path, assembled):
         cfg = _write(tmp_path, DICHOTOMY_CFG.replace("shape = 17", "shape = 16"))

@@ -10,15 +10,22 @@ import scipy.sparse.linalg as spla
 import ellipot as ep
 from ellipot import cli
 from ellipot.errors import NonConvergenceError
-from ellipot.solver import _lattice_colours, _pointwise_root
+from ellipot.solver import _fas_sides, _lattice_colours, _pointwise_root
 
 import oracles
 
 
-def _picard_square():
-    # the unit square with 18 points a side: its interior side 16 does not
-    # halve to an odd side, so solves on it keep the shifted-Picard path
-    return ep.box_mask(ep.build_grid(2, 18, (0.0, 1.0)))
+def _picard_disc():
+    # a disc in the unit square with 18 points a side: no box, so solves
+    # on it keep the shifted-Picard path
+    grid = ep.build_grid(2, 18, (0.0, 1.0))
+    return ep.mask_from_predicate(grid, lambda q: np.sum((q - 0.5) ** 2, axis=1) < 0.2)
+
+
+def _ball():
+    # a ball in the unit cube: no box, so solves on it keep shifted Picard
+    grid = ep.build_grid(3, 14, (0.0, 1.0))
+    return ep.mask_from_predicate(grid, lambda q: np.sum((q - 0.5) ** 2, axis=1) < 0.2)
 
 
 def test_1d_linear_reaction_matches_cosh(unit_interval_65):
@@ -183,7 +190,7 @@ def test_solve_linear_reaction_matches_dense(unit_square_17, rng):
 
 
 def test_report_round_trips_to_json():
-    op = ep.assemble(_picard_square())
+    op = ep.assemble(_picard_disc())
     phi = ep.power_phi(1.0, 1.0)
     _, rep = ep.solve_semilinear_dirichlet(op, phi, 1.0)
     back = json.loads(json.dumps(rep.as_dict()))
@@ -203,13 +210,13 @@ def test_fas_report_round_trips_to_json(unit_square_17):
     assert back["method"] == "fas"
     assert back["iterations"] == rep.iterations
     assert (back["lambda_max"], back["lambda_refreshes"]) == (0.0, 0)
-    assert (back["factorizations"], back["inner_iterations"]) == (0, 0)
+    assert back["factorizations"] == 0
 
 
 def test_upwind_drift_solve_certifies_and_counts_factorizations():
     # strong upwinded drift makes -A_II far from symmetric, so the LU's
     # partial pivoting is exercised under the fill-reducing ordering
-    op = ep.assemble(_picard_square(), ep.CoefficientSet(b=np.array([6.0, -4.0])))
+    op = ep.assemble(_picard_disc(), ep.CoefficientSet(b=np.array([6.0, -4.0])))
     phi = ep.power_phi(1.0, 0.5)
     _, rep = ep.solve_semilinear_dirichlet(op, phi, lambda pts: 1.0 + pts[:, 0])
     assert rep.converged
@@ -246,31 +253,6 @@ def test_each_solve_logs_one_debug_line(unit_square_17, caplog):
     assert len(lines) == 1
     assert f"after {rep.iterations} iterations" in lines[0]
     assert f"{rep.factorizations} factorizations (fill {rep.factor_nnz})" in lines[0]
-
-
-def test_nonsymmetric_operator_never_enters_cg():
-    # CG needs a symmetric matrix: a drift term keeps the LU path, with
-    # the shifted factor built before the first step
-    op = ep.assemble(_picard_square(), ep.CoefficientSet(b=np.array([0.4, -0.2])))
-    _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
-    assert rep.converged
-    assert rep.inner_iterations == 0
-    assert rep.factorizations == 2 + rep.lambda_refreshes
-
-
-def _picard_cube(shape=10, bounds=(-1.0, 1.0)):
-    # a 3D box whose interior side halves to an even side (8 -> 4, 16 -> 8)
-    # keeps shifted Picard, whose shifted systems run Jacobi-CG
-    return ep.box_mask(ep.build_grid(3, shape, bounds))
-
-
-def test_debug_line_counts_cg_iterations(caplog):
-    op = ep.assemble(_picard_cube(bounds=(0.0, 1.0)))
-    with caplog.at_level(logging.DEBUG, logger="ellipot.solver"):
-        _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
-    lines = [r.getMessage() for r in caplog.records if r.name == "ellipot.solver"]
-    assert rep.inner_iterations > 0
-    assert f"{rep.inner_iterations} CG iterations" in lines[0]
 
 
 def test_stagnated_solve_keeps_negative_data_warning():
@@ -316,22 +298,12 @@ def _badly_scaled_solve(mask, m):
 
 
 @pytest.mark.parametrize("m", [1.0, 100.0, 1e4])
-def test_cg_inner_solves_meet_the_outer_gate(m):
-    # on shifted Picard the shifts reach 1e5 at m = 1e4, so CG runs on
-    # badly scaled systems; its absolute inner tolerance must still
-    # deliver the equation residual
-    rep = _badly_scaled_solve(_picard_cube(18, (2.0, 3.0)), m)
-    assert rep.factorizations <= 1
-    assert rep.inner_iterations > 0
-
-
-@pytest.mark.parametrize("m", [1.0, 100.0, 1e4])
 def test_fas_solves_of_badly_scaled_reactions_match_newton(m):
     # the FAS twin: interior side 15 halves to 7 and 3, so the same
     # weights run V-cycles, and neither B nor a shifted matrix is factored
     rep = _badly_scaled_solve(ep.box_mask(ep.build_grid(3, 17, (2.0, 3.0))), m)
     assert (rep.method, rep.status) == ("fas", "converged")
-    assert rep.factorizations == rep.inner_iterations == 0
+    assert rep.factorizations == 0
 
 
 def _pays_for_a_shifted_factor(mask):
@@ -358,41 +330,35 @@ def test_2d_solve_pays_for_a_shifted_factor():
     assert rep.factorizations >= 2
 
 
-def test_2d_box_pays_for_a_shifted_factor_only():
+def test_1d_box_pays_for_a_shifted_factor_only():
     # B itself is solved by DST: every factorization counted is a shifted one
-    # (interior side 65 halves to 32, so the box keeps shifted Picard)
-    op, rep = _pays_for_a_shifted_factor(ep.box_mask(ep.build_grid(2, 67, (-1.0, 1.0))))
+    op, rep = _pays_for_a_shifted_factor(ep.box_mask(ep.build_grid(1, 67, (-1.0, 1.0))))
     assert not op.is_factored
     assert rep.factorizations == 1 + rep.lambda_refreshes
 
 
-@pytest.mark.parametrize("dim, shape", [(1, 129), (2, 35)])
-def test_1d_and_2d_box_solves_factor_from_the_first_step(dim, shape):
-    # the lattice picks the path: no CG iteration before the shifted factor
-    # (a 2D interior side of 33 halves to 16, so FAS does not apply)
-    op = ep.assemble(ep.box_mask(ep.build_grid(dim, shape, (-1.0, 1.0))))
+@pytest.mark.parametrize(
+    "make_mask, factored",
+    [
+        (lambda: ep.box_mask(ep.build_grid(1, 129, (-1.0, 1.0))), False),
+        # a disc is no box: its B is factored too, and counts once
+        (_picard_disc, True),
+        (_ball, True),
+    ],
+    ids=["box1d", "disc", "ball"],
+)
+def test_picard_solves_factor_from_the_first_step(make_mask, factored):
+    # shifted Picard factors B + Lambda before its first step and again
+    # at each refresh, on every lattice
+    op = ep.assemble(make_mask())
     _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
-    assert rep.converged
-    assert rep.inner_iterations == 0
-    assert rep.factorizations == 1 + rep.lambda_refreshes
-
-
-def test_3d_box_hands_over_to_a_factor_after_n_cg_iterations():
-    # a residual of 1e-14 is below what CG reaches on a 10^3 box, so the
-    # first step runs n = 8^3 iterations, then factors B + Lambda for good
-    op = ep.assemble(_picard_cube())
-    params = ep.SemilinearParams(tol=1e-14, max_iterations=3)
-    with pytest.raises(NonConvergenceError) as err:
-        ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0, params)
-    rep = err.value.report
-    assert not rep.converged
-    assert rep.inner_iterations == op.n_interior == 512
-    assert rep.factorizations == 1
+    assert (rep.method, rep.status) == ("shifted-picard", "converged")
+    assert rep.factorizations == factored + 1 + rep.lambda_refreshes
 
 
 def test_box_solve_does_not_depend_on_a_cached_factor():
-    # the shifted path follows the lattice, so a box that a caller has
-    # already factored runs the same steps as a fresh one
+    # the path follows the lattice, so a box that a caller has already
+    # factored runs the same steps as a fresh one
     mask = ep.box_mask(ep.build_grid(2, 35, (-1.0, 1.0)))
     phi = ep.power_phi(1.0, 0.5)
     fresh = ep.assemble(mask)
@@ -401,7 +367,6 @@ def test_box_solve_does_not_depend_on_a_cached_factor():
     u0, rep0 = ep.solve_semilinear_dirichlet(fresh, phi, 1.0)
     u1, rep1 = ep.solve_semilinear_dirichlet(factored, phi, 1.0)
     assert not fresh.is_factored
-    assert rep1.inner_iterations == rep0.inner_iterations
     assert (rep1.factorizations, rep1.factor_nnz) == (rep0.factorizations, rep0.factor_nnz)
     npt.assert_array_equal(u1.values, u0.values)
 
@@ -500,20 +465,18 @@ def test_pointwise_root_stops_at_a_jump():
     assert 0.0 < t[0] < 1e-6
 
 
-def _dead_core_box_67():
-    # interior side 65 halves to 32: the box keeps shifted Picard, whose
-    # iterates are clamped to exact zeros in the dead core
-    mask = ep.box_mask(ep.build_grid(2, 67, (-8.0, 8.0)))
+def _dead_core_solve(mask):
     op = ep.assemble(mask)
     u, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
     return op, u, rep
 
 
-def test_dead_core_box_converges_honestly():
-    # sqrt absorption empties the middle of a 2D box: the exact pointwise
-    # sweep settles the ring around the dead core, so the solve meets the
-    # gate on the recomputed residual instead of stalling
-    op, u, rep = _dead_core_box_67()
+def _dead_core_box_67():
+    # interior side 65 halves to 32, 16, 7 and 3: the box takes FAS
+    return _dead_core_solve(ep.box_mask(ep.build_grid(2, 67, (-8.0, 8.0))))
+
+
+def _converges_honestly(op, u, rep):
     assert u.at([0.0, 0.0]) == 0.0
     assert rep.converged
     assert not rep.message.startswith("increment stagnated")
@@ -524,6 +487,24 @@ def test_dead_core_box_converges_honestly():
     res, _, _ = _equation_residual(op, u.interior(), phi_vec, 1.0)
     assert res <= 10.0 * rep.tol
     assert rep.error_bound <= 1e-8
+
+
+def test_dead_core_box_converges_honestly():
+    # sqrt absorption empties the middle of a 2D box: the exact pointwise
+    # sweep settles the ring around the dead core, so the solve meets the
+    # gate on the recomputed residual instead of stalling
+    _converges_honestly(*_dead_core_box_67())
+
+
+def test_dead_core_disc_converges_honestly():
+    # a disc keeps shifted Picard, whose steps the same sweep follows next
+    # to the dead core, clamping its iterates to exact zeros there
+    grid = ep.build_grid(2, 67, (-8.0, 8.0))
+    op, u, rep = _dead_core_solve(
+        ep.mask_from_predicate(grid, lambda q: np.sum(q**2, axis=1) < 56.25)
+    )
+    assert rep.method == "shifted-picard"
+    _converges_honestly(op, u, rep)
 
 
 def test_dead_core_with_cross_terms_converges():
@@ -584,7 +565,7 @@ def test_no_sweep_where_shifts_stay_below_the_diagonal(monkeypatch):
 
     monkeypatch.setattr(solver, "_ExactSweep", refuse)
     _, rep = ep.solve_semilinear_dirichlet(
-        ep.assemble(_picard_square()), ep.power_phi(1.0, 0.5), 1.0
+        ep.assemble(_picard_disc()), ep.power_phi(1.0, 0.5), 1.0
     )
     assert rep.converged
 
@@ -665,8 +646,8 @@ def test_error_bound_is_withheld_off_its_hypotheses(unit_square_17, coeffs, sche
 
 
 def _matches_the_1d_dead_core_profile(dim, shape):
-    # sqrt absorption on a box of half-width 8 whose interior side halves
-    # to odd sides down to 3, so the solve runs FAS V-cycles
+    # sqrt absorption on a box of half-width 8, whose solve runs FAS
+    # V-cycles
     mask = ep.box_mask(ep.build_grid(dim, shape, (-8.0, 8.0)))
     op = ep.assemble(mask)
     u, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
@@ -676,20 +657,20 @@ def _matches_the_1d_dead_core_profile(dim, shape):
     assert rep.iterations <= 15
     # a point whose scalar right side is at most the root tolerance is
     # set to 0, which solves it to that tolerance: the dead core holds
-    # exact zeros
-    assert u.at([0.0] * dim) == 0.0
+    # exact zeros, at the centre or, on an even side, the points around it
+    pts = mask.interior_points()
+    h = mask.grid.spacing[0]
     v = u.interior()
+    assert np.all(v[np.all(np.abs(pts) < 0.75 * h, axis=1)] == 0.0)
     res, _, _ = _equation_residual(op, v, lambda t: np.sqrt(np.maximum(t, 0.0)), 1.0)
     assert res <= 10.0 * rep.tol
     assert np.all(v >= 0.0)
-    # on the midline through the centre of a face, far from the edges,
-    # the profile is the 1D quartic (2 sqrt(3) - s)^4 / 144 in the
-    # distance s to the wall
-    pts = mask.interior_points()
-    mid = np.all(pts[:, 1:] == 0.0, axis=1)
+    # on the midline through the centre of a face (the lattice lines next
+    # to it on an even side), far from the edges, the profile is the 1D
+    # quartic (2 sqrt(3) - s)^4 / 144 in the distance s to the wall
+    mid = np.all(np.abs(pts[:, 1:]) < 0.75 * h, axis=1)
     s = 8.0 - np.abs(pts[mid, 0])
     profile = np.maximum(2.0 * np.sqrt(3.0) - s, 0.0) ** 4 / 144.0
-    h = mask.grid.spacing[0]
     assert np.max(np.abs(v[mid] - profile)) <= 10.0 * h * h
 
 
@@ -701,6 +682,52 @@ def test_fas_dead_core_box_matches_the_1d_profile():
 def test_fas_dead_core_cube_matches_the_1d_profile():
     # the 3D twin: interior side 31 -> 15 -> 7 -> 3
     _matches_the_1d_dead_core_profile(3, 33)
+
+
+def test_fas_dead_core_box_with_even_sides_matches_the_1d_profile():
+    # interior side 66 -> 33 -> 16 -> 7 -> 3: the even sides coarsen to
+    # pair midpoints, widening at 66 and narrowing at 16
+    _matches_the_1d_dead_core_profile(2, 68)
+
+
+@pytest.mark.parametrize(
+    "side, levels",
+    [
+        (65, [32, 16, 7, 3]),
+        (64, [32, 15, 7, 3]),
+        (128, [64, 31, 15, 7, 3]),
+        (9, [4, 2]),
+        (21, [10, 5, 2]),
+        (23, [11, 5, 2]),
+    ],
+)
+def test_fas_levels_alternate_widening_and_narrowing_on_even_sides(side, levels):
+    # an odd side m halves to (m - 1) / 2; an axis's successive even
+    # halvings take m / 2 and m / 2 - 1 in turn
+    sides = _fas_sides(ep.box_mask(ep.build_grid(2, side + 2, (-1.0, 1.0))))
+    assert sides == [(m, m) for m in [side] + levels]
+
+
+def test_fas_levels_of_an_oblong_box_coarsen_axis_by_axis():
+    # a side at most 3 stops while the others go on
+    sides = _fas_sides(ep.box_mask(ep.build_grid(3, (11, 12, 23), (-1.0, 1.0))))
+    assert sides == [(9, 10, 21), (4, 5, 10), (2, 2, 5), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("dim, shape", [(2, 33), (3, 17)])
+def test_fas_with_large_boundary_data_meets_the_rounding_floor(dim, shape):
+    # with u ~ 1e6 or 1e8 the increment goes flat at a few ulps of u, above
+    # tol; once it stops shrinking, the residual at its rows' rounding
+    # floor and an increment within sup |B^-1 |r|| end the solve
+    op = ep.assemble(ep.box_mask(ep.build_grid(dim, shape, (-1.0, 1.0))))
+    for c, params in [(1e6, None), (1e8, ep.SemilinearParams(max_iterations=100))]:
+        u, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), c, params)
+        assert (rep.method, rep.status) == ("fas", "converged")
+        assert rep.iterations <= 30
+        assert rep.final_increment > rep.tol
+        assert rep.message.startswith(f"residual {rep.final_residual:.3e} met the rounding floor")
+        assert f"increment {rep.final_increment:.3e} within" in rep.message
+        assert rep.final_increment <= rep.error_bound <= 1e-7 * c
 
 
 @pytest.mark.parametrize(
@@ -718,8 +745,12 @@ def test_fas_dead_core_cube_matches_the_1d_profile():
         ),
         # interior side 7 halves to 3 on all three axes
         lambda: ep.box_mask(ep.build_grid(3, 9, (-1.0, 1.0))),
+        # even sides: 34 -> 17 -> 8 -> 3 against 9 -> 4 -> 2
+        lambda: ep.box_mask(ep.build_grid(2, (36, 11), ((-1.0, 1.0), (0.0, 0.5)))),
+        # interior side 10 -> 5 -> 2 on all three axes
+        lambda: ep.box_mask(ep.build_grid(3, 12, (-1.0, 1.0))),
     ],
-    ids=["square", "oblong", "block", "box3d"],
+    ids=["square", "oblong", "block", "box3d", "even_oblong", "even_box3d"],
 )
 def test_fas_solve_with_drift_and_variable_coefficients_matches_newton(make_mask):
     # upwinded drift, variable a and c <= 0 are re-assembled on every level
@@ -748,16 +779,29 @@ def test_fas_solve_with_drift_and_variable_coefficients_matches_newton(make_mask
 @pytest.mark.parametrize(
     "make_mask",
     [
-        # interior side 33 halves to 16
+        # interior side 33 halves to 16, 8, then narrows to 3
         lambda: ep.box_mask(ep.build_grid(2, 35, (-1.0, 1.0))),
+        # interior side 8 halves to 4 and 2
+        lambda: ep.box_mask(ep.build_grid(3, 10, (-1.0, 1.0))),
+    ],
+    ids=["box35", "box3d"],
+)
+def test_boxes_with_even_sides_take_fas(make_mask):
+    op = ep.assemble(make_mask())
+    _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
+    assert (rep.method, rep.status) == ("fas", "converged")
+
+
+@pytest.mark.parametrize(
+    "make_mask",
+    [
         lambda: ep.mask_from_predicate(
             ep.build_grid(2, 33, (-1.0, 1.0)), lambda q: np.sum(q**2, axis=1) < 0.81
         ),
         lambda: ep.box_mask(ep.build_grid(1, 129, (-1.0, 1.0))),
-        # interior side 8 halves to 4
-        _picard_cube,
+        _ball,
     ],
-    ids=["box35", "disc", "box1d", "box3d"],
+    ids=["disc", "box1d", "ball"],
 )
 def test_lattices_off_the_fas_rule_keep_shifted_picard(make_mask):
     op = ep.assemble(make_mask())
@@ -770,7 +814,7 @@ def test_picard_solve_at_zero_tol_ends_stagnated():
     params = ep.SemilinearParams(tol=0.0, max_iterations=3000)
     with pytest.raises(NonConvergenceError, match="increment stagnated") as err:
         ep.solve_semilinear_dirichlet(
-            ep.assemble(_picard_square()), ep.power_phi(1.0, 1.0), 1.0, params
+            ep.assemble(_picard_disc()), ep.power_phi(1.0, 1.0), 1.0, params
         )
     rep = err.value.report
     assert (rep.method, rep.status) == ("shifted-picard", "stagnated")
