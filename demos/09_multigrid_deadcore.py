@@ -8,7 +8,7 @@ sublinear reaction empties the middle of a wide box, and the edge of
 that dead core is a free boundary.  On a 2D box (here the interior side
 halves 255 -> 127 -> ... -> 3) the semilinear solver runs Full
 Approximation Scheme V-cycles with the exact pointwise Gauss-Seidel
-sweep as smoother, instead of shifted Picard steps.  This
+sweep as smoother, as it does on every lattice.  This
 demo solves the 257^2 box of half-width 8 (65,025 unknowns) and prints
 the cycle count, the time, the certified error bound and the area where
 the discrete solution may vanish.  The solve takes about 0.3 s on a

@@ -14,7 +14,10 @@ Gauss-Seidel sweep as smoother.  This demo solves
    core, in 1.2 to 1.5 s on a 2-core x86 VM;
 2. the 33^3 box of half-width 8 with the upwind drift b = (0.5, 0, 0),
    in 3 to 4 s there, most of it the operator's own sparse LU, which the
-   harmonic extension and the certificates need.
+   harmonic extension and the certificates need;
+3. the ball of radius 3.6 on the 33^3 lattice over [-4, 4]^3 (10,467
+   unknowns), whose V-cycles run on the cube's hierarchy sliced to the
+   ball, in under 1.5 s there.
 """
 
 import time
@@ -70,3 +73,20 @@ seconds = time.perf_counter() - t_start
 print(f"33^3 box with drift (0.5, 0, 0): method {rep.method}, {rep.status} in "
       f"{rep.iterations} cycles, {seconds:.2f} s, factorizations {rep.factorizations}, "
       f"error bound {rep.error_bound:.2e}")
+
+# ---------------------------------------------------------------
+# 3. A ball.
+#
+# A ball is no box: its B is factored once, as with drift.  The levels are
+# those of the ball's bounding cube, each sliced to the coarse points
+# whose fine neighbours in the restriction all lie inside the ball.
+# ---------------------------------------------------------------
+grid = ep.build_grid(3, 33, (-4.0, 4.0))
+ball = ep.mask_from_predicate(grid, lambda q: np.sum(q**2, axis=1) < 3.6**2)
+op = ep.assemble(ball)
+t_start = time.perf_counter()
+u, rep = ep.solve_semilinear_dirichlet(op, phi, 1.0)
+seconds = time.perf_counter() - t_start
+print(f"ball of radius 3.6 on 33^3: {op.n_interior:,} unknowns, method {rep.method}, "
+      f"{rep.status} in {rep.iterations} cycles, {seconds:.2f} s, "
+      f"factorizations {rep.factorizations}, error bound {rep.error_bound:.2e}")

@@ -1,73 +1,60 @@
-"""Monotone solution of the semilinear Dirichlet problem  L u = phi(., u).
+"""Solution of the semilinear Dirichlet problem  L u = phi(., u).
 
-The scheme is a shifted Picard iteration started at the harmonic
-extension of the boundary data: with B = -A_II and a diagonal shift
-Lambda chosen at least as large as the steepest secant slope of phi over
-the working range,
+With B = -A_II and phi = p rho, the discrete problem is
+F(u) = B u + phi(u) = A_IB f at the interior points.  Every lattice,
+box, disc, ball or predicate mask in any dimension, solves it by Full
+Approximation Scheme V-cycles started at the harmonic extension of the
+boundary data (Brandt, Multi-level adaptive solutions to boundary-value
+problems, Math. Comp. 31, 1977; Brandt and Cryer, SIAM J. Sci. Stat.
+Comput. 4, 1983, for the free boundary that the edge of a dead core is).
 
-    (B + Lambda) u_{k+1} = Lambda u_k - phi(u_k) + A_IB f.
+Smoother.  Every level sweeps by exact nonlinear Gauss-Seidel (nonlinear
+SOR for M-functions, Ortega and Rheinboldt, Iterative Solution of
+Nonlinear Equations in Several Variables, ch. 13): colour by colour on
+the lattice parity, every point solves its scalar equation
+B_ii t + p_i rho(t) = s_i to tol / 100, and a point with
+0 < s_i <= tol / 100 takes t = 0 exactly, so a dead core holds exact
+zeros.  The sweep converges where p >= 0 and B has a positive diagonal
+and either the M-matrix sign pattern, which makes F an M-function, or
+symmetry, which for the positive definite B of an elliptic operator
+makes F the gradient of a strictly convex functional and the sweep
+coordinate descent (the corner cross scheme with constant a).  Any other input, a signed p or centered drift at a cell Peclet
+number above 2, raises ``ValueError`` before any work is done.
 
-Because B is an M-matrix and t -> Lambda t - phi(t) is nondecreasing, the
-iterates decrease monotonically from the harmonic extension and stay
-nonnegative for nonnegative data, so the limit is the largest solution
-below the harmonic extension; convergence is geometric.  Next to a dead
-core of a sublinear phi the shift cannot match phi' = gamma u^(gamma-1),
-which is unbounded, and Picard alone stalls.  So in a solve where some
-shift exceeds B's diagonal, each Picard step is followed by one exact
-nonlinear Gauss-Seidel sweep (nonlinear SOR for M-functions, Ortega and
-Rheinboldt, Iterative Solution of Nonlinear Equations in Several
-Variables, ch. 13): colour by colour on the lattice parity, every point
-solves its scalar equation B_ii t + p_i rho(t) = s_i to tol / 100, and a
-point with 0 < s_i <= tol / 100 takes t = 0 exactly, so a dead core holds
-exact zeros.
+Hierarchy.  It is built in the solve on the bounding block of the
+interior: each coarser level re-assembles the operator's coefficients
+and scheme on a block of about half the side, until every side is at
+most _COARSEST_SIDE.  An odd side m keeps every other point, (m - 1) / 2
+of them over the same bounds; residuals restrict by full weighting and
+iterates by injection.  An even side keeps the midpoints of fine pairs,
+cell-centred style (Trottenberg, Oosterlee and Schueller, Multigrid,
+2001), over bounds moved by half a fine step; residuals restrict by the
+transpose of linear interpolation and iterates by pair means
+(``_fas_sides``, ``_axis_transfer``).  A coarse point is interior when
+every fine point that its iterate restriction reads is interior, and the
+transfers are sliced to the interiors (``_FasCycle``); on a box every
+point is.  Corrections prolong d-linearly and are clamped to the lower
+bound of the solution.
 
-Nonlinear multigrid.  On a 2D or 3D lattice whose interior fills a full
-box, where p >= 0 and B has the M-matrix sign pattern, the solve runs
-Full Approximation Scheme V-cycles from the same start instead (Brandt,
-Multi-level adaptive solutions to boundary-value problems, Math. Comp.
-31, 1977; Brandt and Cryer, SIAM J. Sci. Stat. Comput. 4, 1983, for the
-free boundary that the edge of a dead core is).  F(u) = B u + phi(u) is
-then an M-function, so the same exact sweep is a convergent smoother on
-every level.  The hierarchy is built in the solve: each coarser level
-re-assembles the operator's coefficients and scheme on a box of about
-half the side, until every side is at most _COARSEST_SIDE.  An odd side
-m keeps every other point, (m - 1) / 2 of them over the same bounds;
-residuals restrict by full weighting and iterates by injection.  An even
-side keeps the midpoints of fine pairs, cell-centred style (Trottenberg,
-Oosterlee and Schueller, Multigrid, 2001), over bounds moved by half a
-fine step; residuals restrict by the transpose of linear interpolation
-and iterates by pair means (``_fas_sides``, ``_axis_transfer``).
-Corrections prolong d-linearly and are clamped as Picard iterates are.
-Every other solve takes shifted Picard: 1D lattices, whose B + Lambda is
-tridiagonal and factors in O(n), discs, balls and predicate masks, a
-signed p, centered drift and corner cross terms.
-
-Both paths run in one loop with one set of gates: convergence is declared
-on the increment and the recomputed residual; a run whose increment
-stays flat without meeting them stops as stagnated, not converged; the
-step budget counts Picard steps or V-cycles.  With large boundary data
-the increment goes flat at the rounding of the iterate, above tol; where
-the residual then meets its rounding floor, an increment within the error
-bound of the iterate is accepted (``SemilinearParams``).  The constants
-below fix
-how the shift is estimated and refreshed, when a run counts as stalled,
-how the pointwise roots stop and the shape of a cycle.
+Gates.  Convergence is declared on the increment and the recomputed
+residual; a run whose increment stays flat without meeting them stops
+as stagnated, not converged; the budget counts V-cycles.  With large
+boundary data the increment goes flat at the rounding of the iterate,
+above tol; where the residual then meets its rounding floor, an
+increment within the error bound of the iterate is accepted
+(``SemilinearParams``).  The constants below fix when a run counts as
+stalled, how the pointwise roots stop and the shape of a cycle.
 
 Linear algebra.  The harmonic extension, the identity certificate and the
 error bound are solves with B through ``AssembledOperator.solve``: on a
 full box with constant coefficients and no drift or cross terms, two
 type-I discrete sine transforms; elsewhere the operator's cached SuperLU
 factor (minimum-degree ordering of A^T + A, see ``operators._sparse_lu``),
-so an operator reused across solves is factored at most once.  Shifted
-Picard factors B + Lambda by the same SuperLU before its first step and
-again at each shift refresh; by nested-dissection fill (George, Nested
-dissection of a regular finite element mesh, SIAM J. Numer. Anal. 10,
-1973) a factor costs O(n) on a 1D lattice, O(n^(3/2)) on a 2D one and
-O(n^2) on a 3D one, so a 3D ball pays most.  The Gauss-Seidel sweep
-needs no solve: per colour, one matrix-vector product with the colour's
-rows of B's off-diagonal part; a FAS cycle needs none either.  The
-report names the path and counts the factorizations a solve built and
-their fill, and each solve logs one DEBUG line on the ``ellipot.solver``
+so an operator reused across solves is factored at most once.  A cycle
+needs no solve: a sweep is, per colour, one matrix-vector product with
+the colour's rows of B's off-diagonal part.  The report counts the
+factorizations a solve built, at most the operator's own, and their
+fill, and each solve logs one DEBUG line on the ``ellipot.solver``
 logger.
 """
 from __future__ import annotations
@@ -80,28 +67,18 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonConvergenceError, SolverBreakdownError
-from .geometry import box_mask, build_grid, values_at
+from .geometry import BOUNDARY, INTERIOR, DomainMask, build_grid, values_at
 from .nonlinearity import _vanishing
 from .operators import _sign_pattern, _sparse_lu, assemble
 from .potentials import Field, boundary_values, interior_values
 
 log = logging.getLogger(__name__)
 
-# Slopes are probed down to _T_FLOOR: for reactions with unbounded slope
-# at zero (fractional powers) the secant from the floor replaces the
-# derivative.  A run whose increment stays flat at or below _T_FLOOR over
-# _STALL_WINDOW steps without meeting the gates is stopped as stagnated,
-# with the residual reported as measured.
+# A run whose increment stays flat at or below _T_FLOOR over _STALL_WINDOW
+# cycles without meeting the gates is stopped as stagnated, with the
+# residual reported as measured.
 _T_FLOOR = 1e-8
 _STALL_WINDOW = 200
-# _LADDER_SIZE probing nodes span each point's range; _LAMBDA_SAFETY is a
-# margin over the steepest secant for slopes the ladder misses
-_LADDER_SIZE = 64
-_LAMBDA_SAFETY = 1.1
-# the shift is re-estimated every _REFRESH_EVERY steps as the iterates
-# shrink; the matrix changes when the shifts halve or some point needs
-# more, and a solve on a shifted factor then refactors
-_REFRESH_EVERY = 50
 # the pointwise roots of the Gauss-Seidel sweep stop at |g| <= tol /
 # _ROOT_SHARE, or after _ROOT_STEPS trials where rho jumps at t = 0 (an
 # affine offset) and no such point exists
@@ -122,7 +99,7 @@ _ROUNDING = 4.0 * np.finfo(float).eps
 _PRE_SWEEPS = 1
 _POST_SWEEPS = 1
 # a side stops coarsening at _COARSEST_SIDE points or fewer, and the
-# coarsest level (at most 9 points in 2D, 27 in 3D) gets _COARSEST_SWEEPS
+# coarsest level (at most 3^d points) gets _COARSEST_SWEEPS
 # sweeps: on 2D dead-core, drift, cross-term and linear boxes 5 gave the
 # cycle counts of 40, and 3 added cycles; on 25^3 boxes 10 took longer
 _COARSEST_SIDE = 3
@@ -142,8 +119,7 @@ class SemilinearParams:
         increment above tol is accepted when it is within sup |B^-1 |r||,
         the iterate's certified distance to the discrete solution (see
         ``SolveReport``; only where that bound holds).
-    max_iterations : the step budget: Picard steps, or V-cycles on the
-        FAS path (see the module docstring for which solves take it).
+    max_iterations : the budget of V-cycles.
 
     A solve that misses the gates within the budget, or stagnates first,
     raises ``NonConvergenceError`` carrying its report and iterate.
@@ -157,21 +133,14 @@ class SemilinearParams:
 class SolveReport:
     """Outcome of one semilinear solve.
 
-    ``method`` names the path the solve took: "fas" on a 2D or 3D box
-    with p >= 0 and B an M-matrix (module docstring), where
-    ``iterations`` counts V-cycles, and "shifted-picard" elsewhere.
-    ``factorizations`` counts the sparse LUs the solve built: the
-    operator's own factor when it was not cached yet (never on a box whose
-    B is solved by DST), plus, on shifted Picard, the shifted matrix
-    B + Lambda, factored before the first step and again at each refresh.
-    So a 1D Picard box solve counts 1 + ``lambda_refreshes``.
-    ``factor_nnz`` sums their fill as SuperLU reports it
-    (``SuperLU.nnz``).
-    ``lambda_max`` and ``lambda_refreshes`` describe the Picard shift.  A
-    FAS solve has no shift and no shifted system, so these two read 0
-    there, and ``factorizations`` counts only the operator's own factor
-    (drift or variable coefficients); the fields stay so that every
-    report has the same keys.
+    ``iterations`` counts V-cycles, and ``method`` reads "fas", the one
+    path (module docstring).  ``factorizations`` is 1 when the solve built
+    the operator's own sparse LU, which it needs off the DST boxes (drift,
+    variable coefficients, masks) and only when no earlier solve cached
+    it, and 0 otherwise; ``factor_nnz`` is that factor's fill as SuperLU
+    reports it (``SuperLU.nnz``).  ``lambda_max`` and ``lambda_refreshes``
+    always read 0: no shift is estimated, and the fields stay so that
+    reports keep their keys.
     ``converged`` is True only when both gates of ``SemilinearParams.tol``
     were met, and a solve returns only such reports; an unconverged one
     rides on the ``NonConvergenceError`` the solve raises.  ``status``
@@ -183,10 +152,10 @@ class SolveReport:
     the distance to the discrete solution u*: u - u* = (B + D)^-1 r for a
     diagonal D >= 0 when phi = p rho is nondecreasing in t (p >= 0 and rho
     nondecreasing, the package's standing hypothesis on rho), and
-    0 <= (B + D)^-1 <= B^-1 entrywise when B is an M-matrix.  Where p < 0
-    somewhere or B breaks the M-matrix sign pattern (centered drift, the
-    corner cross scheme) the bound does not hold: ``error_bound`` is then
-    inf and the message says so.
+    0 <= (B + D)^-1 <= B^-1 entrywise when B is an M-matrix.  Where a
+    symmetric B breaks the M-matrix sign pattern (the corner cross
+    scheme) the bound does not hold: ``error_bound`` is then inf and the
+    message says so.
     """
 
     converged: bool
@@ -202,47 +171,12 @@ class SolveReport:
     min_solution: float
     tol: float
     message: str = ""
-    method: str = "shifted-picard"
+    method: str = "fas"
     factorizations: int = 0
     factor_nnz: int = 0
 
     def as_dict(self):
         return asdict(self)
-
-
-def _slope_profile(phi_bound, t_max):
-    """Per-point shift: _LAMBDA_SAFETY * max secant slope over a coarse ladder.
-
-    ``t_max`` is a per-point upper end of the working range (iterates
-    decrease monotonically, so each point only needs to cover its own
-    range); the ladder nodes are _T_FLOOR plus _LADDER_SIZE even steps up
-    to t_max, probed per point.
-    """
-    t_max = np.asarray(t_max, dtype=float)
-    collapsed = t_max <= 10.0 * _T_FLOOR
-    t_max = np.maximum(t_max, 10.0 * _T_FLOOR)
-    fracs = np.linspace(0.0, 1.0, _LADDER_SIZE + 1)[1:]
-    prev_t = np.full(t_max.shape, _T_FLOOR)
-    prev_v = phi_bound(prev_t)
-    lam = np.zeros(t_max.shape)
-    # where the iterate has collapsed below the floor the relevant bound is
-    # the chord from zero, which for a concave reaction dominates every
-    # secant above it; without this the shift undershoots the slope near
-    # the zero set and those points never settle
-    lam[collapsed] = prev_v[collapsed] / _T_FLOOR
-    for frac in fracs:
-        t = frac * t_max
-        v = phi_bound(t)
-        dt = t - prev_t
-        ok = dt > 0
-        if ok.any():
-            slope = np.zeros(t_max.shape)
-            slope[ok] = (v[ok] - prev_v[ok]) / dt[ok]
-            np.maximum(lam, slope, out=lam)
-        # never step the anchor backwards below the floor
-        prev_t = np.where(ok, t, prev_t)
-        prev_v = np.where(ok, v, prev_v)
-    return np.maximum(_LAMBDA_SAFETY * lam, 0.0)
 
 
 def _lattice_colours(mask, off):
@@ -349,9 +283,8 @@ class _ExactSweep:
     (``_pointwise_root``), or t = 0 where 0 < s_i <= eps; points of one
     colour never couple, so a colour is one row-slice matvec and one
     vectorized root.  The right side is given per call, so one sweep
-    serves the Picard path and every level of a FAS cycle.  The result is
-    clamped to ``lower`` as the Picard iterate is.  Points with p < 0 are
-    left to Picard, as their scalar equation need not be monotone.
+    serves every level of a FAS cycle.  The result is clamped to
+    ``lower``.  Needs p >= 0, so that every scalar equation is monotone.
     """
 
     def __init__(self, mask, B, diag, p, rho, eps):
@@ -362,10 +295,8 @@ class _ExactSweep:
         self.eps = eps
         self.parts = []
         for c in np.unique(colours):
-            rows = np.flatnonzero((colours == c) & (p >= 0.0))
-            # a colour whose points all have p < 0 has nothing to sweep
-            if rows.size:
-                self.parts.append((rows, off[rows], diag[rows], p[rows]))
+            rows = np.flatnonzero(colours == c)
+            self.parts.append((rows, off[rows], diag[rows], p[rows]))
 
     def __call__(self, u, rhs, lower):
         """Sweep ``u`` in place for the right side ``rhs``."""
@@ -388,95 +319,21 @@ class _ExactSweep:
             u[rows] = np.maximum(t, lower)
 
 
-class _PicardStep:
-    """Shifted Picard steps of one solve, with the exact sweep next to a
-    dead core.
-
-    Each call solves (B + Lambda) u_new = Lambda u - phi(u) + A_IB f with
-    the sparse LU of B + Lambda, clamps to ``lower`` and, once some shift
-    exceeds B's diagonal, sweeps once.  Before every step after a multiple
-    of _REFRESH_EVERY the shift is re-estimated from the current iterate,
-    and B + Lambda is refactored when it changes.
-    """
-
-    method = "shifted-picard"
-
-    def __init__(self, mask, B, phi_b, p, rho, rhs, harm, eps, lower):
-        self.mask, self.B, self.phi_b, self.p, self.rho = mask, B, phi_b, p, rho
-        self.rhs, self.eps, self.lower = rhs, eps, lower
-        self.lam = _slope_profile(phi_b, np.maximum(harm, 0.0))
-        self.refreshes = self.factorizations = self.factor_nnz = 0
-        self._factor()
-        self.b_diag = B.diagonal()
-        self.sweep = None
-
-    @property
-    def lambda_max(self):
-        return float(self.lam.max(initial=0.0))
-
-    def _factor(self):
-        # drop a stale factor first, so that one factor is alive at a time
-        self.lu = None
-        self.lu = _sparse_lu(self.B + sp.diags(self.lam))
-        self.factorizations += 1
-        self.factor_nnz += int(self.lu.nnz)
-
-    def __call__(self, u, k):
-        if k > 1 and (k - 1) % _REFRESH_EVERY == 0:
-            self._refresh(u)
-        u_new = self.lu.solve(self.lam * u - self.phi_b(u) + self.rhs)
-        if not np.all(np.isfinite(u_new)):
-            raise SolverBreakdownError(f"non-finite iterate at step {k}")
-        np.maximum(u_new, self.lower, out=u_new)
-        # the exact sweep joins in once some shift exceeds B's diagonal, as
-        # it does next to a dead core; elsewhere the solve is plain Picard
-        if self.sweep is None and np.any(self.lam > self.b_diag):
-            self.sweep = _ExactSweep(self.mask, self.B, self.b_diag, self.p, self.rho, self.eps)
-        if self.sweep is not None:
-            self.sweep(u_new, self.rhs, self.lower)
-        return u_new
-
-    def _refresh(self, u):
-        # the iterates only decrease, so shifts fitted to the current
-        # per-point range stay valid except near a zero set, where the
-        # needed shift grows as the iterate collapses; refactor when any
-        # point needs more, or when the shifts shrink enough to pay for
-        # the factorization
-        lam = self.lam
-        lam_new = _slope_profile(self.phi_b, np.maximum(u, 0.0))
-        old_max = float(lam.max(initial=0.0))
-        old_mean = float(lam.mean()) if lam.size else 0.0
-        if np.any(lam_new > 1.05 * lam):
-            np.maximum(lam, lam_new, out=lam)
-        elif (
-            float(lam_new.max(initial=0.0)) <= 0.5 * old_max
-            or (lam.size and float(lam_new.mean()) <= 0.5 * old_mean)
-        ):
-            self.lam = lam_new
-        else:
-            return
-        self._factor()
-        self.refreshes += 1
-
-
 def _fas_sides(mask):
-    """Interior sides of every FAS level, finest first, or None when the
-    lattice is not a 2D or 3D box: its interior must fill a full box.
+    """Sides of the interior's bounding block on every FAS level, finest
+    first.
 
     A side m > _COARSEST_SIDE coarsens to (m - 1) / 2 when it is odd.  An
     even side coarsens to the midpoints of fine pairs, alternating per
     axis between m / 2 (the bounds widen by half a fine step) and m / 2 - 1
     (they narrow by half a step), so every coarse boundary stays within a
     fraction of its own step of the true one: 65 -> 32 -> 16 -> 7 -> 3,
-    128 -> 64 -> 31 -> 15 -> 7 -> 3.  1D solves keep shifted Picard, whose
-    tridiagonal B + Lambda factors in O(n).
+    128 -> 64 -> 31 -> 15 -> 7 -> 3.  On a disc, a ball or any other mask
+    these are the blocks that ``_FasCycle`` slices to the interior, and
+    its hierarchy may end earlier, where a coarse interior would be empty.
     """
-    if mask.grid.dim not in (2, 3):
-        return None
     idx = np.unravel_index(mask.interior_flat, mask.grid.shape)
     sides = tuple(int(i.max() - i.min()) + 1 for i in idx)
-    if int(np.prod(sides)) != mask.n_interior:
-        return None
     levels = [sides]
     narrow = [0] * len(sides)
     while max(sides) > _COARSEST_SIDE:
@@ -529,46 +386,59 @@ def _axis_transfer(m, m_coarse):
 
 
 class _FasCycle:
-    """FAS V-cycles (Brandt 1977) of one solve on a 2D or 3D box hierarchy.
+    """FAS V-cycles (Brandt 1977) of one solve on any lattice.
 
     Level 0 is the solve's own B and reaction.  Each coarser level is the
-    operator re-assembled with the same coefficients and scheme on the box
-    whose interior sides ``_fas_sides`` gives, so drift and variable a or
-    c coarsen too; its bounds are those of the finer level, moved by half
-    a fine step on an axis of even side (``_axis_transfer``), and its
+    operator re-assembled with the same coefficients and scheme on the
+    block whose sides ``_fas_sides`` gives, so drift and variable a or c
+    coarsen too; its bounds are those of the finer block, moved by half a
+    fine step on an axis of even side (``_axis_transfer``), and its
     density is the restricted p.  Residuals restrict by a Kronecker
-    product of 1D weightings, and corrections prolong by its scaled
-    transpose, the d-linear interpolation; iterates and p restrict by a
-    Kronecker product of injections and pair means.  ``_ExactSweep``
-    smooths on every level, and a corrected iterate is clamped to
-    ``lower`` before its post-sweeps.
+    product of 1D weightings on the blocks, and iterates and p by a
+    Kronecker product of injections and pair means.  A coarse point is
+    interior when every fine point that its iterate restriction reads is
+    interior; both restrictions are sliced to coarse-interior rows and
+    fine-interior columns, and corrections prolong by the scaled
+    transpose of the sliced full weighting, the d-linear interpolation
+    with zero correction off the interior.  Every other point of a coarse
+    block is a boundary point.  The hierarchy ends at the last level whose
+    coarsening would leave no interior point.  ``_ExactSweep`` smooths on
+    every level, and a corrected iterate is clamped to ``lower`` before
+    its post-sweeps.
     """
 
-    method = "fas"
-    lambda_max = 0.0
-    refreshes = factorizations = factor_nnz = 0
-
-    def __init__(self, op, sides, B, phi_b, p, rho, rhs, eps, lower):
+    def __init__(self, op, B, phi_b, p, rho, rhs, eps, lower):
         grid = op.mask.grid
+        sides = _fas_sides(op.mask)
         idx = np.unravel_index(op.mask.interior_flat, grid.shape)
-        # the interior block with its boundary layer
+        # the interior's bounding block with its boundary layer, and the
+        # interior's flat indices in the block
         bounds = [
             (grid.axis(k)[i.min() - 1], grid.axis(k)[i.max() + 1])
             for k, i in enumerate(idx)
         ]
+        inside = np.ravel_multi_index(tuple(i - i.min() for i in idx), sides[0])
         self.rhs, self.lower = rhs, lower
         self.levels = []
         mask, react = op.mask, phi_b
         for fine, coarse in zip(sides, sides[1:] + [None]):
             sweep = _ExactSweep(mask, B, B.diagonal(), p, rho, eps)
-            if coarse is None:
+            if coarse is not None:
+                axes = [_axis_transfer(m, mc) for m, mc in zip(fine, coarse)]
+                full, restrict = axes[0][:2]
+                for weights, means, _ in axes[1:]:
+                    full = sp.kron(full, weights, format="csr")
+                    restrict = sp.kron(restrict, means, format="csr")
+                # a coarse point is interior when every fine point that its
+                # iterate restriction reads is interior
+                outside = np.ones(restrict.shape[1])
+                outside[inside] = 0.0
+                coarse_inside = np.flatnonzero(restrict @ outside == 0.0)
+            if coarse is None or not coarse_inside.size:
                 self.levels.append((B, react, sweep, None))
                 break
-            axes = [_axis_transfer(m, mc) for m, mc in zip(fine, coarse)]
-            full, restrict = axes[0][:2]
-            for weights, means, _ in axes[1:]:
-                full = sp.kron(full, weights, format="csr")
-                restrict = sp.kron(restrict, means, format="csr")
+            full = full[coarse_inside][:, inside]
+            restrict = restrict[coarse_inside][:, inside]
             # d-linear prolongation is R^T times 2 per axis that coarsens
             halved = sum(mc < m for m, mc in zip(fine, coarse))
             prolong = sp.csr_matrix(full.T * 2.0**halved)
@@ -578,7 +448,15 @@ class _FasCycle:
                     lo, hi = bounds[k]
                     h = (hi - lo) / (m + 1)
                     bounds[k] = (lo + shift * h, hi - shift * h)
-            mask = box_mask(build_grid(grid.dim, [m + 2 for m in coarse], bounds))
+            # every coarse point off the coarse interior is a boundary
+            # point, so cross legs stay on active points; a coarse interior
+            # may split, each piece closed by boundary points
+            classes = np.full([m + 2 for m in coarse], BOUNDARY, dtype=np.int8)
+            classes[tuple(i + 1 for i in np.unravel_index(coarse_inside, coarse))] = INTERIOR
+            mask = DomainMask(
+                build_grid(grid.dim, classes.shape, bounds), classes, _validated=True
+            )
+            inside = coarse_inside
             # the coefficients were audited, or not, where op was assembled
             coarse_op = assemble(mask, op.coeffs, op.scheme, validate=False)
             B = sp.csr_matrix(-coarse_op.interior_matrix)
@@ -634,6 +512,26 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
 
     B = sp.csc_matrix(-op.interior_matrix)
     rhs_b = op.boundary_matrix @ f
+    p_vals = values_at(phi.p, pts)
+    # the hypotheses under which the exact sweep converges (module
+    # docstring); B nonsingular with the M-matrix sign pattern and weak
+    # diagonal dominance also has B^-1 >= 0 (check_m_matrix audits the same
+    # pattern), which carries the error bound (see SolveReport)
+    positive_diagonal, max_off, rowsum, sign_tol = _sign_pattern(B)
+    monotone = max_off <= sign_tol and float(rowsum.min(initial=0.0)) >= -sign_tol
+    p_min = float(p_vals.min(initial=0.0))
+    if p_min < 0.0:
+        raise ValueError(f"the reaction density p must be nonnegative (min {p_min:.3e})")
+    if not positive_diagonal:
+        raise ValueError("B = -A_II must have a positive diagonal")
+    if not monotone and float(np.max(abs(B - B.T).data, initial=0.0)) > sign_tol:
+        raise ValueError(
+            "B = -A_II must have the M-matrix sign pattern or be symmetric; it has "
+            f"positive off-diagonal entries up to {max_off:.3e} and is not symmetric "
+            "(centered drift at a cell Peclet number above 2 does this; upwind "
+            "drift keeps the sign pattern)"
+        )
+
     fresh = not op.is_factored
     harm = op.solve(rhs_b)
     if not np.all(np.isfinite(harm)):
@@ -647,29 +545,13 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     if f.size and float(f.min()) < 0:
         message = "boundary data has negative values; monotonicity not guaranteed"
 
-    p_vals = values_at(phi.p, pts)
     # solutions cannot dip below the boundary minimum (or zero, whichever
     # is smaller): where u < 0 the reaction vanishes and u is L-harmonic,
     # so the discrete minimum principle applies; clamping to this bound
     # removes sub-floor negative excursions at the reaction's zero set
     lower = min(0.0, float(f.min())) if f.size else 0.0
-    # B is nonsingular, so its M-matrix sign pattern and weak diagonal
-    # dominance make B^-1 >= 0 (check_m_matrix audits the same pattern);
-    # with p >= 0 this carries the error bound (see SolveReport), and on a
-    # lattice that coarsens it chooses the FAS path
-    positive_diagonal, max_off, rowsum, sign_tol = _sign_pattern(B)
-    monotone = (
-        positive_diagonal
-        and max_off <= sign_tol
-        and float(rowsum.min(initial=0.0)) >= -sign_tol
-        and float(p_vals.min(initial=0.0)) >= 0.0
-    )
-    sides = _fas_sides(mask) if monotone else None
     eps = params.tol / _ROOT_SHARE
-    if sides is None:
-        step = _PicardStep(mask, B, phi_b, p_vals, phi.rho, rhs_b, harm, eps, lower)
-    else:
-        step = _FasCycle(op, sides, B, phi_b, p_vals, phi.rho, rhs_b, eps, lower)
+    cycle = _FasCycle(op, B, phi_b, p_vals, phi.rho, rhs_b, eps, lower)
 
     u = harm.copy()
     inc = np.inf
@@ -678,7 +560,7 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     k = 0
     while k < params.max_iterations:
         k += 1
-        u_new = step(u, k)
+        u_new = cycle(u, k)
         inc = float(np.max(np.abs(u_new - u)))
         u = u_new
         # with large boundary data the increment goes flat at the rounding
@@ -722,15 +604,13 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
             # text stays first, as reports are classified by it
             message = (
                 "increment stagnated at "
-                f"{inc:.3e}; values below the slope floor are unresolved"
+                f"{inc:.3e} without meeting the gates"
                 + (f"; {message}" if message else "")
             )
             stalled = True
             break
     status = "converged" if converged else "stagnated" if stalled else "failed"
 
-    factorizations += step.factorizations
-    factor_nnz += step.factor_nnz
     phi_u = phi_b(u)
     r = B @ u + phi_u - rhs_b
     res = float(np.max(np.abs(r), initial=0.0))
@@ -738,7 +618,7 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     if not monotone:
         # appended, as reports are classified by the message's start
         error_bound = np.inf
-        note = "no error bound: B is not an M-matrix or p < 0 somewhere"
+        note = "no error bound: B is symmetric but not an M-matrix"
         message = f"{message}; {note}" if message else note
     else:
         error_bound = float(np.max(op.solve(np.abs(r)), initial=0.0))
@@ -753,21 +633,19 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
         final_residual=res,
         identity_residual=identity_residual,
         error_bound=error_bound,
-        lambda_max=step.lambda_max,
-        lambda_refreshes=step.refreshes,
+        lambda_max=0.0,
+        lambda_refreshes=0,
         sup_solution=float(u.max(initial=0.0)),
         min_solution=float(u.min(initial=0.0)),
         tol=params.tol,
         message=message,
-        method=step.method,
         factorizations=factorizations,
         factor_nnz=factor_nnz,
     )
     log.debug(
-        "solve: %s (%s) after %d iterations, %d factorizations (fill %d), "
+        "solve: %s after %d iterations, %d factorizations (fill %d), "
         "error bound %.3e, %.3f s%s",
         status,
-        step.method,
         k,
         factorizations,
         factor_nnz,
@@ -790,7 +668,7 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
 def solve_linear_reaction(op, density, boundary):
     """Solve the linear problem  L u = q(x) u  with u = f on the boundary.
 
-    Requires q >= 0 so the shifted matrix keeps its sign structure.
+    Requires q >= 0 so that B + q keeps the sign structure of B.
     """
     mask = op.mask
     q = interior_values(mask, density)

@@ -152,8 +152,9 @@ class TestCliSolve:
         assert report["converged"] is True
         assert report["dim"] == 1
         assert report["identity_residual"] < 1e-8
-        # the operator's factor plus the shifted one and its refreshes
-        assert report["factorizations"] == 2 + report["lambda_refreshes"]
+        # drift keeps the interval off DST: the operator's own factor
+        assert report["method"] == "fas"
+        assert report["factorizations"] == 1
         assert report["factor_nnz"] > 0
         manifest = json.loads((out / "manifest.json").read_text())
         names = [a["name"] for a in manifest["artifacts"]]
@@ -168,20 +169,32 @@ class TestCliSolve:
         assert 0.0 <= report["error_bound"] <= 1e-8
 
     def test_end_to_end_on_a_box_factors_no_operator(self, tmp_path):
-        # the interval is solved by DST: only the shifted factors count
+        # the interval is solved by DST and the V-cycles solve nothing
         report, _ = self._solve_report(tmp_path, SOLVE_CFG)
         assert report["converged"] is True
         assert report["identity_residual"] < 1e-8
-        assert report["factorizations"] == 1 + report["lambda_refreshes"]
+        assert report["factorizations"] == report["factor_nnz"] == 0
 
-    def test_ball_report_counts_its_shifted_factors(self, tmp_path):
-        # a 3D ball takes shifted Picard: B is factored once, and B + Lambda
-        # from the first step and at each refresh
+    def test_ball_report_counts_the_operators_factor(self, tmp_path):
+        # a 3D ball takes FAS: B is factored once, for the harmonic
+        # extension and the certificates, and nothing else is
         report, _ = self._solve_report(tmp_path, BALL_3D)
         assert report["converged"] is True
-        assert report["method"] == "shifted-picard"
-        assert report["factorizations"] == 2 + report["lambda_refreshes"]
+        assert report["method"] == "fas"
+        assert report["factorizations"] == 1
+        assert (report["lambda_max"], report["lambda_refreshes"]) == (0.0, 0)
         assert "inner_iterations" not in report
+
+    def test_solve_off_the_sweep_hypotheses_exits_1(self, tmp_path, caplog):
+        # centered drift at cell Peclet number 40 / 16 = 2.5 leaves B neither
+        # an M-matrix nor symmetric: the solve refuses it before any work
+        text = SOLVE_CFG.replace("dim = 1", "dim = 2").replace(
+            "shape = 33", "shape = 17") + "\n[operator]\ndrift = centered\nb1 = 40\n"
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "must have the M-matrix sign pattern or be symmetric" in caplog.text
+        assert not (out / "report.json").exists()
 
     def test_solution_csv_layout(self, tmp_path):
         cfg = _write(tmp_path, SOLVE_CFG)
@@ -463,10 +476,11 @@ class TestCliCommands:
     @pytest.mark.parametrize(
         "command, text, name, path",
         [
-            # centered drift breaks the M-matrix sign pattern: no error bound
+            # the corner cross breaks the M-matrix sign pattern of a
+            # symmetric B: the solve runs, with no error bound
             ("solve", SOLVE_CFG.replace("dim = 1", "dim = 2").replace(
                 "shape = 33", "shape = 17")
-             + "\n[operator]\ndrift = centered\nb1 = 40\n",
+             + "\n[operator]\na = [1.0, 0.8, 0.8, 1.0]\n",
              "report.json", ("error_bound",)),
             # one half-width leaves the sup stability undefined
             ("dichotomy", DICHOTOMY_CFG.replace("[1.0, 2.0, 4.0]", "[2.0]"),

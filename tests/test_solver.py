@@ -6,24 +6,31 @@ import numpy.testing as npt
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 import ellipot as ep
 from ellipot import cli
 from ellipot.errors import NonConvergenceError
-from ellipot.solver import _fas_sides, _lattice_colours, _pointwise_root
+from ellipot.solver import _FasCycle, _fas_sides, _lattice_colours, _pointwise_root
 
 import oracles
 
 
-def _picard_disc():
-    # a disc in the unit square with 18 points a side: no box, so solves
-    # on it keep the shifted-Picard path
+def _disc():
+    # a disc in the unit square with 18 points a side: no box, so its B is
+    # factored by SuperLU
     grid = ep.build_grid(2, 18, (0.0, 1.0))
     return ep.mask_from_predicate(grid, lambda q: np.sum((q - 0.5) ** 2, axis=1) < 0.2)
 
 
+def _disc_of(shape):
+    # a disc of radius 0.9 in [-1, 1]^2
+    grid = ep.build_grid(2, shape, (-1.0, 1.0))
+    return ep.mask_from_predicate(grid, lambda q: np.sum(q**2, axis=1) < 0.81)
+
+
 def _ball():
-    # a ball in the unit cube: no box, so solves on it keep shifted Picard
+    # a ball in the unit cube
     grid = ep.build_grid(3, 14, (0.0, 1.0))
     return ep.mask_from_predicate(grid, lambda q: np.sum((q - 0.5) ** 2, axis=1) < 0.2)
 
@@ -190,12 +197,12 @@ def test_solve_linear_reaction_matches_dense(unit_square_17, rng):
 
 
 def test_report_round_trips_to_json():
-    op = ep.assemble(_picard_disc())
+    op = ep.assemble(_disc())
     phi = ep.power_phi(1.0, 1.0)
     _, rep = ep.solve_semilinear_dirichlet(op, phi, 1.0)
     back = json.loads(json.dumps(rep.as_dict()))
     assert back["converged"] is True
-    assert back["method"] == "shifted-picard"
+    assert back["method"] == "fas"
     assert back["iterations"] == rep.iterations
 
 
@@ -216,18 +223,17 @@ def test_fas_report_round_trips_to_json(unit_square_17):
 def test_upwind_drift_solve_certifies_and_counts_factorizations():
     # strong upwinded drift makes -A_II far from symmetric, so the LU's
     # partial pivoting is exercised under the fill-reducing ordering
-    op = ep.assemble(_picard_disc(), ep.CoefficientSet(b=np.array([6.0, -4.0])))
+    op = ep.assemble(_disc(), ep.CoefficientSet(b=np.array([6.0, -4.0])))
     phi = ep.power_phi(1.0, 0.5)
     _, rep = ep.solve_semilinear_dirichlet(op, phi, lambda pts: 1.0 + pts[:, 0])
     assert rep.converged
     assert rep.identity_residual <= 1e-8
-    # the operator's own factor plus the shifted one and its refreshes
-    assert rep.factorizations == 2 + rep.lambda_refreshes
+    # the operator's own factor, built by the harmonic extension
+    assert rep.factorizations == 1
     assert rep.factor_nnz > 0
-    # the operator's factor is cached now: a second solve builds only the
-    # shifted factorizations
+    # the operator's factor is cached now: a second solve builds none
     _, again = ep.solve_semilinear_dirichlet(op, phi, 2.0)
-    assert again.factorizations == 1 + again.lambda_refreshes
+    assert again.factorizations == again.factor_nnz == 0
     assert again.identity_residual <= 1e-8
 
 
@@ -304,56 +310,6 @@ def test_fas_solves_of_badly_scaled_reactions_match_newton(m):
     rep = _badly_scaled_solve(ep.box_mask(ep.build_grid(3, 17, (2.0, 3.0))), m)
     assert (rep.method, rep.status) == ("fas", "converged")
     assert rep.factorizations == 0
-
-
-def _pays_for_a_shifted_factor(mask):
-    op = ep.assemble(mask)
-    u, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
-    assert rep.converged
-
-    def phi_vec(v):
-        return np.sqrt(np.maximum(v, 0.0))
-
-    res, B, rhs = _equation_residual(op, u.interior(), phi_vec, 1.0)
-    assert res <= 10.0 * rep.tol
-    ref = oracles.newton_semilinear(B, rhs, phi_vec, u0=u.interior())
-    npt.assert_allclose(u.interior(), ref, atol=1e-8)
-    return op, rep
-
-
-def test_2d_solve_pays_for_a_shifted_factor():
-    # on a 2D lattice B + Lambda is factored from the first step; a disc
-    # is no box, so its B is factored too
-    grid = ep.build_grid(2, 65, (-1.0, 1.0))
-    disc = ep.mask_from_predicate(grid, lambda pts: np.sum(pts**2, axis=1) < 0.81)
-    _, rep = _pays_for_a_shifted_factor(disc)
-    assert rep.factorizations >= 2
-
-
-def test_1d_box_pays_for_a_shifted_factor_only():
-    # B itself is solved by DST: every factorization counted is a shifted one
-    op, rep = _pays_for_a_shifted_factor(ep.box_mask(ep.build_grid(1, 67, (-1.0, 1.0))))
-    assert not op.is_factored
-    assert rep.factorizations == 1 + rep.lambda_refreshes
-
-
-@pytest.mark.parametrize(
-    "make_mask, factored",
-    [
-        (lambda: ep.box_mask(ep.build_grid(1, 129, (-1.0, 1.0))), False),
-        # a disc is no box: its B is factored too, and counts once
-        (_picard_disc, True),
-        (_ball, True),
-    ],
-    ids=["box1d", "disc", "ball"],
-)
-def test_picard_solves_factor_from_the_first_step(make_mask, factored):
-    # shifted Picard factors B + Lambda before its first step and again
-    # at each refresh, on every lattice
-    op = ep.assemble(make_mask())
-    _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
-    assert (rep.method, rep.status) == ("shifted-picard", "converged")
-    assert rep.factorizations == factored + 1 + rep.lambda_refreshes
 
 
 def test_box_solve_does_not_depend_on_a_cached_factor():
@@ -497,13 +453,13 @@ def test_dead_core_box_converges_honestly():
 
 
 def test_dead_core_disc_converges_honestly():
-    # a disc keeps shifted Picard, whose steps the same sweep follows next
-    # to the dead core, clamping its iterates to exact zeros there
+    # a disc takes FAS on its bounding block, sliced to the interior; the
+    # sweep on every level holds exact zeros in the dead core
     grid = ep.build_grid(2, 67, (-8.0, 8.0))
     op, u, rep = _dead_core_solve(
         ep.mask_from_predicate(grid, lambda q: np.sum(q**2, axis=1) < 56.25)
     )
-    assert rep.method == "shifted-picard"
+    assert rep.method == "fas"
     _converges_honestly(op, u, rep)
 
 
@@ -553,21 +509,6 @@ def test_debug_line_reports_the_error_bound(caplog):
         _, _, rep = _dead_core_box_67()
     lines = [r.getMessage() for r in caplog.records if r.name == "ellipot.solver"]
     assert f"error bound {rep.error_bound:.3e}" in lines[0]
-
-
-def test_no_sweep_where_shifts_stay_below_the_diagonal(monkeypatch):
-    # without a dead core every shift stays below B's diagonal and the
-    # solve is plain shifted Picard
-    from ellipot import solver
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("sweep built")
-
-    monkeypatch.setattr(solver, "_ExactSweep", refuse)
-    _, rep = ep.solve_semilinear_dirichlet(
-        ep.assemble(_picard_disc()), ep.power_phi(1.0, 0.5), 1.0
-    )
-    assert rep.converged
 
 
 def test_large_data_is_held_to_the_rounding_floor():
@@ -623,24 +564,35 @@ _CROSS = ep.CoefficientSet(a=np.array([[1.0, 0.8], [0.8, 1.0]]))
 
 
 @pytest.mark.parametrize(
-    "coeffs, scheme, p",
+    "coeffs, scheme, p, raises",
     [
-        (None, None, 1.0),
-        (None, None, lambda q: q[:, 0] - 0.5),
-        (_DRIFT, None, 1.0),
-        (_DRIFT, ep.SchemeOptions(drift="centered"), 1.0),
-        (_CROSS, None, 1.0),
-        (_CROSS, ep.SchemeOptions(cross="tilted"), 1.0),
+        (None, None, 1.0, None),
+        (None, None, lambda q: q[:, 0] - 0.5, "p must be nonnegative"),
+        (_DRIFT, None, 1.0, None),
+        # cell Peclet number 50 h = 3.1 > 2: B is neither an M-matrix nor
+        # symmetric
+        (_DRIFT, ep.SchemeOptions(drift="centered"), 1.0,
+         "M-matrix sign pattern or be symmetric"),
+        (_CROSS, None, 1.0, None),
+        (_CROSS, ep.SchemeOptions(cross="tilted"), 1.0, None),
     ],
     ids=["laplacian", "signed_p", "upwind", "centered", "corner", "tilted"],
 )
-def test_error_bound_is_withheld_off_its_hypotheses(unit_square_17, coeffs, scheme, p):
-    # a reaction decreasing in t where p < 0, or a B whose inverse has
-    # negative entries, breaks (B + D)^-1 <= B^-1: no bound is claimed,
-    # and the operators check_m_matrix passes keep theirs
+def test_error_bound_is_withheld_off_its_hypotheses(unit_square_17, coeffs, scheme, p,
+                                                    raises):
+    # a symmetric B whose inverse has negative entries (the corner cross)
+    # breaks (B + D)^-1 <= B^-1: the solve claims no bound, and the
+    # operators check_m_matrix passes keep theirs; a reaction decreasing
+    # in t where p < 0, or a B neither an M-matrix nor symmetric, leaves
+    # the exact sweep without its hypotheses, and the solve refuses it
     op = ep.assemble(unit_square_17, coeffs, scheme)
+    if raises:
+        with pytest.raises(ValueError, match=raises):
+            ep.solve_semilinear_dirichlet(op, ep.power_phi(p, 0.5), 1.0)
+        return
     _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(p, 0.5), 1.0)
-    held = ep.check_m_matrix(op).is_m_matrix and not callable(p)
+    assert (rep.method, rep.status) == ("fas", "converged")
+    held = ep.check_m_matrix(op).is_m_matrix
     assert np.isfinite(rep.error_bound) == held
     assert ("no error bound" in rep.message) == (not held)
 
@@ -749,8 +701,14 @@ def test_fas_with_large_boundary_data_meets_the_rounding_floor(dim, shape):
         lambda: ep.box_mask(ep.build_grid(2, (36, 11), ((-1.0, 1.0), (0.0, 0.5)))),
         # interior side 10 -> 5 -> 2 on all three axes
         lambda: ep.box_mask(ep.build_grid(3, 12, (-1.0, 1.0))),
+        # interior side 65 -> 32 -> 16 -> 7 -> 3 on a line
+        lambda: ep.box_mask(ep.build_grid(1, 67, (-1.0, 1.0))),
+        # masks: the hierarchy of the bounding block, sliced to the interior
+        lambda: _disc_of(33),
+        _ball,
     ],
-    ids=["square", "oblong", "block", "box3d", "even_oblong", "even_box3d"],
+    ids=["square", "oblong", "block", "box3d", "even_oblong", "even_box3d", "box1d",
+         "disc", "ball"],
 )
 def test_fas_solve_with_drift_and_variable_coefficients_matches_newton(make_mask):
     # upwinded drift, variable a and c <= 0 are re-assembled on every level
@@ -795,27 +753,94 @@ def test_boxes_with_even_sides_take_fas(make_mask):
 @pytest.mark.parametrize(
     "make_mask",
     [
-        lambda: ep.mask_from_predicate(
-            ep.build_grid(2, 33, (-1.0, 1.0)), lambda q: np.sum(q**2, axis=1) < 0.81
-        ),
+        lambda: _disc_of(33),
         lambda: ep.box_mask(ep.build_grid(1, 129, (-1.0, 1.0))),
         _ball,
     ],
     ids=["disc", "box1d", "ball"],
 )
-def test_lattices_off_the_fas_rule_keep_shifted_picard(make_mask):
+def test_masks_and_1d_boxes_take_fas(make_mask):
     op = ep.assemble(make_mask())
     _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
-    assert (rep.method, rep.status) == ("shifted-picard", "converged")
+    assert (rep.method, rep.status) == ("fas", "converged")
+    assert (rep.lambda_max, rep.lambda_refreshes) == (0.0, 0)
 
 
-def test_picard_solve_at_zero_tol_ends_stagnated():
-    # the shifted-Picard twin of test_stagnated_solve_is_not_converged
-    params = ep.SemilinearParams(tol=0.0, max_iterations=3000)
-    with pytest.raises(NonConvergenceError, match="increment stagnated") as err:
-        ep.solve_semilinear_dirichlet(
-            ep.assemble(_picard_disc()), ep.power_phi(1.0, 1.0), 1.0, params
-        )
-    rep = err.value.report
-    assert (rep.method, rep.status) == ("shifted-picard", "stagnated")
-    assert rep.iterations < params.max_iterations
+def test_fas_1d_box_with_a_fine_dead_core_converges():
+    # 2047 interior points over [-8, 8]: the quartic dead-core profile is
+    # resolved to the gates in a few V-cycles, with exact zeros in the core
+    op = ep.assemble(ep.box_mask(ep.build_grid(1, 2049, (-8.0, 8.0))))
+    u, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
+    assert (rep.method, rep.status) == ("fas", "converged")
+    assert rep.iterations <= 15
+    assert u.at([0.0]) == 0.0
+    assert rep.error_bound <= 1e-8
+
+
+def _fas_cycle(op):
+    mask = op.mask
+    phi = ep.power_phi(1.0, 0.5)
+    rhs = op.boundary_matrix @ np.ones(mask.n_boundary)
+    return _FasCycle(
+        op, sp.csc_matrix(-op.interior_matrix), phi.bind(mask.interior_points()),
+        np.ones(mask.n_interior), phi.rho, rhs, 1e-12, 0.0,
+    )
+
+
+def test_fas_sides_of_a_disc_are_its_bounding_block_levels():
+    # 33 points over [-1, 1]: the disc's interior spans 27 of them a side
+    assert _fas_sides(_disc_of(33)) == [(27, 27), (13, 13), (6, 6), (3, 3)]
+
+
+@pytest.mark.parametrize("shape", [33, 34], ids=["odd", "even"])
+def test_coarse_disc_interior_reads_only_fine_interior_points(shape):
+    # a coarse point is interior when its twin (odd side) or both points
+    # of its pair (even side) are interior; its iterate restriction is
+    # then a mean of interior points and lands on the coarse point
+    mask = _disc_of(shape)
+    (m, _), (mc, _) = _fas_sides(mask)[:2]
+    assert (m % 2, mc) == ((1, 13) if shape == 33 else (0, 14))
+    idx = np.unravel_index(mask.interior_flat, mask.grid.shape)
+    low = [int(i.min()) for i in idx]
+    block = np.zeros((m, m), dtype=bool)
+    block[tuple(i - lo for i, lo in zip(idx, low))] = True
+    j = np.arange(mc)
+    reads = [2 * j + 1] if m % 2 else [m // 2 - mc + 2 * j, m // 2 - mc + 2 * j + 1]
+    inside = np.ones((mc, mc), dtype=bool)
+    for rows in reads:
+        for cols in reads:
+            inside &= block[np.ix_(rows, cols)]
+    axis = mask.grid.axis(0)
+    coords = [np.mean([axis[lo + r] for r in reads], axis=0) for lo in low]
+    expected = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)[inside]
+    cycle = _fas_cycle(ep.assemble(mask))
+    restrict = cycle.levels[0][3][1]
+    assert restrict.shape == (int(inside.sum()), mask.n_interior)
+    npt.assert_allclose(restrict @ mask.interior_points(), expected, atol=1e-12)
+    assert cycle.levels[1][0].shape == (int(inside.sum()),) * 2
+
+
+def test_fas_on_a_ring_whose_coarse_interior_splits_converges():
+    # a ring of width 0.3 on 65^2: the 6^2 block's interior falls apart
+    # into four pieces, and the hierarchy ends there, one level early
+    grid = ep.build_grid(2, 65, (-1.0, 1.0))
+    ring = ep.mask_from_predicate(
+        grid, lambda q: (np.sum(q**2, axis=1) > 0.36) & (np.sum(q**2, axis=1) < 0.81)
+    )
+    op = ep.assemble(ring)
+    cycle = _fas_cycle(op)
+    pieces = [
+        csgraph.connected_components(abs(B), directed=False)[0] for B, *_ in cycle.levels
+    ]
+    assert pieces == [1, 1, 1, 4]
+    assert len(_fas_sides(ring)) == 5
+    u, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
+    assert (rep.method, rep.status) == ("fas", "converged")
+    assert rep.error_bound <= 1e-8
+
+    def phi_vec(v):
+        return np.sqrt(np.maximum(v, 0.0))
+
+    _, B, rhs = _equation_residual(op, u.interior(), phi_vec, 1.0)
+    ref = oracles.newton_semilinear(B, rhs, phi_vec, u0=u.interior())
+    npt.assert_allclose(u.interior(), ref, atol=1e-8)
