@@ -3,7 +3,7 @@
 Solves  L u = phi(., u)  on lattice domains with Dirichlet data, where L
 is a nondivergence-form elliptic operator discretized as an M-matrix.
 Built around the discrete Green operator: harmonic extensions, Green
-potentials, a fixed-point solver for the semilinear problem, concave
+potentials, a nonlinear multigrid solver for the semilinear problem, concave
 majorant construction for rough reactions, exhaustion experiments for
 the boundedness dichotomy, and blow-up sweeps.
 """

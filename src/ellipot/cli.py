@@ -223,13 +223,13 @@ def _build_params(cfg):
         for key, kind in (("tol", "float"), ("max_iterations", "int"))
         if cfg.has("solver", key)
     }
-    params = SemilinearParams(**kwargs)
-    if not (np.isfinite(params.tol) and params.tol > 0):
-        raise ConfigError(f"[solver] tol: must be finite and > 0, got {params.tol!r}")
-    if params.max_iterations < 1:
-        raise ConfigError(
-            f"[solver] max_iterations: must be >= 1, got {params.max_iterations}"
-        )
+    try:
+        params = SemilinearParams(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[solver] {exc}") from None
+    if params.tol == 0.0:
+        # an exact solve is legal in the library but always ends stagnated
+        raise ConfigError(f"[solver] tol: must be > 0, got {params.tol!r}")
     return params
 
 

@@ -26,8 +26,8 @@ class LinearSolveError(EllipotError):
 
 
 class NonConvergenceError(EllipotError):
-    """Fixed-point iteration did not converge: it ran out of iterations or
-    its increment stagnated.
+    """A semilinear solve missed its gates: it ran out of V-cycles, or a
+    cycle did not shrink the increment (stagnated).
 
     ``report`` is the solve's ``SolveReport`` (``converged`` False, the
     iteration count, increment, residual and message as reached) and
@@ -41,7 +41,8 @@ class NonConvergenceError(EllipotError):
 
 
 class SolverBreakdownError(EllipotError):
-    """Iterate left the admissible set (significantly negative values)."""
+    """A solve produced non-finite values (harmonic extension, iterate or
+    linear-reaction solution)."""
 
 
 class MajorantError(EllipotError):

@@ -24,8 +24,9 @@ from .solver import SemilinearParams, solve_semilinear_dirichlet
 
 # Verdict thresholds; a report that states its threshold carries it.
 # Pointwise order checks (level solutions not rising as the domain grows,
-# the scaling bound) allow _ORDER_TOL, the increment scale at which a
-# stalled solve is accepted.
+# the scaling bound) allow _ORDER_TOL, well above the distance of a solve
+# converged at the default tol to its discrete solution
+# (``SolveReport.error_bound``, a few 1e-10 where measured).
 _ORDER_TOL = 1e-8
 # a sweep saturates when its probes grow by under 1% over the last decade
 _SATURATION_RTOL = 0.01

@@ -5,12 +5,13 @@ Every reaction the package builds is separable, p(x) * rho(t)
 to keep iterates nonnegative).  The rule is written once, in the private
 helper ``_vanishing`` that every reaction's ``bind`` returns; calling a
 reaction is binding it to the points and evaluating once.  The structural
-hypotheses checked are: nondecreasing and continuous in t on [0, inf), a
-linear growth bound phi(x, t) <= C p(x) (t + 1), and optionally concavity
-in t.  For reactions that are not concave, :func:`build_concave_majorant`
-produces a dominating reaction that is concave in t and still linearly
-bounded, by taking a minimum of affine functions built from mollified
-values at zero.  For p(x) * rho(t) that construction factors exactly: the
+hypotheses checked are: rho(0) = 0, so that phi is continuous at t = 0;
+phi nondecreasing in t on [0, inf); a linear growth bound
+phi(x, t) <= C p(x) (t + 1); and optionally concavity in t.  For
+reactions that are not concave, :func:`build_concave_majorant` produces
+a dominating reaction that is concave in t and still linearly bounded,
+by taking a minimum of affine functions built from mollified values at
+zero.  For p(x) * rho(t) that construction factors exactly: the
 majorant is p(x) * rho1(t), with rho1 read off one 257-node profile built
 from rho alone (:class:`MajorantPhi`).
 """
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MajorantError
+from .errors import ExprError, MajorantError
 from .geometry import values_at
 
 # Gauss-Legendre nodes on [-1, 1] for the mollifier's normalization and
@@ -135,23 +136,10 @@ class Mollifier:
     def __call__(self, s):
         return self.norm * self._unnormalized(s)
 
-    def height(self):
-        """eta(0)."""
-        return self.norm * float(np.exp(-1.0))
-
-    def abs_derivative_integral(self):
-        """Total variation of eta: rises to eta(0) and falls back, so 2 eta(0)."""
-        return 2.0 * self.height()
-
     def slope_constant(self):
-        """The constant 4 * int |eta'| entering the affine majorant slopes."""
-        return 4.0 * self.abs_derivative_integral()
-
-    def first_moment01(self):
-        """int_0^1 s eta(s) ds (handy for separable-profile checks)."""
-        return float(
-            np.sum(self.weights01 * self.nodes01 * self(self.nodes01))
-        )
+        """The constant 4 * int |eta'| entering the affine majorant slopes:
+        eta rises to eta(0) and falls back, so int |eta'| = 2 eta(0)."""
+        return 8.0 * self.norm * float(np.exp(-1.0))
 
 
 def mollified_at_zero(phi, points, delta, mollifier=None):
@@ -303,7 +291,8 @@ class HypothesisReport:
 
 
 def check_hypotheses(phi, p, points):
-    """Audit a reaction against the structural hypotheses on sample points.
+    """Audit a reaction p(x) rho(t) against the structural hypotheses on
+    sample points.
 
     The linear-growth constant is the max of phi / (p (t+1)) over the
     sample and _T_GRID; values above _BOUND_CAP count as unbounded.
@@ -313,10 +302,17 @@ def check_hypotheses(phi, p, points):
     bound = phi.bind(points)
     messages = []
 
-    neg = [bound(t) for t in (-1.0, -1e-6, 0.0)]
-    vanishes = all(float(np.max(np.abs(v))) == 0.0 for v in neg)
+    # bind zeroes phi at t <= 0 (``_vanishing``), so phi vanishes there and
+    # is continuous at 0 exactly when rho(0) = 0; a rho that is not finite
+    # at 0, or raises there, fails too
+    try:
+        with np.errstate(all="ignore"):
+            rho0 = float(np.asarray(phi.rho(np.zeros(1)), dtype=float).flat[0])
+    except (ArithmeticError, ValueError, ExprError):
+        rho0 = np.nan
+    vanishes = rho0 == 0.0
     if not vanishes:
-        messages.append("nonzero values at t <= 0")
+        messages.append(f"rho(0) = {rho0:.3g}, not 0: phi jumps at t = 0")
 
     table = np.stack([bound(t) for t in _T_GRID], axis=1)
     steps = np.diff(table, axis=1)

@@ -37,13 +37,14 @@ point is.  Corrections prolong d-linearly and are clamped to the lower
 bound of the solution.
 
 Gates.  Convergence is declared on the increment and the recomputed
-residual; a run whose increment stays flat without meeting them stops
-as stagnated, not converged; the budget counts V-cycles.  With large
-boundary data the increment goes flat at the rounding of the iterate,
-above tol; where the residual then meets its rounding floor, an
-increment within the error bound of the iterate is accepted
-(``SemilinearParams``).  The constants below fix when a run counts as
-stalled, how the pointwise roots stop and the shape of a cycle.
+residual; the budget counts V-cycles.  A cycle whose increment is not
+smaller than the previous one's is flat: the solve has stopped
+contracting, and unless the gates are met at that cycle it ends there as
+stagnated, not converged.  With large boundary data the increment goes
+flat at the rounding of the iterate, above tol; where the residual then
+meets its rounding floor and B is an M-matrix, an increment within the
+error bound of the iterate is accepted (``SemilinearParams``).  The
+constants below fix how the pointwise roots stop and the shape of a cycle.
 
 Linear algebra.  The harmonic extension, the identity certificate and the
 error bound are solves with B through ``AssembledOperator.solve``: on a
@@ -74,11 +75,6 @@ from .potentials import Field, boundary_values, interior_values
 
 log = logging.getLogger(__name__)
 
-# A run whose increment stays flat at or below _T_FLOOR over _STALL_WINDOW
-# cycles without meeting the gates is stopped as stagnated, with the
-# residual reported as measured.
-_T_FLOOR = 1e-8
-_STALL_WINDOW = 200
 # the pointwise roots of the Gauss-Seidel sweep stop at |g| <= tol /
 # _ROOT_SHARE, or after _ROOT_STEPS trials where rho jumps at t = 0 (an
 # affine offset) and no such point exists
@@ -106,7 +102,7 @@ _COARSEST_SIDE = 3
 _COARSEST_SWEEPS = 5
 
 
-@dataclass
+@dataclass(frozen=True)
 class SemilinearParams:
     """Settings of one semilinear solve.
 
@@ -118,15 +114,23 @@ class SemilinearParams:
         it does at a few units in the last place of large iterates, an
         increment above tol is accepted when it is within sup |B^-1 |r||,
         the iterate's certified distance to the discrete solution (see
-        ``SolveReport``; only where that bound holds).
-    max_iterations : the budget of V-cycles.
+        ``SolveReport``; only where that bound holds).  Finite and >= 0.
+    max_iterations : the budget of V-cycles, at least 1.
 
-    A solve that misses the gates within the budget, or stagnates first,
-    raises ``NonConvergenceError`` carrying its report and iterate.
+    Other values raise ``ValueError``; checked settings are frozen.  A
+    solve that misses the gates within the budget, or at a cycle that does
+    not shrink the increment, raises ``NonConvergenceError`` carrying its
+    report and iterate.
     """
 
     tol: float = 1e-10
     max_iterations: int = 200000
+
+    def __post_init__(self):
+        if not (np.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError(f"tol: must be finite and >= 0, got {self.tol!r}")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations: must be >= 1, got {self.max_iterations}")
 
 
 @dataclass
@@ -144,18 +148,18 @@ class SolveReport:
     ``converged`` is True only when both gates of ``SemilinearParams.tol``
     were met, and a solve returns only such reports; an unconverged one
     rides on the ``NonConvergenceError`` the solve raises.  ``status``
-    says how the loop ended: "converged", "stagnated" (the increment went
-    flat; ``message`` then starts "increment stagnated") or "failed" (the
-    step budget ran out).  ``final_residual`` is
-    the sup-norm of r = B u + phi(u) - A_IB f recomputed at the returned u,
-    and ``error_bound`` = sup |B^-1 |r||, one more solve with B, bounds
-    the distance to the discrete solution u*: u - u* = (B + D)^-1 r for a
-    diagonal D >= 0 when phi = p rho is nondecreasing in t (p >= 0 and rho
-    nondecreasing, the package's standing hypothesis on rho), and
-    0 <= (B + D)^-1 <= B^-1 entrywise when B is an M-matrix.  Where a
-    symmetric B breaks the M-matrix sign pattern (the corner cross
-    scheme) the bound does not hold: ``error_bound`` is then inf and the
-    message says so.
+    says how the loop ended: "converged", "stagnated" (a cycle missed the
+    gates without shrinking the increment; ``message`` then starts
+    "increment stagnated") or "failed" (the budget ran out).
+    ``final_residual`` is the sup-norm of r = B u + phi(u) - A_IB f at the
+    returned u, and ``error_bound`` = sup |B^-1 |r||, one more solve with
+    B, bounds the distance to the discrete solution u*: u - u* =
+    (B + D)^-1 r for a diagonal D >= 0 when phi = p rho is nondecreasing
+    in t (p >= 0 and rho nondecreasing, the package's standing hypothesis
+    on rho), and 0 <= (B + D)^-1 <= B^-1 entrywise when B is an M-matrix.
+    Where a symmetric B breaks the M-matrix sign pattern (the corner
+    cross scheme) the bound does not hold: ``error_bound`` is then inf
+    and the message says so.
     """
 
     converged: bool
@@ -510,7 +514,7 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     pts = mask.interior_points()
     phi_b = phi.bind(pts)
 
-    B = sp.csc_matrix(-op.interior_matrix)
+    B = -op.interior_matrix
     rhs_b = op.boundary_matrix @ f
     p_vals = values_at(phi.p, pts)
     # the hypotheses under which the exact sweep converges (module
@@ -555,18 +559,13 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
 
     u = harm.copy()
     inc = np.inf
-    converged = stalled = False
-    inc_hist = []
-    k = 0
-    while k < params.max_iterations:
-        k += 1
+    converged = False
+    for k in range(1, params.max_iterations + 1):
         u_new = cycle(u, k)
-        inc = float(np.max(np.abs(u_new - u)))
+        inc, prev = float(np.max(np.abs(u_new - u))), inc
         u = u_new
-        # with large boundary data the increment goes flat at the rounding
-        # of the iterate, above tol; once it stops shrinking the residual
-        # is checked too (see SemilinearParams)
-        flat = params.tol > 0.0 and monotone and inc_hist and inc >= inc_hist[-1]
+        # a flat cycle, one that does not shrink the increment, ends the solve
+        flat = inc >= prev
         if inc <= params.tol or flat:
             phi_u = phi_b(u)
             r = np.abs(B @ u + phi_u - rhs_b)
@@ -579,8 +578,8 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
                 ratio = float(np.max(r / np.maximum(10.0 * params.tol, _ROUNDING * terms)))
                 met, note = ratio <= 1.0, ""
                 if met and inc > params.tol:
-                    # sup |B^-1 |r|| bounds the distance to u* (SolveReport)
-                    bound = float(np.max(op.solve(r), initial=0.0))
+                    # sup |B^-1 |r|| bounds |u - u*| only where B is an M-matrix
+                    bound = float(np.max(op.solve(r), initial=0.0)) if monotone else 0.0
                     met = inc <= bound
                     note = f"; increment {inc:.3e} within sup|B^-1 |r|| {bound:.3e}"
                 if met:
@@ -592,24 +591,14 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
                     )
             if converged:
                 break
-        inc_hist.append(inc)
-        if (
-            inc <= _T_FLOOR
-            and len(inc_hist) > _STALL_WINDOW
-            and inc >= 0.95 * inc_hist[-1 - _STALL_WINDOW]
-        ):
-            # a flat small increment that never meets the gates ends the
-            # solve unconverged (slow geometric convergence still decays
-            # clearly over the window and keeps iterating); the stagnation
-            # text stays first, as reports are classified by it
+        if flat:
+            # the stagnation text stays first, as reports are classified by it
             message = (
-                "increment stagnated at "
-                f"{inc:.3e} without meeting the gates"
+                f"increment stagnated at {inc:.3e} without meeting the gates"
                 + (f"; {message}" if message else "")
             )
-            stalled = True
             break
-    status = "converged" if converged else "stagnated" if stalled else "failed"
+    status = "converged" if converged else "stagnated" if flat else "failed"
 
     phi_u = phi_b(u)
     r = B @ u + phi_u - rhs_b

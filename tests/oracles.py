@@ -1,8 +1,8 @@
 """Independent reference computations used to cross-check the package.
 
 Everything here deliberately avoids the code paths under test: the
-semilinear oracle is a damped Newton iteration (the package uses a
-shifted fixed-point scheme), quadratures go through scipy.integrate, and
+semilinear oracle is a damped Newton iteration (the package uses
+nonlinear multigrid), quadratures go through scipy.integrate, and
 closed forms are spelled out where they exist.
 """
 

@@ -631,6 +631,27 @@ class TestCliConfigPaths:
         failures = json.loads((out / "checks.json").read_text())["failures"]
         assert ("reaction is not concave in t" in failures) == bool(code)
 
+    def test_reaction_jumping_at_zero_fails_checks_and_dichotomy(self, tmp_path):
+        # rho = t + 1/2 jumps at t = 0; the solve on this box stagnates, so
+        # the audit must catch it first
+        affine = "family = affine\nslope = 1.0\noffset = 0.5"
+        box = "dim = 2\nshape = 33\nbounds = [-4.0, 4.0]"
+        text = SOLVE_CFG.replace("family = power\ngamma = 0.5", affine)
+        cfg = _write(tmp_path, text.replace("dim = 1\nshape = 33\nbounds = [0, 1]", box))
+        out = tmp_path / "checks"
+        assert main(["checks", "--config", str(cfg), "--out", str(out)]) == 2
+        failures = json.loads((out / "checks.json").read_text())["failures"]
+        assert "reaction does not vanish for t <= 0" in failures
+
+        # the dichotomy's solves stay positive, so it completes, but its
+        # verdict is descriptive only
+        cfg = _write(tmp_path, DICHOTOMY_CFG.replace("family = power\ngamma = 0.5", affine),
+                     name="dichotomy.cfg")
+        out = tmp_path / "dichotomy"
+        assert main(["dichotomy", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "dichotomy.json").read_text())
+        assert report["verdict"]["hypotheses_ok"] is False
+
     def test_superlinear_growth_fails_checks_and_dichotomy(self, tmp_path):
         cfg = _write(tmp_path, SOLVE_CFG.replace("gamma = 0.5", "gamma = 3.0"))
         out = tmp_path / "checks"

@@ -79,10 +79,9 @@ def test_mollifier_frozen_constants():
     assert raw == pytest.approx(0.4439938161680794, abs=1e-12)
     # the package constants come from fixed-order quadrature, which agrees
     # with the adaptive values to ~1e-11
-    assert m.height() == pytest.approx(0.8285688398674459, abs=1e-10)
-    assert m.abs_derivative_integral() == pytest.approx(
-        1.6571376797348918, abs=2e-10
-    )
+    assert m(np.array([0.0]))[0] == pytest.approx(0.8285688398674459, abs=1e-10)
+    # 4 int |eta'| with int |eta'| = 2 eta(0)
+    assert m.slope_constant() / 4.0 == pytest.approx(1.6571376797348918, abs=2e-10)
     assert m.slope_constant() == pytest.approx(6.628550718939567, abs=1e-9)
     # the even mollifier has unit mass: twice the half-line integral of eta
     half_mass = oracles.quad(lambda s: float(m(np.array([s]))[0]), 0.0, 1.0)
@@ -91,7 +90,7 @@ def test_mollifier_frozen_constants():
 
 def test_mollifier_height_is_value_at_zero():
     m = ep.Mollifier()
-    assert m(np.array([0.0]))[0] == pytest.approx(m.height(), rel=1e-14)
+    assert m(np.array([0.0]))[0] == pytest.approx(m.slope_constant() / 8.0, rel=1e-14)
     # symmetric and supported in (-1, 1)
     assert m(np.array([0.7]))[0] == pytest.approx(m(np.array([-0.7]))[0])
     assert m(np.array([1.0]))[0] == 0.0
@@ -104,7 +103,8 @@ def test_mollified_at_zero_linear_reaction_identity():
     phi = ep.power_phi(p, 1.0)
     delta = 0.35
     got = ep.mollified_at_zero(phi, PTS2, delta, m)
-    expected = p(PTS2) * delta * m.first_moment01()
+    first_moment01 = np.sum(m.weights01 * m.nodes01 * m(m.nodes01))
+    expected = p(PTS2) * delta * first_moment01
     npt.assert_allclose(got, expected, rtol=1e-12)
 
 
@@ -223,6 +223,27 @@ def test_check_hypotheses_flags_decreasing_reaction():
     assert not rep.nondecreasing
     assert rep.min_step < 0
     assert not rep.ok
+
+
+def _raises_at_zero(t):
+    if np.any(t == 0.0):
+        raise ZeroDivisionError("rho is undefined at 0")
+    return np.sqrt(t)
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [lambda t: t + 0.5, lambda t: np.sqrt(t) + 0.0 / t, _raises_at_zero],
+    ids=["jump", "not_finite", "raises"],
+)
+def test_check_hypotheses_requires_rho_to_vanish_at_zero(rho):
+    # phi is zeroed at t <= 0 whatever rho is, so the audit reads rho(0):
+    # each of these passes every other check and fails only at t = 0
+    rep = ep.check_hypotheses(ep.ProductPhi(1.0, rho), 1.0, PTS2)
+    assert not rep.vanishes_nonpositive
+    assert rep.nondecreasing and rep.linearly_bounded
+    assert not rep.ok
+    assert rep.messages[0].startswith("rho(0) = ")
 
 
 def test_linear_reaction_bound_constant_is_one():

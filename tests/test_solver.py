@@ -273,6 +273,8 @@ def test_stagnated_solve_keeps_negative_data_warning():
         )
     rep = err.value.report
     assert rep.iterations < params.max_iterations
+    # the first cycle that does not shrink the increment ends the solve
+    assert rep.iterations <= 20
     assert rep.message.startswith("increment stagnated")
     assert "boundary data has negative values" in rep.message
 
@@ -340,6 +342,7 @@ def test_stagnated_solve_is_not_converged():
     assert not rep.converged
     assert (rep.method, rep.status) == ("fas", "stagnated")
     assert rep.iterations < params.max_iterations
+    assert rep.iterations <= 20
     assert rep.message.startswith("increment stagnated")
 
 
@@ -556,7 +559,71 @@ def test_a_small_row_is_not_excused_by_the_floor_of_a_large_row():
         ep.solve_semilinear_dirichlet(op, ep.ProductPhi(1.0, wobbly), 1e4, params)
     rep = err.value.report
     assert not rep.converged
+    assert rep.iterations <= 20
     assert rep.message.startswith("increment stagnated")
+
+
+@pytest.mark.parametrize(
+    "a, b, shape, half_width",
+    [
+        (np.array([1.0, 1e-3]), None, 65, 8.0),
+        (np.array([[1.0, 0.95], [0.95, 1.0]]), None, 33, 1.0),
+        (1.0, np.array([1000.0, 0.0]), 65, 1.0),
+    ],
+    ids=["anisotropic", "corner_cross", "upwind"],
+)
+def test_slow_contracting_solves_still_converge(a, b, shape, half_width):
+    # V-cycles that cut the increment only a little each time (tens of
+    # cycles here) keep shrinking it, so no cycle of these solves is flat
+    # before the gates are met
+    mask = ep.box_mask(ep.build_grid(2, shape, (-half_width, half_width)))
+    op = ep.assemble(mask, ep.CoefficientSet(a=a, b=b))
+    _, rep = ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
+    assert rep.status == "converged"
+    assert rep.iterations >= 20
+
+
+def test_reaction_jumping_at_zero_stagnates_at_once():
+    # rho = t + 1/2 for t > 0 jumps at 0: the edge of the dead core cannot
+    # settle, the residual stays near p / 2, and the first flat cycle ends
+    # the solve where a window of cycles used to run on past 200
+    op = ep.assemble(ep.box_mask(ep.build_grid(2, 33, (-4.0, 4.0))))
+    with pytest.raises(NonConvergenceError, match="increment stagnated") as err:
+        ep.solve_semilinear_dirichlet(op, ep.AffinePhi(1.0, 1.0, 0.5), 1.0)
+    rep = err.value.report
+    assert rep.status == "stagnated"
+    assert rep.iterations <= 10
+    assert rep.final_residual > 0.1
+
+
+def test_no_bound_accepts_a_flat_increment_off_the_m_matrix_pattern():
+    # with c = 1e6 the increment goes flat above tol while the residual
+    # meets its rows' rounding floor; the corner cross scheme has no
+    # error bound to accept that increment against, so the solve ends
+    # stagnated at that cycle
+    mask = ep.box_mask(ep.build_grid(2, 17, (-1.0, 1.0)))
+    op = ep.assemble(mask, ep.CoefficientSet(a=np.array([[1.0, 0.5], [0.5, 1.0]])))
+    with pytest.raises(NonConvergenceError, match="increment stagnated") as err:
+        ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1e6)
+    rep = err.value.report
+    assert rep.final_increment > rep.tol
+    assert rep.iterations <= 30
+
+
+@pytest.mark.parametrize(
+    "kwargs, where",
+    [
+        ({"tol": np.inf}, "tol"),
+        ({"tol": np.nan}, "tol"),
+        ({"tol": -1e-10}, "tol"),
+        ({"max_iterations": 0}, "max_iterations"),
+    ],
+    ids=["inf", "nan", "negative", "no_budget"],
+)
+def test_solver_settings_are_checked_where_they_are_made(kwargs, where):
+    # an infinite tol would accept any first cycle and a NaN tol none
+    with pytest.raises(ValueError, match=f"^{where}: must be"):
+        ep.SemilinearParams(**kwargs)
 
 
 _DRIFT = ep.CoefficientSet(b=np.array([50.0, -50.0]))
