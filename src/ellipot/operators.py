@@ -247,6 +247,8 @@ class AssembledOperator:
         self._A_II = None
         self._A_IB = None
         self._lu = None
+        # the FAS levels of solver._FasHierarchy, built by the first solve
+        self._fas = None
         self._assemble()
 
     @property

@@ -21,20 +21,22 @@ makes F the gradient of a strictly convex functional and the sweep
 coordinate descent (the corner cross scheme with constant a).  Any other input, a signed p or centered drift at a cell Peclet
 number above 2, raises ``ValueError`` before any work is done.
 
-Hierarchy.  It is built in the solve on the bounding block of the
-interior: each coarser level re-assembles the operator's coefficients
-and scheme on a block of about half the side, until every side is at
-most _COARSEST_SIDE.  An odd side m keeps every other point, (m - 1) / 2
-of them over the same bounds; residuals restrict by full weighting and
-iterates by injection.  An even side keeps the midpoints of fine pairs,
-cell-centred style (Trottenberg, Oosterlee and Schueller, Multigrid,
-2001), over bounds moved by half a fine step; residuals restrict by the
-transpose of linear interpolation and iterates by pair means
-(``_fas_sides``, ``_axis_transfer``).  A coarse point is interior when
-every fine point that its iterate restriction reads is interior, and the
-transfers are sliced to the interiors (``_FasCycle``); on a box every
-point is.  Corrections prolong d-linearly and are clamped to the lower
-bound of the solution.
+Hierarchy.  It is built by the first solve on an operator and kept on
+it, so later solves, such as the boundary sweep of one cube, rebuild
+only the restricted density p (``_FasHierarchy``, ``_FasCycle``).  It
+lies on the bounding block of the interior: each coarser level
+re-assembles the operator's coefficients and scheme on a block of about
+half the side, until every side is at most _COARSEST_SIDE.  An odd side
+m keeps every other point, (m - 1) / 2 of them over the same bounds;
+residuals restrict by full weighting and iterates by injection.  An even
+side keeps the midpoints of fine pairs, cell-centred style (Trottenberg,
+Oosterlee and Schueller, Multigrid, 2001), over bounds moved by half a
+fine step; residuals restrict by the transpose of linear interpolation
+and iterates by pair means (``_fas_sides``, ``_axis_transfer``).  A
+coarse point is interior when every fine point that its iterate
+restriction reads is interior, and the transfers are sliced to the
+interiors; on a box every point is, and nothing is sliced.  Corrections
+prolong d-linearly and are clamped to the lower bound of the solution.
 
 Gates.  Convergence is declared on the increment and the recomputed
 residual; the budget counts V-cycles.  A cycle whose increment is not
@@ -56,7 +58,8 @@ needs no solve: a sweep is, per colour, one matrix-vector product with
 the colour's rows of B's off-diagonal part.  The report counts the
 factorizations a solve built, at most the operator's own, and their
 fill, and each solve logs one DEBUG line on the ``ellipot.solver``
-logger.
+logger, which also says whether the solve built the hierarchy or reused
+it, and what it cost to build.
 """
 from __future__ import annotations
 
@@ -199,6 +202,18 @@ def _lattice_colours(mask, off):
     return colours
 
 
+def _colour_rows(mask, B):
+    """Per colour of ``_lattice_colours``: its rows, their slice of the
+    off-diagonal part of B and their diagonal, what ``_ExactSweep`` needs
+    of one level."""
+    diag = B.diagonal()
+    off = sp.csr_matrix(B - sp.diags(diag))
+    off.eliminate_zeros()
+    colours = _lattice_colours(mask, off)
+    rows = [np.flatnonzero(colours == c) for c in np.unique(colours)]
+    return [(r, off[r], diag[r]) for r in rows]
+
+
 def _pointwise_root(b, p, rho, s, t0, eps):
     """Per entry, t in [0, s/b] with |b t + p rho(t) - s| <= eps, or within
     the rounding of s (_ROUNDING * s) where that is larger.
@@ -286,21 +301,17 @@ class _ExactSweep:
     B_ii t + p_i rho(t) = s_i, s_i = (A_IB f - B_off u)_i, exactly
     (``_pointwise_root``), or t = 0 where 0 < s_i <= eps; points of one
     colour never couple, so a colour is one row-slice matvec and one
-    vectorized root.  The right side is given per call, so one sweep
-    serves every level of a FAS cycle.  The result is clamped to
-    ``lower``.  Needs p >= 0, so that every scalar equation is monotone.
+    vectorized root.  The colours come from the level's ``_colour_rows``
+    and only p is the solve's own.  The right side is given per call, so
+    one sweep serves every right side of its level.  The result is
+    clamped to ``lower``.  Needs p >= 0, so that every scalar equation is
+    monotone.
     """
 
-    def __init__(self, mask, B, diag, p, rho, eps):
-        off = sp.csr_matrix(B - sp.diags(diag))
-        off.eliminate_zeros()
-        colours = _lattice_colours(mask, off)
+    def __init__(self, colours, p, rho, eps):
         self.rho = rho
         self.eps = eps
-        self.parts = []
-        for c in np.unique(colours):
-            rows = np.flatnonzero(colours == c)
-            self.parts.append((rows, off[rows], diag[rows], p[rows]))
+        self.parts = [(rows, off, diag, p[rows]) for rows, off, diag in colours]
 
     def __call__(self, u, rhs, lower):
         """Sweep ``u`` in place for the right side ``rhs``."""
@@ -389,29 +400,34 @@ def _axis_transfer(m, m_coarse):
     return restriction(legs, weights), restriction(kept, means), shift
 
 
-class _FasCycle:
-    """FAS V-cycles (Brandt 1977) of one solve on any lattice.
+class _FasHierarchy:
+    """The levels of FAS V-cycles (Brandt 1977) on one operator, any lattice.
 
-    Level 0 is the solve's own B and reaction.  Each coarser level is the
-    operator re-assembled with the same coefficients and scheme on the
-    block whose sides ``_fas_sides`` gives, so drift and variable a or c
-    coarsen too; its bounds are those of the finer block, moved by half a
-    fine step on an axis of even side (``_axis_transfer``), and its
-    density is the restricted p.  Residuals restrict by a Kronecker
-    product of 1D weightings on the blocks, and iterates and p by a
-    Kronecker product of injections and pair means.  A coarse point is
-    interior when every fine point that its iterate restriction reads is
-    interior; both restrictions are sliced to coarse-interior rows and
-    fine-interior columns, and corrections prolong by the scaled
-    transpose of the sliced full weighting, the d-linear interpolation
-    with zero correction off the interior.  Every other point of a coarse
-    block is a boundary point.  The hierarchy ends at the last level whose
-    coarsening would leave no interior point.  ``_ExactSweep`` smooths on
-    every level, and a corrected iterate is clamped to ``lower`` before
-    its post-sweeps.
+    Built by the first solve on an operator and kept on it
+    (``AssembledOperator._fas``), since it depends only on the mask, the
+    coefficients and the scheme; it holds no reference to the operator.
+    Level 0 is the operator itself, whose B each solve brings.  Each
+    coarser level is the operator re-assembled with the same coefficients
+    and scheme on the block whose sides ``_fas_sides`` gives, so drift and
+    variable a or c coarsen too; its bounds are those of the finer block,
+    moved by half a fine step on an axis of even side (``_axis_transfer``).
+    Residuals restrict by a Kronecker product of 1D weightings on the
+    blocks, and iterates and p by a Kronecker product of injections and
+    pair means.  A coarse point is interior when every fine point that its
+    iterate restriction reads is interior; both restrictions are sliced to
+    coarse-interior rows and fine-interior columns, which on a box are all
+    of them.  Every other point of a coarse block is a boundary point.
+    The hierarchy ends at the last level whose coarsening would leave no
+    interior point.
+
+    ``levels`` holds per level its B (None on level 0), its
+    ``_colour_rows`` and, but on the coarsest, its transfers (full
+    weighting, iterate restriction, prolongation scale); ``seconds`` is
+    the build time.
     """
 
-    def __init__(self, op, B, phi_b, p, rho, rhs, eps, lower):
+    def __init__(self, op):
+        t_start = time.perf_counter()
         grid = op.mask.grid
         sides = _fas_sides(op.mask)
         idx = np.unravel_index(op.mask.interior_flat, grid.shape)
@@ -422,11 +438,12 @@ class _FasCycle:
             for k, i in enumerate(idx)
         ]
         inside = np.ravel_multi_index(tuple(i - i.min() for i in idx), sides[0])
-        self.rhs, self.lower = rhs, lower
         self.levels = []
-        mask, react = op.mask, phi_b
+        mask, B = op.mask, -op.interior_matrix
         for fine, coarse in zip(sides, sides[1:] + [None]):
-            sweep = _ExactSweep(mask, B, B.diagonal(), p, rho, eps)
+            colours = _colour_rows(mask, B)
+            # level 0 keeps no B: each solve brings the operator's own
+            kept = B if self.levels else None
             if coarse is not None:
                 axes = [_axis_transfer(m, mc) for m, mc in zip(fine, coarse)]
                 full, restrict = axes[0][:2]
@@ -439,14 +456,16 @@ class _FasCycle:
                 outside[inside] = 0.0
                 coarse_inside = np.flatnonzero(restrict @ outside == 0.0)
             if coarse is None or not coarse_inside.size:
-                self.levels.append((B, react, sweep, None))
+                self.levels.append((kept, colours, None))
                 break
-            full = full[coarse_inside][:, inside]
-            restrict = restrict[coarse_inside][:, inside]
-            # d-linear prolongation is R^T times 2 per axis that coarsens
-            halved = sum(mc < m for m, mc in zip(fine, coarse))
-            prolong = sp.csr_matrix(full.T * 2.0**halved)
-            self.levels.append((B, react, sweep, (full, restrict, prolong)))
+            # on a box both index sets are the whole block
+            if coarse_inside.size < restrict.shape[0] or inside.size < restrict.shape[1]:
+                full = full[coarse_inside][:, inside]
+                restrict = restrict[coarse_inside][:, inside]
+            # d-linear prolongation is the transpose of the full weighting
+            # times 2 per axis that coarsens, an exact scale
+            scale = 2.0 ** sum(mc < m for m, mc in zip(fine, coarse))
+            self.levels.append((kept, colours, (full, restrict, scale)))
             for k, (m, (_, _, shift)) in enumerate(zip(fine, axes)):
                 if shift:
                     lo, hi = bounds[k]
@@ -464,8 +483,32 @@ class _FasCycle:
             # the coefficients were audited, or not, where op was assembled
             coarse_op = assemble(mask, op.coeffs, op.scheme, validate=False)
             B = sp.csr_matrix(-coarse_op.interior_matrix)
-            p = restrict @ p
-            react = _vanishing(p.size, lambda pos, t, p=p: p[pos] * rho(t))
+        self.seconds = time.perf_counter() - t_start
+
+
+class _FasCycle:
+    """FAS V-cycles of one solve on the levels of a ``_FasHierarchy``.
+
+    Level 0 has the solve's own B and reaction; each coarser level has the
+    hierarchy's B and the reaction with the density p restricted from the
+    level above by the iterate restriction.  ``_ExactSweep`` smooths on
+    every level.  Corrections prolong by the scaled transpose of the full
+    weighting, the d-linear interpolation with zero correction off the
+    interior, and a corrected iterate is clamped to ``lower`` before its
+    post-sweeps.
+    """
+
+    def __init__(self, hierarchy, B, phi_b, p, rho, rhs, eps, lower):
+        self.rhs, self.lower = rhs, lower
+        self.levels = []
+        react = phi_b
+        for level, (B_level, colours, transfers) in enumerate(hierarchy.levels):
+            if level:
+                B = B_level
+                react = _vanishing(p.size, lambda pos, t, p=p: p[pos] * rho(t))
+            self.levels.append((B, react, _ExactSweep(colours, p, rho, eps), transfers))
+            if transfers is not None:
+                p = transfers[1] @ p
 
     def __call__(self, u, k):
         u = u.copy()
@@ -482,7 +525,7 @@ class _FasCycle:
             return
         for _ in range(_PRE_SWEEPS):
             sweep(u, rhs, self.lower)
-        full, restrict, prolong = transfers
+        full, restrict, scale = transfers
         B_c, react_c = self.levels[level + 1][:2]
         u_c = restrict @ u
         # the FAS coarse right side: the restricted residual plus the coarse
@@ -491,7 +534,7 @@ class _FasCycle:
         rhs_c = B_c @ u_c + react_c(u_c) + full @ (rhs - B @ u - react(u))
         v = u_c.copy()
         self._cycle(level + 1, v, rhs_c)
-        u += prolong @ (v - u_c)
+        u += (full.T @ (v - u_c)) * scale
         np.maximum(u, self.lower, out=u)
         for _ in range(_POST_SWEEPS):
             sweep(u, rhs, self.lower)
@@ -555,7 +598,10 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     # removes sub-floor negative excursions at the reaction's zero set
     lower = min(0.0, float(f.min())) if f.size else 0.0
     eps = params.tol / _ROOT_SHARE
-    cycle = _FasCycle(op, B, phi_b, p_vals, phi.rho, rhs_b, eps, lower)
+    built = op._fas is None
+    if built:
+        op._fas = _FasHierarchy(op)
+    cycle = _FasCycle(op._fas, B, phi_b, p_vals, phi.rho, rhs_b, eps, lower)
 
     u = harm.copy()
     inc = np.inf
@@ -633,11 +679,13 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     )
     log.debug(
         "solve: %s after %d iterations, %d factorizations (fill %d), "
-        "error bound %.3e, %.3f s%s",
+        "FAS hierarchy %s in %.3f s, error bound %.3e, %.3f s%s",
         status,
         k,
         factorizations,
         factor_nnz,
+        "built" if built else "reused, built",
+        op._fas.seconds,
         error_bound,
         time.perf_counter() - t_start,
         f"; {message}" if message else "",

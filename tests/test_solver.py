@@ -1,5 +1,8 @@
+import gc
+import itertools
 import json
 import logging
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -11,7 +14,14 @@ from scipy.sparse import csgraph
 import ellipot as ep
 from ellipot import cli
 from ellipot.errors import NonConvergenceError
-from ellipot.solver import _FasCycle, _fas_sides, _lattice_colours, _pointwise_root
+from ellipot.operators import AssembledOperator
+from ellipot.solver import (
+    _FasCycle,
+    _FasHierarchy,
+    _fas_sides,
+    _lattice_colours,
+    _pointwise_root,
+)
 
 import oracles
 
@@ -849,7 +859,7 @@ def _fas_cycle(op):
     phi = ep.power_phi(1.0, 0.5)
     rhs = op.boundary_matrix @ np.ones(mask.n_boundary)
     return _FasCycle(
-        op, sp.csc_matrix(-op.interior_matrix), phi.bind(mask.interior_points()),
+        _FasHierarchy(op), sp.csc_matrix(-op.interior_matrix), phi.bind(mask.interior_points()),
         np.ones(mask.n_interior), phi.rho, rhs, 1e-12, 0.0,
     )
 
@@ -911,3 +921,74 @@ def test_fas_on_a_ring_whose_coarse_interior_splits_converges():
     _, B, rhs = _equation_residual(op, u.interior(), phi_vec, 1.0)
     ref = oracles.newton_semilinear(B, rhs, phi_vec, u0=u.interior())
     npt.assert_allclose(u.interior(), ref, atol=1e-8)
+
+
+def test_a_second_solve_on_one_operator_assembles_no_coarse_level(monkeypatch, caplog):
+    # the first solve builds the FAS hierarchy, re-assembling every coarse
+    # level once; later solves on the operator reuse it
+    op = ep.assemble(ep.box_mask(ep.build_grid(2, 35, (-1.0, 1.0))))
+    assembled = []
+    assemble_ = AssembledOperator._assemble
+
+    def counting_assemble(self):
+        assembled.append(self)
+        return assemble_(self)
+
+    monkeypatch.setattr(AssembledOperator, "_assemble", counting_assemble)
+    phi = ep.power_phi(1.0, 0.5)
+    with caplog.at_level(logging.DEBUG, logger="ellipot.solver"):
+        ep.solve_semilinear_dirichlet(op, phi, 1.0)
+        assert len(assembled) == len(_fas_sides(op.mask)) - 1
+        ep.solve_semilinear_dirichlet(op, ep.power_phi(2.0, 0.25), 3.0)
+    assert len(assembled) == len(_fas_sides(op.mask)) - 1
+    first, second = [r.getMessage() for r in caplog.records if r.name == "ellipot.solver"]
+    assert "FAS hierarchy built in" in first
+    assert "FAS hierarchy reused, built in" in second
+
+
+@pytest.mark.parametrize(
+    "make_mask",
+    [
+        lambda: ep.box_mask(ep.build_grid(2, 35, (-1.0, 1.0))),
+        lambda: _disc_of(33),
+        lambda: ep.box_mask(ep.build_grid(1, 129, (-8.0, 8.0))),
+    ],
+    ids=["box", "disc", "box1d"],
+)
+def test_solves_on_a_reused_hierarchy_match_solves_on_a_fresh_operator(make_mask):
+    # the hierarchy keeps no density, reaction, root tolerance or lower
+    # bound of an earlier solve: alternating them on one operator gives
+    # the iterates of a freshly assembled one, bit for bit
+    shared = ep.assemble(make_mask())
+    phis = [
+        ep.power_phi(1.0, 0.5),
+        ep.power_phi(lambda q: 2.0 / (1.0 + np.sum(q**2, axis=1)), 0.25),
+    ]
+    tols = [1e-10, 1e-7]
+    for phi, tol, c in itertools.product(phis, tols, [2.0, -0.5]):
+        params = ep.SemilinearParams(tol=tol)
+        u, rep = ep.solve_semilinear_dirichlet(shared, phi, c, params)
+        fresh_u, fresh_rep = ep.solve_semilinear_dirichlet(
+            ep.assemble(make_mask()), phi, c, params
+        )
+        assert np.array_equal(u.values, fresh_u.values, equal_nan=True)
+        # off the DST boxes only the first solve on an operator factors B
+        same = {k: v for k, v in rep.as_dict().items() if not k.startswith("factor")}
+        assert same == {
+            k: v for k, v in fresh_rep.as_dict().items() if not k.startswith("factor")
+        }
+
+
+def test_a_solved_operator_is_freed_with_its_hierarchy():
+    # nothing outside the operator keeps it alive, and its hierarchy holds
+    # no reference back to it, so its last reference frees it without a
+    # cyclic garbage collection
+    op = ep.assemble(_disc_of(33))
+    ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
+    ref = weakref.ref(op)
+    gc.disable()
+    try:
+        del op
+        assert ref() is None
+    finally:
+        gc.enable()
