@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ellipot as ep
+from ellipot import AssembledOperator
 
 
 @pytest.fixture
@@ -27,3 +28,17 @@ def disc_mask():
     return ep.mask_from_predicate(
         grid, lambda pts: np.sum(pts**2, axis=1) < 0.81
     )
+
+
+@pytest.fixture
+def assembled(monkeypatch):
+    """Every operator assembled while the test runs, in order."""
+    ops = []
+    assemble_ = AssembledOperator._assemble
+
+    def counting_assemble(self):
+        ops.append(self)
+        return assemble_(self)
+
+    monkeypatch.setattr(AssembledOperator, "_assemble", counting_assemble)
+    return ops

@@ -117,20 +117,6 @@ def _solution(out):
     return np.array([float(r[-1]) for r in rows[1:]])
 
 
-@pytest.fixture
-def assembled(monkeypatch):
-    """Every operator assembled while the test runs, in order."""
-    ops = []
-    assemble_ = AssembledOperator._assemble
-
-    def counting_assemble(self):
-        ops.append(self)
-        return assemble_(self)
-
-    monkeypatch.setattr(AssembledOperator, "_assemble", counting_assemble)
-    return ops
-
-
 # drift keeps a box off the DST path: B is factored by SuperLU
 DRIFT = "\n[operator]\nb1 = 0.5\n"
 # a ball inside the unit cube: not a box, so B is factored by SuperLU

@@ -14,7 +14,6 @@ from scipy.sparse import csgraph
 import ellipot as ep
 from ellipot import cli
 from ellipot.errors import NonConvergenceError
-from ellipot.operators import AssembledOperator
 from ellipot.solver import (
     _FasCycle,
     _FasHierarchy,
@@ -859,8 +858,9 @@ def _fas_cycle(op):
     phi = ep.power_phi(1.0, 0.5)
     rhs = op.boundary_matrix @ np.ones(mask.n_boundary)
     return _FasCycle(
-        _FasHierarchy(op), sp.csc_matrix(-op.interior_matrix), phi.bind(mask.interior_points()),
-        np.ones(mask.n_interior), phi.rho, rhs, 1e-12, 0.0,
+        _FasHierarchy(op), sp.csc_matrix(-op.interior_matrix),
+        phi.bind(mask.interior_points()), np.ones(mask.n_interior), phi.rho, rhs,
+        1e-12, 0.0,
     )
 
 
@@ -923,18 +923,11 @@ def test_fas_on_a_ring_whose_coarse_interior_splits_converges():
     npt.assert_allclose(u.interior(), ref, atol=1e-8)
 
 
-def test_a_second_solve_on_one_operator_assembles_no_coarse_level(monkeypatch, caplog):
+def test_a_second_solve_on_one_operator_assembles_no_coarse_level(assembled, caplog):
     # the first solve builds the FAS hierarchy, re-assembling every coarse
     # level once; later solves on the operator reuse it
     op = ep.assemble(ep.box_mask(ep.build_grid(2, 35, (-1.0, 1.0))))
-    assembled = []
-    assemble_ = AssembledOperator._assemble
-
-    def counting_assemble(self):
-        assembled.append(self)
-        return assemble_(self)
-
-    monkeypatch.setattr(AssembledOperator, "_assemble", counting_assemble)
+    assembled.clear()
     phi = ep.power_phi(1.0, 0.5)
     with caplog.at_level(logging.DEBUG, logger="ellipot.solver"):
         ep.solve_semilinear_dirichlet(op, phi, 1.0)
