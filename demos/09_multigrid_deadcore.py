@@ -7,7 +7,7 @@ u'' = sqrt(u) vanishes beyond distance 2 sqrt(3) from the wall: the
 sublinear reaction empties the middle of a wide box, and the edge of
 that dead core is a free boundary.  On a 2D box (here the interior side
 halves 255 -> 127 -> ... -> 3) the semilinear solver runs Full
-Approximation Scheme V-cycles with the exact pointwise Gauss-Seidel
+Approximation Scheme V-cycles with the pointwise nonlinear Gauss-Seidel
 sweep as smoother, as it does on every lattice.  This
 demo solves the 257^2 box of half-width 8 (65,025 unknowns) and prints
 the cycle count, the time, the certified error bound and the area where

@@ -6,7 +6,7 @@ The 3D twin of demo 09.  With phi(x, t) = t^(1/2) and boundary value 1
 the solution of L u = sqrt(u) vanishes beyond distance 2 sqrt(3) from
 the nearest wall, away from edges and corners.  On a 3D box (here the
 interior side halves 63 -> 31 -> 15 -> 7 -> 3) the semilinear solver
-runs Full Approximation Scheme V-cycles with the exact pointwise
+runs Full Approximation Scheme V-cycles with the pointwise nonlinear
 Gauss-Seidel sweep as smoother.  This demo solves
 
 1. the 65^3 box of half-width 8 (250,047 unknowns) and prints the cycle

@@ -8,18 +8,25 @@ boundary data (Brandt, Multi-level adaptive solutions to boundary-value
 problems, Math. Comp. 31, 1977; Brandt and Cryer, SIAM J. Sci. Stat.
 Comput. 4, 1983, for the free boundary that the edge of a dead core is).
 
-Smoother.  Every level sweeps by exact nonlinear Gauss-Seidel (nonlinear
-SOR for M-functions, Ortega and Rheinboldt, Iterative Solution of
-Nonlinear Equations in Several Variables, ch. 13): colour by colour on
-the lattice parity, every point solves its scalar equation
-B_ii t + p_i rho(t) = s_i to tol / 100, and a point with
+Smoother.  Every level sweeps by nonlinear Gauss-Seidel (nonlinear SOR
+for M-functions, Ortega and Rheinboldt, Iterative Solution of Nonlinear
+Equations in Several Variables, ch. 13): colour by colour on the lattice
+parity, every point solves its scalar equation B_ii t + p_i rho(t) = s_i.
+The root is inexact, as a FAS smoother may be (Brandt 1977): it stops
+once its residual is within tol / 100, or within _FORCING = 0.1 times
+B_ii times its last step where that is larger, so it lies within a tenth
+of that step of the exact root.  Early sweeps, whose right sides
+are far from converged, stop at a rough root, and the gate falls back to
+tol / 100 as the updates vanish, so the gates, the error bound and the
+certificate below are those of exact roots.  A point with
 0 < s_i <= tol / 100 takes t = 0 exactly, so a dead core holds exact
 zeros.  The sweep converges where p >= 0 and B has a positive diagonal
 and either the M-matrix sign pattern, which makes F an M-function, or
 symmetry, which for the positive definite B of an elliptic operator
 makes F the gradient of a strictly convex functional and the sweep
-coordinate descent (the corner cross scheme with constant a).  Any other input, a signed p or centered drift at a cell Peclet
-number above 2, raises ``ValueError`` before any work is done.
+coordinate descent (the corner cross scheme with constant a).  Any
+other input, a signed p or centered drift at a cell Peclet number above
+2, raises ``ValueError`` before any work is done.
 
 Hierarchy.  It is built by the first solve on an operator and kept on
 it, so later solves, such as the boundary sweep of one cube, rebuild
@@ -83,6 +90,14 @@ log = logging.getLogger(__name__)
 # affine offset) and no such point exists
 _ROOT_SHARE = 100.0
 _ROOT_STEPS = 60
+# ... and a sweep's root also stops once |g| <= _FORCING * B_ii * |t - t'|,
+# t' its previous trial, so its error is at most _FORCING times its last
+# step (inexact nonlinear Gauss-Seidel, Brandt 1977): an early sweep, whose
+# right sides are still far off, stops at a rough root, and the gate
+# falls back to tol / _ROOT_SHARE as the updates vanish.  Any value from
+# 0.03 to 0.5 kept the V-cycle counts of the seed-0 benchmark workloads,
+# and at 0.1 no root of dichotomy3d's sweeps takes a second trial
+_FORCING = 0.1
 # a residual row is computed to within a few units in the last place of
 # its largest terms, so no iterate meets an equation gate below
 # _ROUNDING * (|B| |u| + |phi(u)| + |A_IB f|)_i in row i; for a positive
@@ -214,19 +229,29 @@ def _colour_rows(mask, B):
     return [(r, off[r], diag[r]) for r in rows]
 
 
-def _pointwise_root(b, p, rho, s, t0, eps):
-    """Per entry, t in [0, s/b] with |b t + p rho(t) - s| <= eps, or within
-    the rounding of s (_ROUNDING * s) where that is larger.
+def _pointwise_root(b, p, rho, s, t0, eps, forcing=0.0):
+    """Per entry, t in [0, s/b] whose residual G(t) - s, G(t) = b t + p rho(t),
+    is within max(eps, _ROUNDING * s, forcing * b * |t - t'|), with t' the
+    trial before t (for the first trial the warm start, moved into the
+    bracket).
 
     Needs b > 0, p >= 0, s > 0 and rho nondecreasing and nonnegative for
-    t > 0, so that G(t) = b t + p rho(t) is increasing and G(s/b) >= s.
+    t > 0, so that G is increasing, G' >= b and G(s/b) >= s.  A returned t
+    then lies within max(eps, _ROUNDING * s) / b of the root, or within
+    forcing * |t - t'| of it, at most forcing * s / b since t and t' lie in
+    the bracket.  With forcing 0 the root is exact to eps, or
+    to the rounding of s where that is larger.  With 0 < forcing < 1 its
+    error shrinks with the last step, so early sweeps, whose right sides
+    are still far off, stop at a rough root and the gate tightens to eps
+    as the iterate settles.
     Safeguarded secants on the bracket [0, s/b].  The first trial is a
     Newton step from the warm start ``t0`` (s/b where t0 is outside the
     bracket), its slope a forward difference; it settles most entries of a
-    sweep, and settled entries leave before any bracket bookkeeping.  Where
-    that step leaves the bracket the first trial is the difference point,
-    whose secant with the warm start is that step again and so is replaced
-    like any trial outside the bracket.
+    sweep, and a call whose entries all settle there returns before any
+    bracket bookkeeping is allocated.  Where that step leaves the bracket
+    the first trial is the difference point, whose secant with the warm
+    start is that step again and so is replaced like any trial outside the
+    bracket.
     Each next trial follows the secant through the last two points.  Where
     the bracket spans more than a factor 2 and either has a point below the
     root or the linear secant falls below 0, the secant is taken in log-log
@@ -239,7 +264,6 @@ def _pointwise_root(b, p, rho, s, t0, eps):
     end.
     """
     hi = s / b
-    out = hi.copy()
     t0 = np.where((t0 > 0.0) & (t0 < hi), t0, hi)
     t_fd = t0 * (1.0 + 2.0**-26)
     r_fd = b * t_fd + p * rho(t_fd) - s
@@ -247,28 +271,21 @@ def _pointwise_root(b, p, rho, s, t0, eps):
     with np.errstate(divide="ignore", invalid="ignore"):
         t = t0 - r0 * (t0 - t_fd) / (r0 - r_fd)
     t = np.where((t > 0.0) & (t < hi), t, t_fd)
-    t_prev, r_prev = t0, r0
-    lo = np.zeros(t.size)
+    r = b * t + p * rho(t) - s
+    floor = np.maximum(eps, _ROUNDING * s)
+    settle = np.abs(r) <= np.maximum(floor, forcing * b * np.abs(t - t0))
+    if settle.all():
+        # most calls of a sweep end here, on the first trial
+        return t
+    out = t.copy()
+    todo = np.flatnonzero(~settle)
+    b, p, s, floor, hi, t_prev, r_prev, t, r = (
+        a[todo] for a in (b, p, s, floor, hi, t0, r0, t, r)
+    )
+    lo = np.zeros(todo.size)
     # G - s at hi, known once a trial lands at or above the root
-    r_hi = np.full(t.size, np.inf)
-    gate = np.maximum(eps, _ROUNDING * s)
-    todo = np.arange(t.size)
-    for _ in range(_ROOT_STEPS):
-        r = b * t + p * rho(t) - s
-        settle = (np.abs(r) <= gate) | (hi - lo <= 1e-15 * hi)
-        if settle.all():
-            # most calls of a sweep end here, on the first trial
-            out[todo] = t
-            return out
-        if settle.any():
-            out[todo[settle]] = t[settle]
-            keep = np.flatnonzero(~settle)
-            if not keep.size:
-                return out
-            todo, b, p, s, gate, lo, hi, r_hi, t_prev, r_prev, t, r = (
-                a[keep]
-                for a in (todo, b, p, s, gate, lo, hi, r_hi, t_prev, r_prev, t, r)
-            )
+    r_hi = np.full(todo.size, np.inf)
+    for _ in range(_ROOT_STEPS - 1):
         below = r < 0.0
         lo = np.where(below, t, lo)
         hi = np.where(below, hi, t)
@@ -290,7 +307,21 @@ def _pointwise_root(b, p, rho, s, t0, eps):
                     hi_o * np.minimum(s_o / (r_hi[out_of] + s_o), 0.5),
                 )
         t_prev, r_prev, t = t, r, trial
-    out[todo] = hi
+        r = b * t + p * rho(t) - s
+        gate = np.maximum(floor, forcing * b * np.abs(t - t_prev))
+        settle = (np.abs(r) <= gate) | (hi - lo <= 1e-15 * hi)
+        if settle.all():
+            out[todo] = t
+            return out
+        if settle.any():
+            out[todo[settle]] = t[settle]
+            keep = np.flatnonzero(~settle)
+            todo, b, p, s, floor, lo, hi, r_hi, t_prev, r_prev, t, r = (
+                a[keep]
+                for a in (todo, b, p, s, floor, lo, hi, r_hi, t_prev, r_prev, t, r)
+            )
+    # the last trial still narrows the bracket
+    out[todo] = np.where(r < 0.0, hi, t)
     return out
 
 
@@ -298,14 +329,16 @@ class _ExactSweep:
     """One nonlinear Gauss-Seidel sweep of  B u + p rho(u) = A_IB f.
 
     Colour by colour, every point solves its own scalar equation
-    B_ii t + p_i rho(t) = s_i, s_i = (A_IB f - B_off u)_i, exactly
-    (``_pointwise_root``), or t = 0 where 0 < s_i <= eps; points of one
-    colour never couple, so a colour is one row-slice matvec and one
-    vectorized root.  The colours come from the level's ``_colour_rows``
-    and only p is the solve's own.  The right side is given per call, so
-    one sweep serves every right side of its level.  The result is
-    clamped to ``lower``.  Needs p >= 0, so that every scalar equation is
-    monotone.
+    B_ii t + p_i rho(t) = s_i, s_i = (A_IB f - B_off u)_i, by a root forced
+    with _FORCING (``_pointwise_root``): exact to eps once the point's
+    updates are small, within a tenth of its last step before that.  A
+    point with 0 < s_i <= eps takes t = 0, so a dead core holds exact
+    zeros, and one with s_i <= 0 takes s_i / B_ii.  Points of one colour
+    never couple, so a colour is one row-slice matvec and one vectorized
+    root.  The colours come from the level's ``_colour_rows`` and only p
+    is the solve's own.  The right side is given per call, so one sweep
+    serves every right side of its level.  The result is clamped to
+    ``lower``.  Needs p >= 0, so that every scalar equation is monotone.
     """
 
     def __init__(self, colours, p, rho, eps):
@@ -320,7 +353,7 @@ class _ExactSweep:
             pos = s > self.eps
             if pos.all():
                 # no point to exclude, so no copies of the colour's arrays
-                t = _pointwise_root(diag, p, self.rho, s, u[rows], self.eps)
+                t = _pointwise_root(diag, p, self.rho, s, u[rows], self.eps, _FORCING)
             else:
                 # rho vanishes at t <= 0: t = s / B_ii solves a point with
                 # s <= 0 exactly, and t = 0 one with 0 < s <= eps to within
@@ -329,7 +362,7 @@ class _ExactSweep:
                 t = np.minimum(s, 0.0) / diag
                 if pos.any():
                     t[pos] = _pointwise_root(
-                        diag[pos], p[pos], self.rho, s[pos], u[rows[pos]], self.eps
+                        diag[pos], p[pos], self.rho, s[pos], u[rows[pos]], self.eps, _FORCING
                     )
             u[rows] = np.maximum(t, lower)
 
@@ -422,8 +455,9 @@ class _FasHierarchy:
 
     ``levels`` holds per level its B (None on level 0), its
     ``_colour_rows`` and, but on the coarsest, its transfers (full
-    weighting, iterate restriction, prolongation scale); ``seconds`` is
-    the build time.
+    weighting, iterate restriction, the weighting's transpose as a view on
+    its arrays, and the prolongation's scale); ``seconds`` is the build
+    time.
     """
 
     def __init__(self, op):
@@ -465,7 +499,9 @@ class _FasHierarchy:
             # d-linear prolongation is the transpose of the full weighting
             # times 2 per axis that coarsens, an exact scale
             scale = 2.0 ** sum(mc < m for m, mc in zip(fine, coarse))
-            self.levels.append((kept, colours, (full, restrict, scale)))
+            # its transpose shares the weighting's arrays, so keeping it
+            # copies nothing and spares each cycle building it
+            self.levels.append((kept, colours, (full, restrict, full.T, scale)))
             for k, (m, (_, _, shift)) in enumerate(zip(fine, axes)):
                 if shift:
                     lo, hi = bounds[k]
@@ -525,7 +561,7 @@ class _FasCycle:
             return
         for _ in range(_PRE_SWEEPS):
             sweep(u, rhs, self.lower)
-        full, restrict, scale = transfers
+        full, restrict, prolong, scale = transfers
         B_c, react_c = self.levels[level + 1][:2]
         u_c = restrict @ u
         # the FAS coarse right side: the restricted residual plus the coarse
@@ -534,7 +570,7 @@ class _FasCycle:
         rhs_c = B_c @ u_c + react_c(u_c) + full @ (rhs - B @ u - react(u))
         v = u_c.copy()
         self._cycle(level + 1, v, rhs_c)
-        u += (full.T @ (v - u_c)) * scale
+        u += (prolong @ (v - u_c)) * scale
         np.maximum(u, self.lower, out=u)
         for _ in range(_POST_SWEEPS):
             sweep(u, rhs, self.lower)

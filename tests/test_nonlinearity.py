@@ -42,6 +42,21 @@ def test_power_phi_values():
     npt.assert_allclose(out, [4.0, 2.0, 1.0, 6.0])
 
 
+@pytest.mark.parametrize("gamma", [0.5, 0.25, 1.0 / 3.0, 1.0, 2.0, 3.0])
+def test_power_phi_profile_rounds_as_np_power(gamma):
+    # the profile's t ** gamma takes numpy's fast path (sqrt at 1/2, a
+    # square at 2); it must give np.power's values bit for bit, from 0
+    # through the subnormals to large t
+    rng = np.random.default_rng(5)
+    tiny = np.finfo(float).smallest_subnormal
+    t = np.concatenate([
+        [0.0, tiny, 2.0 * tiny, 1e-310, np.finfo(float).tiny, 1.0, 4.0],
+        10.0 ** rng.uniform(-323.0, 100.0, 20_000),
+    ])
+    rho = ep.power_phi(1.0, gamma).rho
+    assert np.array_equal(rho(t), np.power(t, gamma))
+
+
 def test_product_phi_with_spatial_density():
     p = lambda pts: pts[:, 0] + 1.0
     phi = ep.ProductPhi(p, lambda t: t**2)

@@ -12,9 +12,10 @@ import scipy.sparse.linalg as spla
 from scipy.sparse import csgraph
 
 import ellipot as ep
-from ellipot import cli
+from ellipot import cli, solver
 from ellipot.errors import NonConvergenceError
 from ellipot.solver import (
+    _ExactSweep,
     _FasCycle,
     _FasHierarchy,
     _fas_sides,
@@ -431,6 +432,102 @@ def test_pointwise_root_stops_at_a_jump():
         np.array([0.1]), 1e-12,
     )
     assert 0.0 < t[0] < 1e-6
+
+
+# the profiles of test_pointwise_root_is_exact, read off its parametrization
+_ROOT_PROFILES = test_pointwise_root_is_exact.pytestmark[0]
+
+
+@pytest.mark.parametrize(*_ROOT_PROFILES.args, **_ROOT_PROFILES.kwargs)
+def test_forced_pointwise_root_stays_within_its_bound(rho):
+    # the inputs of test_pointwise_root_is_exact; the forced gate admits
+    # |G(t) - s| <= forcing * b |t - t'| with t' the previous trial, and
+    # both lie in the bracket [0, s/b], so t is within forcing * s / b of
+    # the root, or within max(eps, _ROUNDING * s) / b where that is larger
+    rng = np.random.default_rng(3)
+    n = 400
+    root = 10.0 ** rng.uniform(-20.0, 1.0, n)
+    root[:50] = 10.0 ** rng.uniform(-20.5, -19.5, 50)
+    b = 10.0 ** rng.uniform(0.0, 4.0, n)
+    p = np.where(np.arange(n) % 7 == 0, 0.0, 10.0 ** rng.uniform(-1.0, 3.0, n))
+    s = b * root + p * rho(root)
+    t0 = root * 10.0 ** rng.uniform(-1.0, 13.0, n)
+    t0[:50] = 1e-7
+    t0[-20:] = root[-20:]
+    eps = 1e-12
+    exact = _pointwise_root(b, p, rho, s, t0, eps)
+    t = _pointwise_root(b, p, rho, s, t0, eps, forcing=solver._FORCING)
+    floor = np.maximum(eps, 4.0 * np.finfo(float).eps * s)
+    assert np.all(t >= 0.0)
+    assert np.all(np.abs(b * t + p * rho(t) - s) <= np.maximum(floor, solver._FORCING * s))
+    # the exact root is itself within floor / b of the true one
+    assert np.all(np.abs(t - exact) <= np.maximum(floor, solver._FORCING * s) / b + floor / b)
+    # from an exact warm start the first step is tiny, so the gate is the
+    # exact root's
+    g = np.abs(b * t + p * rho(t) - s)
+    assert np.all(g[-20:] <= floor[-20:])
+
+
+def test_sweep_holds_exact_zeros_under_the_forced_gate():
+    # a point whose right side is 0 < s <= eps takes t = 0 exactly, one
+    # with s <= 0 takes s / B_ii, and the others a forced root; one colour
+    # with no coupling, so each point's right side is its rhs entry
+    n = 6
+    rows = np.arange(n)
+    diag = np.full(n, 4.0)
+    eps = 1e-12
+    sweep = _ExactSweep([(rows, sp.csr_matrix((n, n)), diag)], np.ones(n), np.sqrt, eps)
+    rhs = np.array([eps, 0.5 * eps, 1e-300, -2.0, 1.0, 3.0])
+    u = np.full(n, 0.7)
+    sweep(u, rhs, -10.0)
+    assert np.array_equal(u[:3], np.zeros(3))
+    assert u[3] == -0.5
+    g = diag[4:] * u[4:] + np.sqrt(u[4:]) - rhs[4:]
+    assert np.all((u[4:] > 0.0) & (np.abs(g) <= solver._FORCING * rhs[4:]))
+
+
+def _forced_and_exact_solves(monkeypatch, make_op, phi, boundary):
+    u, rep = ep.solve_semilinear_dirichlet(make_op(), phi, boundary)
+    monkeypatch.setattr(solver, "_FORCING", 0.0)
+    ref_u, ref = ep.solve_semilinear_dirichlet(make_op(), phi, boundary)
+    return u.values, rep, ref_u.values, ref
+
+
+def _radial_density(q):
+    return (1.0 + np.sqrt(np.sum(q**2, axis=1))) ** -3
+
+
+@pytest.mark.parametrize(
+    "make_op, phi",
+    [
+        (lambda: ep.assemble(ep.box_mask(ep.build_grid(2, 67, (-8.0, 8.0)))), None),
+        (
+            lambda: ep.assemble(ep.box_mask(ep.build_grid(3, 19, (-8.0, 8.0)))),
+            ep.power_phi(_radial_density, 0.5),
+        ),
+        (lambda: ep.assemble(_disc_of(65)), None),
+        (lambda: ep.assemble(_ball()), None),
+        (lambda: ep.assemble(ep.box_mask(ep.build_grid(1, 513, (-8.0, 8.0)))), None),
+        (
+            lambda: ep.assemble(
+                ep.box_mask(ep.build_grid(2, 35, (-2.0, 2.0))),
+                ep.CoefficientSet(b=np.array([6.0, -4.0])),
+            ),
+            None,
+        ),
+    ],
+    ids=["deadcore2d", "box3d", "disc", "ball", "box1d", "upwind"],
+)
+def test_forced_roots_solve_as_exact_roots_do(monkeypatch, make_op, phi):
+    # the forced gate only loosens roots in sweeps whose points still move,
+    # so a solve takes no more V-cycles than with exact roots, lands within
+    # the two certified error bounds and holds the same exact zeros
+    phi = phi or ep.power_phi(1.0, 0.5)
+    u, rep, ref_u, ref = _forced_and_exact_solves(monkeypatch, make_op, phi, 1.0)
+    assert (rep.status, ref.status) == ("converged", "converged")
+    assert rep.iterations <= ref.iterations
+    assert np.nanmax(np.abs(u - ref_u)) <= rep.error_bound + ref.error_bound
+    assert np.sum(u == 0.0) == np.sum(ref_u == 0.0)
 
 
 def _dead_core_solve(mask):
