@@ -92,9 +92,7 @@ _ROOT_SHARE = 100.0
 _ROOT_STEPS = 60
 # ... and a sweep's root also stops once |g| <= _FORCING * B_ii * |t - t'|,
 # t' its previous trial, so its error is at most _FORCING times its last
-# step (inexact nonlinear Gauss-Seidel, Brandt 1977): an early sweep, whose
-# right sides are still far off, stops at a rough root, and the gate
-# falls back to tol / _ROOT_SHARE as the updates vanish.  Any value from
+# step, as a FAS smoother may be inexact (Brandt 1977): any value from
 # 0.03 to 0.5 kept the V-cycle counts of the seed-0 benchmark workloads,
 # and at 0.1 no root of dichotomy3d's sweeps takes a second trial
 _FORCING = 0.1
