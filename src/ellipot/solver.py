@@ -217,7 +217,7 @@ def _lattice_colours(mask, off):
 
 def _colour_rows(mask, B):
     """Per colour of ``_lattice_colours``: its rows, their slice of the
-    off-diagonal part of B and their diagonal, what ``_ExactSweep`` needs
+    off-diagonal part of B and their diagonal, what ``_GaussSeidelSweep`` needs
     of one level."""
     diag = B.diagonal()
     off = sp.csr_matrix(B - sp.diags(diag))
@@ -323,7 +323,7 @@ def _pointwise_root(b, p, rho, s, t0, eps, forcing=0.0):
     return out
 
 
-class _ExactSweep:
+class _GaussSeidelSweep:
     """One nonlinear Gauss-Seidel sweep of  B u + p rho(u) = A_IB f.
 
     Colour by colour, every point solves its own scalar equation
@@ -525,7 +525,7 @@ class _FasCycle:
 
     Level 0 has the solve's own B and reaction; each coarser level has the
     hierarchy's B and the reaction with the density p restricted from the
-    level above by the iterate restriction.  ``_ExactSweep`` smooths on
+    level above by the iterate restriction.  ``_GaussSeidelSweep`` smooths on
     every level.  Corrections prolong by the scaled transpose of the full
     weighting, the d-linear interpolation with zero correction off the
     interior, and a corrected iterate is clamped to ``lower`` before its
@@ -540,7 +540,7 @@ class _FasCycle:
             if level:
                 B = B_level
                 react = _vanishing(p.size, lambda pos, t, p=p: p[pos] * rho(t))
-            self.levels.append((B, react, _ExactSweep(colours, p, rho, eps), transfers))
+            self.levels.append((B, react, _GaussSeidelSweep(colours, p, rho, eps), transfers))
             if transfers is not None:
                 p = transfers[1] @ p
 

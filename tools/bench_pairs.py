@@ -3,17 +3,18 @@
 Run from anywhere inside the repository:
 
     python3 tools/bench_pairs.py --parent e8f9bda --change HEAD \\
-        --workload dichotomy3d --seeds 0 1 --pairs 10
+        --workload dichotomy3d --seeds 0 1
 
 Each side runs from its own clean checkout of its commit (a local
 ``git clone``, removed at the end), so only committed files are measured,
-as the benchmark itself does.  Pair k runs ``perfbench/run.py --workload
-W --seed S --trace 0`` once per side, unmodified, one process at a time:
-the parent first in even pairs, the change first in odd ones.  The
-end-to-end metrics and their directions come from ``BENCHMARK.json``.
+as the benchmark itself does.  Each seed takes ``PAIRS`` pairs; pair k
+runs ``perfbench/run.py --workload W --seed S --trace 0`` once per side,
+unmodified and at its own default length, one process at a time: the
+parent first in even pairs, the change first in odd ones.  The end-to-end
+metrics and their directions come from ``BENCHMARK.json``.
 
-Writes ``BENCH_<workload>_<rev>.json`` for both sides into ``--out`` (the
-repository root by default).  Per seed, a file holds its side's runs (the
+Writes ``BENCH_<workload>_<rev>.json`` for both sides into the repository
+root.  Per seed, a file holds its side's runs (the
 detail and result lines of ``run.py``), the pair list, its own summary
 (median, quartiles and IQR per metric, and the check counts), the other
 side's summary, and the comparison: pairs won and lost by the change,
@@ -33,6 +34,8 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# the fewest pairs that can show a change winning nine of ten
+PAIRS = 10
 
 
 def git(*args, cwd):
@@ -48,11 +51,9 @@ def checkout(repo, sha, folder):
     git("checkout", "--quiet", sha, cwd=folder)
 
 
-def run_once(folder, workload, seed, seconds):
+def run_once(folder, workload, seed):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=folder, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or len(lines) < 2:
@@ -111,11 +112,6 @@ def main(argv=None):
     ap.add_argument("--change", default="HEAD", help="the changed commit")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", default=[0])
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run.py's --seconds; its own default when omitted")
-    ap.add_argument("--out", type=Path, default=None,
-                    help="where the BENCH files go; the repository root by default")
     args = ap.parse_args(argv)
 
     repo = Path(git("rev-parse", "--show-toplevel", cwd=Path(__file__).parent))
@@ -124,7 +120,6 @@ def main(argv=None):
     revs = {side: git("rev-parse", "--short=7", sha, cwd=repo) for side, sha in shas.items()}
     spec = json.loads((repo / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
-    seconds = "default --seconds 40" if args.seconds is None else f"--seconds {args.seconds:g}"
 
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
@@ -135,10 +130,10 @@ def main(argv=None):
         for seed in args.seeds:
             runs = {side: [] for side in SIDES}
             pairs = []
-            for k in range(args.pairs):
+            for k in range(PAIRS):
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    detail, result = run_once(folders[side], args.workload, seed, args.seconds)
+                    detail, result = run_once(folders[side], args.workload, seed)
                     runs[side].append({"side": side, "pair": k, "detail": detail,
                                        "result": result})
                     print(f"{args.workload} seed {seed} pair {k} {side}: wall_s "
@@ -153,7 +148,6 @@ def main(argv=None):
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    out = args.out or repo
     for side, other in (SIDES, SIDES[::-1]):
         doc = {
             "workload": args.workload,
@@ -163,7 +157,7 @@ def main(argv=None):
             "change_rev": revs["change"],
             "command": f"python3 perfbench/run.py --workload {args.workload} --seed <seed>",
             "protocol": "alternating pairs of unmodified --trace 0 runs "
-                        f"({seconds}), parent first in even pairs, each side in "
+                        "(default --seconds 40), parent first in even pairs, each side in "
                         "its own checkout",
             "seeds": {
                 seed: {"runs": runs[side], "pairs": pairs, "summary": summaries[side],
@@ -171,7 +165,7 @@ def main(argv=None):
                 for seed, (runs, pairs, summaries, comp) in seeds.items()
             },
         }
-        path = out / f"BENCH_{args.workload}_{revs[side]}.json"
+        path = repo / f"BENCH_{args.workload}_{revs[side]}.json"
         path.write_text(dumps(doc) + "\n")
         print(f"wrote {path}")
     return 0
