@@ -75,6 +75,11 @@ class Phi:
 class ProductPhi(Phi):
     """Separable reaction p(x) * rho(t) with rho(0) = 0 expected."""
 
+    # (b, p, s) -> the t > 0 with b t + p rho(t) = s, per entry, where rho
+    # has a closed-form inverse there (``power_phi`` at gamma = 1/2); the
+    # solver's sweep takes it in place of its iterative root
+    _inverse = None
+
     def __init__(self, p, rho, name="p*rho"):
         self.p = p
         self.rho = rho
@@ -95,14 +100,32 @@ class AffinePhi(ProductPhi):
         super().__init__(p, lambda t: self.slope * t + self.offset, name)
 
 
+def _sqrt_inverse(b, p, s):
+    """The t > 0 with b t + p sqrt(t) = s, per entry, for b > 0, p >= 0 and
+    s > 0: sqrt(t) is the positive root of b y^2 + p y = s, written
+    2 s / (p + sqrt(p^2 + 4 b s)) so that no difference cancels, and
+    t = s / (b + p / sqrt(t)), which is s / b to the last bit where p = 0
+    (squaring sqrt(t) is not)."""
+    y = 2.0 * s / (p + np.sqrt(p * p + 4.0 * b * s))
+    return s / (b + p / y)
+
+
 def power_phi(p, gamma, name=None):
-    """p(x) * t^gamma; concave for 0 < gamma <= 1, convex above."""
+    """p(x) * t^gamma; concave for 0 < gamma <= 1, convex above.
+
+    At gamma = 1/2 the solver's Gauss-Seidel sweep solves each point's
+    equation B_ii t + p_i sqrt(t) = s_i in closed form; every other gamma,
+    like every other reaction, takes its iterative root.
+    """
     g = float(gamma)
     if g <= 0:
         raise ValueError("gamma must be positive")
     # t ** g takes numpy's scalar-power fast path (sqrt at g = 1/2, a square
     # at 2), which rounds as np.power(t, g) does and costs half as much
-    return ProductPhi(p, lambda t: t ** g, name or f"p*t^{g:g}")
+    phi = ProductPhi(p, lambda t: t ** g, name or f"p*t^{g:g}")
+    if g == 0.5:
+        phi._inverse = _sqrt_inverse
+    return phi
 
 
 def capped_linear_phi(p, cap=1.0, name=None):

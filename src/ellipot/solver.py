@@ -18,7 +18,11 @@ B_ii times its last step where that is larger, so it lies within a tenth
 of that step of the exact root.  Early sweeps, whose right sides
 are far from converged, stop at a rough root, and the gate falls back to
 tol / 100 as the updates vanish, so the gates, the error bound and the
-certificate below are those of exact roots.  A point with
+certificate below are those of exact roots.  The model reaction
+p t^(1/2) (``power_phi`` at gamma = 1/2) skips that root: its equation is
+a quadratic in sqrt(t), which the sweep solves in closed form, exactly
+and without a warm start.  Every other rho, an expression, another gamma,
+the majorant, affine or capped, keeps the forced root.  A point with
 0 < s_i <= tol / 100 takes t = 0 exactly, so a dead core holds exact
 zeros.  The sweep converges where p >= 0 and B has a positive diagonal
 and either the M-matrix sign pattern, which makes F an M-function, or
@@ -327,11 +331,13 @@ class _GaussSeidelSweep:
     """One nonlinear Gauss-Seidel sweep of  B u + p rho(u) = A_IB f.
 
     Colour by colour, every point solves its own scalar equation
-    B_ii t + p_i rho(t) = s_i, s_i = (A_IB f - B_off u)_i, by a root forced
-    with _FORCING (``_pointwise_root``): exact to eps once the point's
-    updates are small, within a tenth of its last step before that.  A
-    point with 0 < s_i <= eps takes t = 0, so a dead core holds exact
-    zeros, and one with s_i <= 0 takes s_i / B_ii.  Points of one colour
+    B_ii t + p_i rho(t) = s_i, s_i = (A_IB f - B_off u)_i.  Where the
+    reaction has a closed-form ``inverse`` (``ProductPhi._inverse``, set by
+    ``power_phi`` at gamma = 1/2 only) the point takes it; every other rho
+    takes a root forced with _FORCING (``_pointwise_root``): exact to eps
+    once the point's updates are small, within a tenth of its last step
+    before that.  On both, a point with 0 < s_i <= eps takes t = 0, so a
+    dead core holds exact zeros, and one with s_i <= 0 takes s_i / B_ii.  Points of one colour
     never couple, so a colour is one row-slice matvec and one vectorized
     root.  The colours come from the level's ``_colour_rows`` and only p
     is the solve's own.  The right side is given per call, so one sweep
@@ -339,9 +345,10 @@ class _GaussSeidelSweep:
     ``lower``.  Needs p >= 0, so that every scalar equation is monotone.
     """
 
-    def __init__(self, colours, p, rho, eps):
+    def __init__(self, colours, p, rho, eps, inverse=None):
         self.rho = rho
         self.eps = eps
+        self.inverse = inverse
         self.parts = [(rows, off, diag, p[rows]) for rows, off, diag in colours]
 
     def __call__(self, u, rhs, lower):
@@ -351,7 +358,7 @@ class _GaussSeidelSweep:
             pos = s > self.eps
             if pos.all():
                 # no point to exclude, so no copies of the colour's arrays
-                t = _pointwise_root(diag, p, self.rho, s, u[rows], self.eps, _FORCING)
+                t = self._root(diag, p, s, u, rows)
             else:
                 # rho vanishes at t <= 0: t = s / B_ii solves a point with
                 # s <= 0 exactly, and t = 0 one with 0 < s <= eps to within
@@ -359,10 +366,15 @@ class _GaussSeidelSweep:
                 # dead core may have no point left to solve
                 t = np.minimum(s, 0.0) / diag
                 if pos.any():
-                    t[pos] = _pointwise_root(
-                        diag[pos], p[pos], self.rho, s[pos], u[rows[pos]], self.eps, _FORCING
-                    )
+                    t[pos] = self._root(diag[pos], p[pos], s[pos], u, rows[pos])
             u[rows] = np.maximum(t, lower)
+
+    def _root(self, b, p, s, u, rows):
+        """The points' roots: the reaction's closed-form inverse where it
+        has one, else a forced root warm-started at ``u[rows]``."""
+        if self.inverse is not None:
+            return self.inverse(b, p, s)
+        return _pointwise_root(b, p, self.rho, s, u[rows], self.eps, _FORCING)
 
 
 def _fas_sides(mask):
@@ -532,7 +544,7 @@ class _FasCycle:
     post-sweeps.
     """
 
-    def __init__(self, hierarchy, B, phi_b, p, rho, rhs, eps, lower):
+    def __init__(self, hierarchy, B, phi_b, p, rho, rhs, eps, lower, inverse=None):
         self.rhs, self.lower = rhs, lower
         self.levels = []
         react = phi_b
@@ -540,7 +552,8 @@ class _FasCycle:
             if level:
                 B = B_level
                 react = _vanishing(p.size, lambda pos, t, p=p: p[pos] * rho(t))
-            self.levels.append((B, react, _GaussSeidelSweep(colours, p, rho, eps), transfers))
+            sweep = _GaussSeidelSweep(colours, p, rho, eps, inverse)
+            self.levels.append((B, react, sweep, transfers))
             if transfers is not None:
                 p = transfers[1] @ p
 
@@ -635,7 +648,7 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     built = op._fas is None
     if built:
         op._fas = _FasHierarchy(op)
-    cycle = _FasCycle(op._fas, B, phi_b, p_vals, phi.rho, rhs_b, eps, lower)
+    cycle = _FasCycle(op._fas, B, phi_b, p_vals, phi.rho, rhs_b, eps, lower, phi._inverse)
 
     u = harm.copy()
     inc = np.inf

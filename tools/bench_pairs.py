@@ -14,7 +14,8 @@ parent first in even pairs, the change first in odd ones.  The end-to-end
 metrics and their directions come from ``BENCHMARK.json``.
 
 Writes ``BENCH_<workload>_<rev>.json`` for both sides into the repository
-root.  Per seed, a file holds its side's runs (the
+root, then exits 1, naming each such run, if any run of either side read
+``correct`` false or failed a check: ``run.py`` itself exits 0 then.  Per seed, a file holds its side's runs (the
 detail and result lines of ``run.py``), the pair list, its own summary
 (median, quartiles and IQR per metric, and the check counts), the other
 side's summary, and the comparison: pairs won and lost by the change,
@@ -168,6 +169,19 @@ def main(argv=None):
         path = repo / f"BENCH_{args.workload}_{revs[side]}.json"
         path.write_text(dumps(doc) + "\n")
         print(f"wrote {path}")
+
+    wrong = [
+        f"{args.workload} seed {seed} pair {run['pair']} {side} ({revs[side]}): "
+        f"correct {run['result']['correct']}, {run['result']['failed']} failed "
+        f"{run['detail'].get('failed_checks', [])}"
+        for seed, (runs, *_) in seeds.items()
+        for side in SIDES
+        for run in runs[side]
+        if not run["result"]["correct"] or run["result"]["failed"]
+    ]
+    if wrong:
+        print("runs with wrong outputs:\n" + "\n".join(wrong), file=sys.stderr)
+        return 1
     return 0
 
 
