@@ -337,15 +337,16 @@ class _GaussSeidelSweep:
     takes a root forced with _FORCING (``_pointwise_root``): exact to eps
     once the point's updates are small, within a tenth of its last step
     before that.  On both, a point with 0 < s_i <= eps takes t = 0, so a
-    dead core holds exact zeros, and one with s_i <= 0 takes s_i / B_ii.  Points of one colour
-    never couple, so a colour is one row-slice matvec and one vectorized
-    root.  The colours come from the level's ``_colour_rows`` and only p
-    is the solve's own.  The right side is given per call, so one sweep
-    serves every right side of its level.  The result is clamped to
-    ``lower``.  Needs p >= 0, so that every scalar equation is monotone.
+    dead core holds exact zeros, and one with s_i <= 0 takes s_i / B_ii.
+    Points of one colour never couple, so a colour is one row-slice matvec
+    and one vectorized root.  The colours come from the level's
+    ``_colour_rows`` and only p is the solve's own.  The right side is
+    given per call, so one sweep serves every right side of its level.
+    The result is clamped to ``lower``.  Needs p >= 0, so that every scalar
+    equation is monotone.
     """
 
-    def __init__(self, colours, p, rho, eps, inverse=None):
+    def __init__(self, colours, p, rho, eps, inverse):
         self.rho = rho
         self.eps = eps
         self.inverse = inverse
@@ -544,7 +545,7 @@ class _FasCycle:
     post-sweeps.
     """
 
-    def __init__(self, hierarchy, B, phi_b, p, rho, rhs, eps, lower, inverse=None):
+    def __init__(self, hierarchy, B, phi_b, p, rho, rhs, eps, lower, inverse):
         self.rhs, self.lower = rhs, lower
         self.levels = []
         react = phi_b

@@ -14,6 +14,7 @@ from scipy.sparse import csgraph
 import ellipot as ep
 from ellipot import cli, solver
 from ellipot.errors import NonConvergenceError
+from ellipot.nonlinearity import _sqrt_inverse
 from ellipot.solver import (
     _FasCycle,
     _FasHierarchy,
@@ -461,29 +462,62 @@ def test_forced_pointwise_root_stays_within_its_bound(rho):
     assert np.all(g[-20:] <= floor[-20:])
 
 
-def test_sweep_holds_exact_zeros_under_the_forced_gate():
-    # a point whose right side is 0 < s <= eps takes t = 0 exactly, one
-    # with s <= 0 takes s / B_ii, and the others a forced root; one colour
-    # with no coupling, so each point's right side is its rhs entry
+def test_sqrt_inverse_is_the_exact_root():
+    # the closed form of b t + p sqrt(t) = s against the exact iterative
+    # root, on the sqrt profile's inputs (every 7th has p = 0)
+    b, p, s, t0, eps = _root_inputs(np.sqrt)
+    t = _sqrt_inverse(b, p, s)
+    floor = np.maximum(eps, solver._ROUNDING * s)
+    assert np.all(np.abs(b * t + p * np.sqrt(t) - s) <= floor)
+    # both lie within floor / b of the true root, on either side of it
+    exact = _pointwise_root(b, p, np.sqrt, s, t0, eps, forcing=0.0)
+    assert np.all(np.abs(t - exact) <= floor / b)
+    # at p = 0 the root is s / b to the last bit
+    zero = p == 0.0
+    assert zero.sum() == 58
+    assert np.array_equal(t[zero], s[zero] / b[zero])
+    for scale in (1e-300, 1e12):
+        t = _sqrt_inverse(b, p, np.full(s.size, scale))
+        assert np.all(np.isfinite(t) & (t >= 0.0))
+
+
+@pytest.mark.parametrize(
+    "inverse, forcing", [(_sqrt_inverse, 0.0), (None, solver._FORCING)],
+    ids=["closed_form", "forced"],
+)
+def test_sweep_holds_exact_zeros(inverse, forcing):
+    # on both root branches, a point whose right side is 0 < s <= eps takes
+    # t = 0 exactly, one with s <= 0 takes s / B_ii, and the others their
+    # root, exact in closed form and forced otherwise; one colour with no
+    # coupling, so each point's right side is its rhs entry
     n = 6
     rows = np.arange(n)
     diag = np.full(n, 4.0)
     eps = 1e-12
-    sweep = _GaussSeidelSweep([(rows, sp.csr_matrix((n, n)), diag)], np.ones(n), np.sqrt, eps)
+    sweep = _GaussSeidelSweep(
+        [(rows, sp.csr_matrix((n, n)), diag)], np.ones(n), np.sqrt, eps, inverse
+    )
     rhs = np.array([eps, 0.5 * eps, 1e-300, -2.0, 1.0, 3.0])
     u = np.full(n, 0.7)
     sweep(u, rhs, -10.0)
     assert np.array_equal(u[:3], np.zeros(3))
     assert u[3] == -0.5
     g = diag[4:] * u[4:] + np.sqrt(u[4:]) - rhs[4:]
-    assert np.all((u[4:] > 0.0) & (np.abs(g) <= solver._FORCING * rhs[4:]))
+    floor = np.maximum(eps, solver._ROUNDING * rhs[4:])
+    assert np.all((u[4:] > 0.0) & (np.abs(g) <= np.maximum(floor, forcing * rhs[4:])))
 
 
-def _forced_and_exact_solves(monkeypatch, make_op, phi, boundary):
-    u, rep = ep.solve_semilinear_dirichlet(make_op(), phi, boundary)
+def _closed_forced_and_exact_solves(monkeypatch, make_op, p, boundary):
+    # power_phi's sqrt takes the closed form; the same sqrt without an
+    # inverse takes the forced root, and with _FORCING at 0 the exact one
+    no_inverse = ep.ProductPhi(p, lambda t: t ** 0.5)
+    solves = [
+        ep.solve_semilinear_dirichlet(make_op(), ep.power_phi(p, 0.5), boundary),
+        ep.solve_semilinear_dirichlet(make_op(), no_inverse, boundary),
+    ]
     monkeypatch.setattr(solver, "_FORCING", 0.0)
-    ref_u, ref = ep.solve_semilinear_dirichlet(make_op(), phi, boundary)
-    return u.values, rep, ref_u.values, ref
+    solves.append(ep.solve_semilinear_dirichlet(make_op(), no_inverse, boundary))
+    return [(u.values, rep) for u, rep in solves]
 
 
 def _radial_density(q):
@@ -491,24 +525,24 @@ def _radial_density(q):
 
 
 @pytest.mark.parametrize(
-    "make_op, phi, boundary, extra_cycles",
+    "make_op, p, boundary, extra_cycles",
     [
-        (lambda: ep.assemble(ep.box_mask(ep.build_grid(2, 67, (-8.0, 8.0)))), None, 1.0, 0),
+        (lambda: ep.assemble(ep.box_mask(ep.build_grid(2, 67, (-8.0, 8.0)))), 1.0, 1.0, 0),
         (
             lambda: ep.assemble(ep.box_mask(ep.build_grid(3, 19, (-8.0, 8.0)))),
-            ep.power_phi(_radial_density, 0.5),
+            _radial_density,
             1.0,
             0,
         ),
-        (lambda: ep.assemble(_disc_of(65)), None, 1.0, 0),
-        (lambda: ep.assemble(_ball()), None, 1.0, 0),
-        (lambda: ep.assemble(ep.box_mask(ep.build_grid(1, 513, (-8.0, 8.0)))), None, 1.0, 0),
+        (lambda: ep.assemble(_disc_of(65)), 1.0, 1.0, 0),
+        (lambda: ep.assemble(_ball()), 1.0, 1.0, 0),
+        (lambda: ep.assemble(ep.box_mask(ep.build_grid(1, 513, (-8.0, 8.0)))), 1.0, 1.0, 0),
         (
             lambda: ep.assemble(
                 ep.box_mask(ep.build_grid(2, 35, (-2.0, 2.0))),
                 ep.CoefficientSet(b=np.array([6.0, -4.0])),
             ),
-            None,
+            1.0,
             1.0,
             0,
         ),
@@ -518,26 +552,29 @@ def _radial_density(q):
                 ep.box_mask(ep.build_grid(2, 65, (-1.0, 1.0))),
                 ep.CoefficientSet(a=np.array([1.0, 0.01])),
             ),
-            None,
+            1.0,
             1.0,
             0,
         ),
         # the solve ends at a flat cycle on its rows' rounding floor, which
         # any change of the iterates' last digits moves by a cycle either way
-        (lambda: ep.assemble(ep.box_mask(ep.build_grid(2, 35, (-1.0, 1.0)))), None, 1e6, 2),
+        (lambda: ep.assemble(ep.box_mask(ep.build_grid(2, 35, (-1.0, 1.0)))), 1.0, 1e6, 2),
     ],
     ids=["deadcore2d", "box3d", "disc", "ball", "box1d", "upwind", "anisotropic", "boundary1e6"],
 )
-def test_forced_roots_solve_as_exact_roots_do(monkeypatch, make_op, phi, boundary, extra_cycles):
+def test_forced_roots_solve_as_exact_roots_do(monkeypatch, make_op, p, boundary, extra_cycles):
     # the forced gate only loosens roots in sweeps whose points still move,
-    # so a solve takes no more V-cycles than with exact roots, lands within
-    # the two certified error bounds and holds the same exact zeros
-    phi = phi or ep.power_phi(1.0, 0.5)
-    u, rep, ref_u, ref = _forced_and_exact_solves(monkeypatch, make_op, phi, boundary)
-    assert (rep.status, ref.status) == ("converged", "converged")
-    assert rep.iterations <= ref.iterations + extra_cycles
-    assert np.nanmax(np.abs(u - ref_u)) <= rep.error_bound + ref.error_bound
-    assert np.sum(u == 0.0) == np.sum(ref_u == 0.0)
+    # and the closed form is exact, so either solve takes no more V-cycles
+    # than with exact roots, lands within the two certified error bounds
+    # and holds the same exact zeros
+    closed, forced, (ref_u, ref) = _closed_forced_and_exact_solves(
+        monkeypatch, make_op, p, boundary
+    )
+    for u, rep in (forced, closed):
+        assert (rep.status, ref.status) == ("converged", "converged")
+        assert rep.iterations <= ref.iterations + extra_cycles
+        assert np.nanmax(np.abs(u - ref_u)) <= rep.error_bound + ref.error_bound
+        assert np.sum(u == 0.0) == np.sum(ref_u == 0.0)
 
 
 def _dead_core_solve(mask):
@@ -967,7 +1004,7 @@ def _fas_cycle(op):
     return _FasCycle(
         _FasHierarchy(op), sp.csc_matrix(-op.interior_matrix),
         phi.bind(mask.interior_points()), np.ones(mask.n_interior), phi.rho, rhs,
-        1e-12, 0.0,
+        1e-12, 0.0, phi._inverse,
     )
 
 

@@ -14,8 +14,9 @@ parent first in even pairs, the change first in odd ones.  The end-to-end
 metrics and their directions come from ``BENCHMARK.json``.
 
 Writes ``BENCH_<workload>_<rev>.json`` for both sides into the repository
-root, then exits 1, naming each such run, if any run of either side read
-``correct`` false or failed a check: ``run.py`` itself exits 0 then.  Per seed, a file holds its side's runs (the
+root.  Then, if any run of either side read ``correct`` false or failed a
+check, it names each such run and exits 1; ``run.py`` itself exits 0
+there.  Per seed, a file holds its side's runs (the
 detail and result lines of ``run.py``), the pair list, its own summary
 (median, quartiles and IQR per metric, and the check counts), the other
 side's summary, and the comparison: pairs won and lost by the change,
