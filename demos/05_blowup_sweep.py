@@ -61,7 +61,7 @@ print(f"verdict: {ctl.verdict} "
 pts = grid.points()
 for label, phi in (("sqrt(t)", ep.power_phi(1.0, 0.5)),
                    ("t^3    ", ep.power_phi(1.0, 3.0))):
-    rep = ep.check_hypotheses(phi, 1.0, pts)
+    rep = ep.check_hypotheses(phi, pts)
     admissible = rep.ok and rep.linear_bound_constant <= 1.0 + 1e-9
     print(f"{label}: growth constant C = {rep.linear_bound_constant:.3f}, "
           f"admissible (C <= 1) -> {admissible}")

@@ -84,8 +84,7 @@ log = logging.getLogger("ellipot")
 _CONFIG_KEYS = {
     "geometry": ("dim", "shape", "bounds", "mask", "levels", "half_widths"),
     "operator": ("a", "c", "drift", "cross"),
-    "phi": ("family", "p", "gamma", "cap", "slope", "offset", "rho",
-            "use_majorant"),
+    "phi": ("family", "p", "gamma", "cap", "slope", "rho", "use_majorant"),
     "solver": ("tol", "max_iterations"),
     "experiment": ("boundary", "c", "seed", "probe", "excluded", "alpha",
                    "require_concave", "m_values", "m_min", "m_max", "m_count",
@@ -190,22 +189,20 @@ def _compile_profile(text):
 def _build_phi(cfg, dim):
     """Reaction and its density from the [phi] section.
 
-    Returns (phi, p) where p is the density used by hypothesis checks.
+    Returns (phi, p) where p is the configured density, which the Kato
+    scan, the majorant's tables and the Green sums read: phi's own, except
+    for the zero family, whose reaction has density 0.
     """
     family = cfg.get("phi", "family", default="zero", kind="str")
     p = _scalar_or_expr(cfg.get("phi", "p", default=1.0), dim, "[phi] p")
     if family == "zero":
-        phi = AffinePhi(0.0, 0.0, 0.0, name="zero")
+        phi = AffinePhi(0.0, 0.0, name="zero")
     elif family == "power":
         phi = power_phi(p, cfg.get("phi", "gamma", default=0.5, kind="float"))
     elif family == "capped":
         phi = capped_linear_phi(p, cfg.get("phi", "cap", default=1.0, kind="float"))
     elif family == "affine":
-        phi = AffinePhi(
-            p,
-            cfg.get("phi", "slope", default=1.0, kind="float"),
-            cfg.get("phi", "offset", default=0.0, kind="float"),
-        )
+        phi = AffinePhi(p, cfg.get("phi", "slope", default=1.0, kind="float"))
     elif family == "expr":
         rho = _compile_profile(cfg.get("phi", "rho", kind="str"))
         phi = ProductPhi(p, rho, name="p*" + cfg.get("phi", "rho", kind="str"))
@@ -446,7 +443,7 @@ def cmd_blowup(cfg, emit):
     dim = mask.grid.dim
     coeffs, scheme = _build_coeffs(cfg, dim)
     op = assemble(mask, coeffs, scheme)
-    phi, p = _build_phi(cfg, dim)
+    phi, _ = _build_phi(cfg, dim)
     params = _build_params(cfg)
     probes = None
     if cfg.has("experiment", "probe"):
@@ -454,7 +451,7 @@ def cmd_blowup(cfg, emit):
     sweep = blowup_sweep(op, phi, _m_values(cfg), probes, params)
     header, rows = sweep.tables()["sweep"]
     emit.write_csv("sweep.csv", header, rows)
-    hyp = check_hypotheses(phi, p, mask.interior_points()[:: max(1, mask.n_interior // 256)])
+    hyp = check_hypotheses(phi, mask.interior_points()[:: max(1, mask.n_interior // 256)])
     emit.write_json(
         "report.json",
         {"sweep": sweep.summary_dict(), "hypotheses": _hyp_dict(hyp)},
@@ -549,7 +546,7 @@ def cmd_checks(cfg, emit):
 
     phi, p = _build_phi(cfg, dim)
     sample = mask.interior_points()[:: max(1, mask.n_interior // 512)]
-    hyp = check_hypotheses(phi, p, sample)
+    hyp = check_hypotheses(phi, sample)
     rule = _reaction_rule(hyp)
     failures += [line for holds, line in rule.values() if not holds]
     growth_ok = rule["growth"][0]
@@ -633,7 +630,7 @@ def cmd_dichotomy(cfg, emit):
     diag = green_potential_diagnostic(ops, half_widths, p)
 
     sample = op.mask.interior_points()[:: max(1, op.mask.n_interior // 256)]
-    hyp = check_hypotheses(phi, p, sample)
+    hyp = check_hypotheses(phi, sample)
     hypotheses_ok = all(holds for holds, _ in _reaction_rule(hyp).values())
     report = dichotomy_report(study, sweep, diag, hypotheses_ok)
 

@@ -2,11 +2,12 @@
 
 Every reaction the package builds is separable, p(x) * rho(t)
 (:class:`ProductPhi`), and vanishes for t <= 0 (the solver relies on that
-to keep iterates nonnegative).  The rule is written once, in the private
-helper ``_vanishing`` that every reaction's ``bind`` returns; calling a
-reaction is binding it to the points and evaluating once.  The structural
-hypotheses checked are: rho(0) = 0, so that phi is continuous at t = 0;
-phi nondecreasing in t on [0, inf); a linear growth bound
+to keep iterates nonnegative).  The rule is written once, in
+``ProductPhi._on``, which ``bind`` and the solver's coarse levels call
+with the density's values; calling a reaction is binding it to the
+points and evaluating once.  The structural hypotheses, audited on rho
+read once, are: rho(0) = 0, so that phi is continuous at t = 0; phi
+nondecreasing in t on [0, inf); a linear growth bound
 phi(x, t) <= C p(x) (t + 1); and optionally concavity in t.  For
 reactions that are not concave, :func:`build_concave_majorant` produces
 a dominating reaction that is concave in t and still linearly bounded,
@@ -38,28 +39,12 @@ _T_GRID.setflags(write=False)
 _BOUND_CAP = 1e6
 
 
-def _vanishing(n, positive):
-    """t -> phi at n fixed points: ``positive(pos, t[pos])`` where t > 0,
-    zero elsewhere.  ``pos`` is the boolean selector of those points."""
-
-    def call(t):
-        tt = np.broadcast_to(np.asarray(t, dtype=float), (n,))
-        pos = tt > 0.0
-        out = np.zeros(n)
-        if pos.any():
-            out[pos] = positive(pos, tt[pos])
-        return out
-
-    return call
-
-
 class Phi:
     """Base reaction term.
 
     ``phi(points, t)`` is ``phi.bind(points)(t)``: ``bind`` fixes the
     points once and returns a function of t that is zero where t <= 0.
-    :class:`ProductPhi` is the one implementation; its ``bind`` returns
-    ``_vanishing`` so the rule for t <= 0 is written once.
+    :class:`ProductPhi` is the one implementation.
     """
 
     name = "phi"
@@ -86,18 +71,32 @@ class ProductPhi(Phi):
         self.name = name
 
     def bind(self, points):
-        pv = values_at(self.p, np.asarray(points, dtype=float))
-        rho = self.rho
-        return _vanishing(len(pv), lambda pos, t: pv[pos] * rho(t))
+        return self._on(values_at(self.p, np.asarray(points, dtype=float)))
+
+    def _on(self, pv):
+        """t -> pv * rho(t) where t > 0, 0 elsewhere, for density values pv."""
+        n, rho = len(pv), self.rho
+
+        def call(t):
+            tt = np.broadcast_to(np.asarray(t, dtype=float), (n,))
+            pos = tt > 0.0
+            out = np.zeros(n)
+            if pos.any():
+                out[pos] = pv[pos] * rho(tt[pos])
+            return out
+
+        return call
 
 
 class AffinePhi(ProductPhi):
-    """p(x) * (slope * t + offset) for t > 0, zero otherwise."""
+    """p(x) * slope * t for t > 0, zero otherwise, with slope >= 0."""
 
-    def __init__(self, p, slope=1.0, offset=0.0, name="affine"):
+    def __init__(self, p, slope=1.0, name="affine"):
         self.slope = float(slope)
-        self.offset = float(offset)
-        super().__init__(p, lambda t: self.slope * t + self.offset, name)
+        # phi < 0 for t > 0 puts the sweep's roots outside [0, s / b]
+        if not self.slope >= 0.0:
+            raise ValueError(f"slope must be nonnegative, got {slope!r}")
+        super().__init__(p, lambda t: self.slope * t, name)
 
 
 def _sqrt_inverse(b, p, s):
@@ -110,7 +109,7 @@ def _sqrt_inverse(b, p, s):
     return s / (b + p / y)
 
 
-def power_phi(p, gamma, name=None):
+def power_phi(p, gamma):
     """p(x) * t^gamma; concave for 0 < gamma <= 1, convex above.
 
     At gamma = 1/2 the solver's Gauss-Seidel sweep solves each point's
@@ -122,16 +121,18 @@ def power_phi(p, gamma, name=None):
         raise ValueError("gamma must be positive")
     # t ** g takes numpy's scalar-power fast path (sqrt at g = 1/2, a square
     # at 2), which rounds as np.power(t, g) does and costs half as much
-    phi = ProductPhi(p, lambda t: t ** g, name or f"p*t^{g:g}")
+    phi = ProductPhi(p, lambda t: t ** g, f"p*t^{g:g}")
     if g == 0.5:
         phi._inverse = _sqrt_inverse
     return phi
 
 
-def capped_linear_phi(p, cap=1.0, name=None):
-    """p(x) * min(t, cap): bounded, concave, nondecreasing."""
+def capped_linear_phi(p, cap=1.0):
+    """p(x) * min(t, cap): bounded, concave, nondecreasing; cap >= 0."""
     c = float(cap)
-    return ProductPhi(p, lambda t: np.minimum(t, c), name or f"p*min(t,{c:g})")
+    if not c >= 0.0:  # as for AffinePhi's slope
+        raise ValueError(f"cap must be nonnegative, got {cap!r}")
+    return ProductPhi(p, lambda t: np.minimum(t, c), f"p*min(t,{c:g})")
 
 
 class Mollifier:
@@ -227,10 +228,11 @@ class MajorantPhi(ProductPhi):
         return float(np.max(self.rho(t) / (t + 1.0)))
 
 
-def build_concave_majorant(phi, deltas=None, mollifier=None, name=None):
+def build_concave_majorant(phi, mollifier=None):
     """Dominating concave reaction of a separable phi = p(x) rho(t).
 
-    For a ladder of smoothing radii delta the affine-in-t bounds
+    For the ladder of smoothing radii delta = 1, 1/2, ..., 2^-12 the
+    affine-in-t bounds
 
         psi_delta(x, t) = (2 c1 / delta) p(x) t + 2 (phi_x * eta_delta)(0)
 
@@ -247,27 +249,27 @@ def build_concave_majorant(phi, deltas=None, mollifier=None, name=None):
     """
     if not isinstance(phi, ProductPhi):
         raise MajorantError("a majorant is built for reactions p(x) * rho(t) only")
-    if deltas is None:
-        deltas = 2.0 ** (-np.arange(13, dtype=float))
-    else:
-        deltas = np.asarray(deltas, dtype=float)
-    if np.any(deltas <= 0) or np.any(deltas > 1):
-        raise MajorantError("smoothing radii must lie in (0, 1]")
     if mollifier is None:
         mollifier = Mollifier()
 
-    unit, origin = ProductPhi(1.0, phi.rho), np.zeros((1, 1))
-    c1 = mollifier.slope_constant()
-    psi = np.full(len(_T_GRID), np.inf)
-    for d in deltas:
-        intercept = 2.0 * mollified_at_zero(unit, origin, d, mollifier)[0]
-        np.minimum(psi, (2.0 * c1 / d) * _T_GRID + intercept, out=psi)
+    # rho is read once, at the mollifier's nodes delta s of every radius
+    # (all positive); the quadrature then sums node by node, in the order
+    # of mollified_at_zero, so the profile is the same to the last bit
+    deltas = 2.0 ** (-np.arange(13, dtype=float))
+    s = mollifier.nodes01
+    w = mollifier.weights01 * mollifier(s)
+    rho = np.reshape(phi.rho(np.outer(deltas, s).ravel()), (len(deltas), -1))
+    acc = np.zeros(len(deltas))
+    for wq, rq in zip(w, rho.T):
+        acc += wq * rq
+    slopes = 2.0 * mollifier.slope_constant() / deltas
+    psi = (slopes[:, None] * _T_GRID[None, :] + 2.0 * acc[:, None]).min(axis=0)
     # the infimum over shrinking radii vanishes at t = 0; pinning the
     # first node keeps the profile exact there and preserves midpoint
     # concavity (lowering an endpoint of a concave table cannot break it)
     psi[0] = 0.0
 
-    maj = MajorantPhi(phi.p, psi, name=name or f"majorant({phi.name})")
+    maj = MajorantPhi(phi.p, psi, name=f"majorant({phi.name})")
     if maj.monotone_defect() < -1e-12:
         raise MajorantError("majorant profile lost monotonicity")
     return maj
@@ -315,20 +317,18 @@ class HypothesisReport:
         return self.vanishes_nonpositive and self.nondecreasing and self.linearly_bounded
 
 
-def check_hypotheses(phi, p, points):
+def check_hypotheses(phi, points):
     """Audit a reaction p(x) rho(t) against the structural hypotheses on
-    sample points.
+    sample points, from rho read once on the nodes t > 0 of _T_GRID.
 
     The linear-growth constant is the max of phi / (p (t+1)) over the
     sample and _T_GRID; values above _BOUND_CAP count as unbounded.
     """
-    points = np.asarray(points, dtype=float)
-    pv = values_at(p, points)
-    bound = phi.bind(points)
+    pv = values_at(phi.p, np.asarray(points, dtype=float))
     messages = []
 
-    # bind zeroes phi at t <= 0 (``_vanishing``), so phi vanishes there and
-    # is continuous at 0 exactly when rho(0) = 0; a rho that is not finite
+    # phi is zero at t <= 0 whatever rho is, so phi vanishes there and is
+    # continuous at 0 exactly when rho(0) = 0; a rho that is not finite
     # at 0, or raises there, fails too
     try:
         with np.errstate(all="ignore"):
@@ -339,7 +339,8 @@ def check_hypotheses(phi, p, points):
     if not vanishes:
         messages.append(f"rho(0) = {rho0:.3g}, not 0: phi jumps at t = 0")
 
-    table = np.stack([bound(t) for t in _T_GRID], axis=1)
+    table = np.zeros((len(pv), len(_T_GRID)))
+    table[:, 1:] = pv[:, None] * phi.rho(_T_GRID[1:])[None, :]
     steps = np.diff(table, axis=1)
     min_step = float(steps.min()) if steps.size else 0.0
     scale = max(1.0, float(np.abs(table).max()))

@@ -83,15 +83,14 @@ import scipy.sparse as sp
 
 from .errors import NonConvergenceError, SolverBreakdownError
 from .geometry import BOUNDARY, INTERIOR, DomainMask, build_grid, values_at
-from .nonlinearity import _vanishing
 from .operators import _sign_pattern, _sparse_lu, assemble
 from .potentials import Field, boundary_values, interior_values
 
 log = logging.getLogger(__name__)
 
 # the pointwise roots of the Gauss-Seidel sweep stop at |g| <= tol /
-# _ROOT_SHARE, or after _ROOT_STEPS trials where rho jumps at t = 0 (an
-# affine offset) and no such point exists
+# _ROOT_SHARE, or after _ROOT_STEPS trials where rho jumps at t = 0 (from
+# a config, only a ``rho`` expression can) and no such point exists
 _ROOT_SHARE = 100.0
 _ROOT_STEPS = 60
 # ... and a sweep's root also stops once |g| <= _FORCING * B_ii * |t - t'|,
@@ -332,7 +331,7 @@ class _GaussSeidelSweep:
 
     Colour by colour, every point solves its own scalar equation
     B_ii t + p_i rho(t) = s_i, s_i = (A_IB f - B_off u)_i.  Where the
-    reaction has a closed-form ``inverse`` (``ProductPhi._inverse``, set by
+    reaction has a closed-form inverse (``ProductPhi._inverse``, set by
     ``power_phi`` at gamma = 1/2 only) the point takes it; every other rho
     takes a root forced with _FORCING (``_pointwise_root``): exact to eps
     once the point's updates are small, within a tenth of its last step
@@ -346,10 +345,10 @@ class _GaussSeidelSweep:
     equation is monotone.
     """
 
-    def __init__(self, colours, p, rho, eps, inverse):
-        self.rho = rho
+    def __init__(self, colours, phi, p, eps):
+        self.rho = phi.rho
         self.eps = eps
-        self.inverse = inverse
+        self.inverse = phi._inverse
         self.parts = [(rows, off, diag, p[rows]) for rows, off, diag in colours]
 
     def __call__(self, u, rhs, lower):
@@ -536,24 +535,25 @@ class _FasHierarchy:
 class _FasCycle:
     """FAS V-cycles of one solve on the levels of a ``_FasHierarchy``.
 
-    Level 0 has the solve's own B and reaction; each coarser level has the
-    hierarchy's B and the reaction with the density p restricted from the
-    level above by the iterate restriction.  ``_GaussSeidelSweep`` smooths on
+    Level 0 has the solve's own B and reaction ``react``, bound to its
+    points; each coarser level has the hierarchy's B and the reaction on
+    the density p restricted from the level above by the iterate
+    restriction (``ProductPhi._on``).  ``_GaussSeidelSweep`` smooths on
     every level.  Corrections prolong by the scaled transpose of the full
     weighting, the d-linear interpolation with zero correction off the
     interior, and a corrected iterate is clamped to ``lower`` before its
     post-sweeps.
     """
 
-    def __init__(self, hierarchy, B, phi_b, p, rho, rhs, eps, lower, inverse):
+    def __init__(self, hierarchy, B, phi, points, p, rhs, eps, lower):
         self.rhs, self.lower = rhs, lower
         self.levels = []
-        react = phi_b
+        self.react = react = phi.bind(points)
         for level, (B_level, colours, transfers) in enumerate(hierarchy.levels):
             if level:
                 B = B_level
-                react = _vanishing(p.size, lambda pos, t, p=p: p[pos] * rho(t))
-            sweep = _GaussSeidelSweep(colours, p, rho, eps, inverse)
+                react = phi._on(p)
+            sweep = _GaussSeidelSweep(colours, phi, p, eps)
             self.levels.append((B, react, sweep, transfers))
             if transfers is not None:
                 p = transfers[1] @ p
@@ -603,7 +603,6 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     mask = op.mask
     f = boundary_values(mask, boundary)
     pts = mask.interior_points()
-    phi_b = phi.bind(pts)
 
     B = -op.interior_matrix
     rhs_b = op.boundary_matrix @ f
@@ -649,7 +648,8 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     built = op._fas is None
     if built:
         op._fas = _FasHierarchy(op)
-    cycle = _FasCycle(op._fas, B, phi_b, p_vals, phi.rho, rhs_b, eps, lower, phi._inverse)
+    cycle = _FasCycle(op._fas, B, phi, pts, p_vals, rhs_b, eps, lower)
+    phi_b = cycle.react
 
     u = harm.copy()
     inc = np.inf

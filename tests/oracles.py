@@ -149,8 +149,9 @@ def majorant_table(phi, points, deltas):
     Each point gets its own affine bounds (2 c1 / delta) p(x) t
     + 2 (phi_x * eta_delta)(0), their minimum over ``deltas`` is pinned
     to 0 at t = 0 and read at min(t, 1), and 2 p(x) t is added, so the
-    profile is never factored out of p.  Shares the mollifier and
-    ``mollified_at_zero`` with the package.  Returns (t, table) with one
+    profile is never factored out of p.  Uses the package's mollifier and
+    ``mollified_at_zero``, which binds phi and reads it node by node;
+    ``build_concave_majorant`` calls neither.  Returns (t, table) with one
     row per point.
     """
     import ellipot as ep
@@ -168,6 +169,64 @@ def majorant_table(phi, points, deltas):
                          + intercept[:, None])
     psi[:, tc == 0.0] = 0.0
     return t, 2.0 * pv[:, None] * t[None, :] + psi
+
+
+def majorant_profile(phi):
+    """The majorant's profile psi of phi = p rho as one reaction p = 1
+    bound at one point builds it: per radius delta = 1, ..., 2^-12, one
+    ``mollified_at_zero``, which reads rho one node at a time, and the
+    running minimum of the affine bounds (2 c1 / delta) t + 2 (rho *
+    eta_delta)(0) on t = linspace(0, 2, 257), pinned to 0 at t = 0."""
+    import ellipot as ep
+
+    t = np.linspace(0.0, 2.0, 257)
+    moll = ep.Mollifier()
+    unit, origin = ep.ProductPhi(1.0, phi.rho), np.zeros((1, 1))
+    c1 = moll.slope_constant()
+    psi = np.full(len(t), np.inf)
+    for d in 2.0 ** (-np.arange(13, dtype=float)):
+        intercept = 2.0 * ep.mollified_at_zero(unit, origin, d, moll)[0]
+        np.minimum(psi, (2.0 * c1 / d) * t + intercept, out=psi)
+    psi[0] = 0.0
+    return psi
+
+
+def hypotheses_report(phi, p, points):
+    """``check_hypotheses`` as a table of phi bound to the points and
+    evaluated at each t-node of linspace(0, 2, 257), with the density p
+    given apart from phi.  Returns the package's HypothesisReport, so
+    that the two compare field by field."""
+    import ellipot as ep
+    from ellipot.geometry import values_at
+    from ellipot.nonlinearity import HypothesisReport
+
+    points = np.asarray(points, dtype=float)
+    t_grid = np.linspace(0.0, 2.0, 257)
+    pv = values_at(p, points)
+    bound = phi.bind(points)
+    messages = []
+    try:
+        with np.errstate(all="ignore"):
+            rho0 = float(np.asarray(phi.rho(np.zeros(1)), dtype=float).flat[0])
+    except (ArithmeticError, ValueError, ep.ExprError):
+        rho0 = np.nan
+    vanishes = rho0 == 0.0
+    if not vanishes:
+        messages.append(f"rho(0) = {rho0:.3g}, not 0: phi jumps at t = 0")
+    table = np.stack([bound(t) for t in t_grid], axis=1)
+    steps = np.diff(table, axis=1)
+    min_step = float(steps.min()) if steps.size else 0.0
+    scale = max(1.0, float(np.abs(table).max()))
+    defect = 2.0 * table[:, 1:-1] - table[:, :-2] - table[:, 2:]
+    cdef = float(defect.min()) if defect.size else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        denom = pv[:, None] * (t_grid[None, :] + 1.0)
+        ratio = np.where(denom > 0, table / denom, 0.0)
+    cbound = float(ratio.max()) if ratio.size else 0.0
+    return HypothesisReport(
+        vanishes, min_step >= -1e-12 * scale, min_step, cdef, cdef >= -1e-9 * scale,
+        cbound, cbound <= 1e6, messages,
+    )
 
 
 def field_csv_rows(field):

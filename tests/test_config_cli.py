@@ -104,6 +104,10 @@ boundary = 1.0
 """
 
 
+# demo 07's configs and the artifacts it committed
+DEMO_CLI = Path(__file__).resolve().parent.parent / "demos" / "output" / "cli_solve"
+
+
 def _write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -404,6 +408,22 @@ class TestCliExitCodes:
         checks = json.loads((out / "checks.json").read_text())
         assert checks["failures"]
 
+    @pytest.mark.parametrize(
+        "phi, where",
+        [("family = capped\ncap = -0.5", "cap must be nonnegative"),
+         ("family = affine\nslope = -1.0", "slope must be nonnegative")],
+        ids=["negative-cap", "negative-slope"],
+    )
+    def test_reaction_negative_for_positive_t_exits_1(self, tmp_path, caplog, phi, where):
+        # phi < 0 for t > 0 puts the sweep's roots outside [0, s / b]: such a
+        # solve stagnates with a residual of order 1, so it is refused when
+        # the reaction is built
+        cfg = _write(tmp_path, SOLVE_CFG.replace("family = power\ngamma = 0.5", phi))
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert where in caplog.text
+        assert not (out / "report.json").exists()
+
     def test_numeric_failure(self, tmp_path):
         text = SOLVE_CFG + "\n[solver]\ntol = 1e-14\nmax_iterations = 1\n"
         cfg = _write(tmp_path, text)
@@ -441,9 +461,14 @@ class TestCliExitCodes:
             # the sup-identity bands are constants, not settings
             ("dichotomy", DICHOTOMY_CFG + "band_fraction = 0.8\n",
              "[experiment] band_fraction"),
+            # an affine reaction has a slope only: rho(0) = offset != 0 made
+            # phi jump at t = 0, which failed checks and stagnated solves
+            ("checks", SOLVE_CFG.replace("family = power\ngamma = 0.5",
+                                         "family = affine\nslope = 1.0\noffset = 0.5"),
+             "[phi] offset"),
         ],
         ids=["misspelt-key", "unread-solver-key", "unknown-section", "drift-beyond-dim",
-             "retired-sup-band"],
+             "retired-sup-band", "retired-phi-offset"],
     )
     def test_unknown_key_exits_before_any_work(self, tmp_path, caplog, command,
                                                text, where):
@@ -497,6 +522,19 @@ class TestCliCommands:
         checks = json.loads((out / "checks.json").read_text())
         assert checks["failures"] == []
         assert checks["m_matrix"]["is_m_matrix"] is True
+
+    @pytest.mark.parametrize("name, code", [("run", 0), ("bad", 2)])
+    def test_checks_reproduce_the_demo_reports(self, tmp_path, name, code):
+        # demo 07's committed checks.json, the sublinear run.cfg and the
+        # cubic bad.cfg; the Kato sums are left out, as they round
+        # differently from host to host
+        cfg = _write(tmp_path, (DEMO_CLI / f"{name}.cfg").read_text(), name=f"{name}.cfg")
+        out = tmp_path / "checks"
+        assert main(["checks", "--config", str(cfg), "--out", str(out)]) == code
+        got = json.loads((out / "checks.json").read_text())
+        want = json.loads((DEMO_CLI / f"checks_{name}" / "checks.json").read_text())
+        for key in ("hypotheses", "growth_bound_with_given_density", "failures"):
+            assert got[key] == want[key], key
 
     def test_majorant_command(self, tmp_path):
         cfg = _write(tmp_path, SOLVE_CFG)
@@ -620,9 +658,9 @@ class TestCliConfigPaths:
     def test_reaction_jumping_at_zero_fails_checks_and_dichotomy(self, tmp_path):
         # rho = t + 1/2 jumps at t = 0; the solve on this box stagnates, so
         # the audit must catch it first
-        affine = "family = affine\nslope = 1.0\noffset = 0.5"
+        jump = 'family = expr\nrho = "t + 0.5"'
         box = "dim = 2\nshape = 33\nbounds = [-4.0, 4.0]"
-        text = SOLVE_CFG.replace("family = power\ngamma = 0.5", affine)
+        text = SOLVE_CFG.replace("family = power\ngamma = 0.5", jump)
         cfg = _write(tmp_path, text.replace("dim = 1\nshape = 33\nbounds = [0, 1]", box))
         out = tmp_path / "checks"
         assert main(["checks", "--config", str(cfg), "--out", str(out)]) == 2
@@ -631,7 +669,7 @@ class TestCliConfigPaths:
 
         # the dichotomy's solves stay positive, so it completes, but its
         # verdict is descriptive only
-        cfg = _write(tmp_path, DICHOTOMY_CFG.replace("family = power\ngamma = 0.5", affine),
+        cfg = _write(tmp_path, DICHOTOMY_CFG.replace("family = power\ngamma = 0.5", jump),
                      name="dichotomy.cfg")
         out = tmp_path / "dichotomy"
         assert main(["dichotomy", "--config", str(cfg), "--out", str(out)]) == 0

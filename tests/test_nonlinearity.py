@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 import ellipot as ep
+from ellipot.cli import _build_phi
 from ellipot.errors import MajorantError
 
 import oracles
@@ -11,9 +12,9 @@ import oracles
 PTS2 = np.array([[0.0, 0.0], [0.5, 0.0], [0.3, 0.4], [1.0, 1.0]])
 
 
-def _small_majorant(p=1.0):
-    """Majorant of p * t^(1/2) from three smoothing radii."""
-    return ep.build_concave_majorant(ep.power_phi(p, 0.5), deltas=[1.0, 0.5, 0.25])
+def _sqrt_majorant(p=1.0):
+    """Majorant of p * t^(1/2)."""
+    return ep.build_concave_majorant(ep.power_phi(p, 0.5))
 
 
 def _table(values):
@@ -26,14 +27,34 @@ def test_reactions_vanish_for_nonpositive_t():
         ep.power_phi(1.0, 0.5),
         ep.power_phi(2.0, 3.0),
         ep.capped_linear_phi(1.0, 0.7),
-        ep.AffinePhi(1.0, 2.0, 0.5),
+        ep.AffinePhi(1.0, 2.0),
+        ep.ProductPhi(1.0, lambda t: 2.0 * t + 0.5),
         ep.ProductPhi(1.0, lambda t: np.exp(t) + 0.5),
         ep.ProductPhi(1.0, _table([0.5, 1.0, 1.5])),
-        _small_majorant(),
+        _sqrt_majorant(),
     ]
     for phi in reactions:
         out = phi(PTS2, np.array([-2.0, -1e-12, 0.0, -5.0]))
         npt.assert_array_equal(out, 0.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: ep.capped_linear_phi(1.0, -0.5), lambda: ep.AffinePhi(1.0, -1.0),
+     lambda: ep.capped_linear_phi(1.0, np.nan)],
+    ids=["negative_cap", "negative_slope", "nan_cap"],
+)
+def test_reaction_negative_for_positive_t_is_refused(make):
+    # phi < 0 for t > 0 leaves the sweep's pointwise roots outside their
+    # bracket [0, s / b], so such a reaction is refused before any work
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        make()
+
+
+def test_zero_cap_and_slope_build_the_zero_reaction():
+    t = np.array([0.5, 1.0, 2.0, -1.0])
+    for phi in (ep.capped_linear_phi(1.0, 0.0), ep.AffinePhi(1.0, 0.0)):
+        npt.assert_array_equal(phi(PTS2, t), 0.0)
 
 
 def test_power_phi_values():
@@ -69,7 +90,7 @@ def test_bind_fast_path_matches_call(rng):
     reactions = [
         ep.power_phi(p, 0.5),
         ep.ProductPhi(p, _table([0.0, 1.0, 1.5])),
-        _small_majorant(p),
+        _sqrt_majorant(p),
     ]
     for phi in reactions:
         bound = phi.bind(PTS2)
@@ -168,11 +189,8 @@ def test_majorant_array_and_callable_density_agree():
     mask = ep.box_mask(ep.build_grid(2, 5, (0.0, 1.0)))
     p = lambda pts: 1.0 + pts[:, 0] + 2.0 * pts[:, 1]
     pts = mask.interior_points()
-    from_callable = ep.build_concave_majorant(ep.power_phi(p, 0.5), deltas=[1.0, 0.5])
-    from_array = ep.build_concave_majorant(
-        ep.power_phi(p(pts), 0.5),
-        deltas=[1.0, 0.5],
-    )
+    from_callable = ep.build_concave_majorant(ep.power_phi(p, 0.5))
+    from_array = ep.build_concave_majorant(ep.power_phi(p(pts), 0.5))
     npt.assert_array_equal(from_array.psi, from_callable.psi)
     for t in (0.0, 0.3, 1.0, 1.7, 5.0):
         npt.assert_array_equal(from_array(pts, t), from_callable(pts, t))
@@ -214,7 +232,7 @@ def test_majorant_beats_reaction_above_table_range(unit_square_17):
 
 def test_check_hypotheses_sqrt():
     phi = ep.power_phi(1.0, 0.5)
-    rep = ep.check_hypotheses(phi, 1.0, PTS2)
+    rep = ep.check_hypotheses(phi, PTS2)
     assert rep.vanishes_nonpositive
     assert rep.nondecreasing
     assert rep.concave
@@ -226,7 +244,7 @@ def test_check_hypotheses_sqrt():
 
 def test_check_hypotheses_supercritical_power():
     phi = ep.power_phi(1.0, 2.0)
-    rep = ep.check_hypotheses(phi, 1.0, PTS2)
+    rep = ep.check_hypotheses(phi, PTS2)
     assert not rep.concave
     # max of t^2/(t+1) over the probed range [0, 2] is 4/3
     assert rep.linear_bound_constant == pytest.approx(4.0 / 3.0, rel=1e-6)
@@ -234,7 +252,7 @@ def test_check_hypotheses_supercritical_power():
 
 def test_check_hypotheses_flags_decreasing_reaction():
     phi = ep.ProductPhi(1.0, _table([0.0, 1.0, 0.2]))
-    rep = ep.check_hypotheses(phi, 1.0, PTS2)
+    rep = ep.check_hypotheses(phi, PTS2)
     assert not rep.nondecreasing
     assert rep.min_step < 0
     assert not rep.ok
@@ -254,7 +272,7 @@ def _raises_at_zero(t):
 def test_check_hypotheses_requires_rho_to_vanish_at_zero(rho):
     # phi is zeroed at t <= 0 whatever rho is, so the audit reads rho(0):
     # each of these passes every other check and fails only at t = 0
-    rep = ep.check_hypotheses(ep.ProductPhi(1.0, rho), 1.0, PTS2)
+    rep = ep.check_hypotheses(ep.ProductPhi(1.0, rho), PTS2)
     assert not rep.vanishes_nonpositive
     assert rep.nondecreasing and rep.linearly_bounded
     assert not rep.ok
@@ -263,10 +281,57 @@ def test_check_hypotheses_requires_rho_to_vanish_at_zero(rho):
 
 def test_linear_reaction_bound_constant_is_one():
     phi = ep.power_phi(3.0, 1.0)  # p = 3, phi = 3t, bound p(t+1) gives C -> 1
-    rep = ep.check_hypotheses(phi, 3.0, PTS2)
+    rep = ep.check_hypotheses(phi, PTS2)
     assert rep.linear_bound_constant == pytest.approx(2.0 / 3.0, rel=1e-6)
     # with density p the reaction p*t sits under p*(t+1) with constant
     # sup t/(t+1) = 2/3 over the probed range [0, 2]
+
+
+def _own(phi):
+    return phi, phi.p
+
+
+def _from_config(lines):
+    """(phi, p) of a 2D config's [phi] section, as the CLI builds them."""
+    return _build_phi(ep.RunConfig.from_text("[phi]\n" + lines + "\n"), 2)
+
+
+# the reactions the audit and the majorant are checked on, each with the
+# density its caller passes: phi's own, and for the zero family the
+# configured one, signed here, which its reaction does not carry
+_AUDITED = {
+    "sqrt_expr_p": lambda: _own(
+        ep.power_phi(ep.compile_point_function("1 / (1 + x1^2 + x2^2)", 2), 0.5)),
+    "pow09": lambda: _own(ep.power_phi(_BOWL, 0.9)),
+    "cubic": lambda: _own(ep.power_phi(_BOWL, 3.0)),
+    "capped": lambda: _own(ep.capped_linear_phi(_BOWL, 0.7)),
+    "affine": lambda: _own(ep.AffinePhi(_BOWL, 2.0)),
+    "jump": lambda: _own(ep.ProductPhi(1.0, lambda t: t + 0.5)),
+    "rho_expr": lambda: _from_config('family = expr\nrho = "min(t, 1.5)^0.7 + t / 3"\n'
+                                     'p = "2 + x1"'),
+    "majorant": lambda: _own(ep.build_concave_majorant(ep.power_phi(_BOWL, 0.5))),
+    "signed_p": lambda: _own(ep.power_phi(lambda q: q[:, 0] - 0.3, 0.5)),
+    "zero_signed_config_p": lambda: _from_config('family = zero\np = "x1 - 0.4"'),
+}
+
+
+@pytest.mark.parametrize("name", list(_AUDITED))
+def test_audit_matches_per_node_construction(unit_square_17, name):
+    # rho read once on the t-nodes gives the report that binding phi at
+    # every node gives, to the last bit, and phi's own density the report
+    # that the configured one gives
+    phi, p = _AUDITED[name]()
+    pts = unit_square_17.grid.points()
+    assert repr(ep.check_hypotheses(phi, pts)) == repr(oracles.hypotheses_report(phi, p, pts))
+
+
+@pytest.mark.parametrize("name", list(_AUDITED))
+def test_majorant_profile_matches_per_radius_construction(name):
+    # rho read once at every radius's mollifier nodes gives the profile
+    # that one mollified_at_zero per radius gives, to the last bit
+    phi, _ = _AUDITED[name]()
+    psi = ep.build_concave_majorant(phi).psi
+    assert psi.tobytes() == oracles.majorant_profile(phi).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -275,7 +340,7 @@ def test_linear_reaction_bound_constant_is_one():
         ep.power_phi(_BOWL, 0.5),
         ep.power_phi(_BOWL, 3.0),
         ep.capped_linear_phi(_BOWL, 0.3),
-        ep.AffinePhi(_BOWL, 2.0, 0.5),
+        ep.ProductPhi(_BOWL, lambda t: 2.0 * t + 0.5),  # jumps at t = 0
         ep.power_phi(lambda q: q[:, 0], 0.5),  # p changes sign
         ep.power_phi(0.7, 0.5),
     ],

@@ -482,10 +482,11 @@ def test_sqrt_inverse_is_the_exact_root():
 
 
 @pytest.mark.parametrize(
-    "inverse, forcing", [(_sqrt_inverse, 0.0), (None, solver._FORCING)],
+    "phi, forcing",
+    [(ep.power_phi(1.0, 0.5), 0.0), (ep.ProductPhi(1.0, np.sqrt), solver._FORCING)],
     ids=["closed_form", "forced"],
 )
-def test_sweep_holds_exact_zeros(inverse, forcing):
+def test_sweep_holds_exact_zeros(phi, forcing):
     # on both root branches, a point whose right side is 0 < s <= eps takes
     # t = 0 exactly, one with s <= 0 takes s / B_ii, and the others their
     # root, exact in closed form and forced otherwise; one colour with no
@@ -494,9 +495,7 @@ def test_sweep_holds_exact_zeros(inverse, forcing):
     rows = np.arange(n)
     diag = np.full(n, 4.0)
     eps = 1e-12
-    sweep = _GaussSeidelSweep(
-        [(rows, sp.csr_matrix((n, n)), diag)], np.ones(n), np.sqrt, eps, inverse
-    )
+    sweep = _GaussSeidelSweep([(rows, sp.csr_matrix((n, n)), diag)], phi, np.ones(n), eps)
     rhs = np.array([eps, 0.5 * eps, 1e-300, -2.0, 1.0, 3.0])
     u = np.full(n, 0.7)
     sweep(u, rhs, -10.0)
@@ -742,7 +741,7 @@ def test_reaction_jumping_at_zero_stagnates_at_once():
     # the solve where a window of cycles used to run on past 200
     op = ep.assemble(ep.box_mask(ep.build_grid(2, 33, (-4.0, 4.0))))
     with pytest.raises(NonConvergenceError, match="increment stagnated") as err:
-        ep.solve_semilinear_dirichlet(op, ep.AffinePhi(1.0, 1.0, 0.5), 1.0)
+        ep.solve_semilinear_dirichlet(op, ep.ProductPhi(1.0, lambda t: t + 0.5), 1.0)
     rep = err.value.report
     assert rep.status == "stagnated"
     assert rep.iterations <= 10
@@ -1002,9 +1001,8 @@ def _fas_cycle(op):
     phi = ep.power_phi(1.0, 0.5)
     rhs = op.boundary_matrix @ np.ones(mask.n_boundary)
     return _FasCycle(
-        _FasHierarchy(op), sp.csc_matrix(-op.interior_matrix),
-        phi.bind(mask.interior_points()), np.ones(mask.n_interior), phi.rho, rhs,
-        1e-12, 0.0, phi._inverse,
+        _FasHierarchy(op), sp.csc_matrix(-op.interior_matrix), phi,
+        mask.interior_points(), np.ones(mask.n_interior), rhs, 1e-12, 0.0,
     )
 
 
