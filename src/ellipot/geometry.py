@@ -11,6 +11,8 @@ and D_N equal to the ambient mask.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from .errors import MaskError, NestingError
 
@@ -229,24 +231,27 @@ class DomainMask:
 
 
 def _connected(flags):
-    """True when the set marked by ``flags`` is axis-connected (or empty)."""
-    total = int(flags.sum())
-    if total == 0:
+    """True when the set marked by ``flags`` is axis-connected (or empty):
+    one ``connected_components`` call on the graph that joins each point of
+    the set to its axis neighbours in the set."""
+    flat = np.flatnonzero(flags.ravel())
+    if flat.size <= 1:
         return True
-    seen = np.zeros_like(flags)
-    start = np.unravel_index(np.flatnonzero(flags.ravel())[0], flags.shape)
-    seen[start] = True
-    frontier = seen.copy()
-    reached = 1
-    while True:
-        grown = _neighbor_or(frontier) & flags & ~seen
-        n = int(grown.sum())
-        if n == 0:
-            break
-        seen |= grown
-        frontier = grown
-        reached += n
-    return reached == total
+    number = np.full(flags.size, -1, dtype=np.int64)
+    number[flat] = np.arange(flat.size)
+    heads, tails = [], []
+    stride = 1
+    for axis in range(flags.ndim - 1, -1, -1):
+        # the points whose successor along the axis is also in the set
+        head = np.flatnonzero((flags & _shifted(flags, axis, +1)).ravel())
+        heads.append(number[head])
+        tails.append(number[head + stride])
+        stride *= flags.shape[axis]
+    heads, tails = np.concatenate(heads), np.concatenate(tails)
+    graph = sp.csr_matrix(
+        (np.ones(heads.size, dtype=np.int8), (heads, tails)), shape=(flat.size,) * 2
+    )
+    return csgraph.connected_components(graph, directed=False)[0] == 1
 
 
 def mask_from_interior(grid, interior_flags):

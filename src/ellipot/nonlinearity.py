@@ -74,7 +74,8 @@ class ProductPhi(Phi):
         return self._on(values_at(self.p, np.asarray(points, dtype=float)))
 
     def _on(self, pv):
-        """t -> pv * rho(t) where t > 0, 0 elsewhere, for density values pv."""
+        """t -> pv * rho(t) where t > 0, 0 elsewhere, for density values pv,
+        which the function keeps as its attribute ``p``."""
         n, rho = len(pv), self.rho
 
         def call(t):
@@ -85,6 +86,7 @@ class ProductPhi(Phi):
                 out[pos] = pv[pos] * rho(tt[pos])
             return out
 
+        call.p = pv
         return call
 
 

@@ -7,12 +7,18 @@ values enter through the interior-to-boundary block.  The discrete maximum
 principle is available exactly when minus the interior block is an M-matrix,
 which the drift and mixed-derivative scheme options control.
 
+Assembly evaluates the coefficients once at the interior points, audits
+them (a constant a as one matrix), and writes each block of the operator
+straight from the stencil legs as a canonical CSR matrix.
+
 Solves with B = -A_II go through ``AssembledOperator.solve``.  When the
 interior fills a full rectangular block and B is the Kronecker sum of 1D
 second differences (constant diagonal a, constant c, no drift, no cross
 terms), B is diagonalized by the type-I discrete sine transform and a
 solve is two DSTs and a division (Buzbee, Golub and Nielson, SIAM J.
 Numer. Anal. 7, 1970); any other operator is factored once by SuperLU.
+Whether B is such a sum is read once per operator off B's CSR arrays, its
+diagonal and its legs along each axis.
 """
 
 from __future__ import annotations
@@ -46,9 +52,16 @@ def _sparse_lu(matrix):
     return spla.splu(sp.csc_matrix(matrix), permc_spec=_PERMC_SPEC)
 
 
-# B counts as a Kronecker sum when it differs from the one rebuilt from its
+# B counts as a Kronecker sum when it differs from the one built from its
 # own diagonal and first off-diagonals by at most this, relative to max|B|
 _KRON_RTOL = 1e-12
+
+
+def _entries(indptr, rows):
+    """Positions in a CSR matrix's arrays of the entries of ``rows``."""
+    lengths = indptr[rows + 1] - indptr[rows]
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(indptr[rows] - ends + lengths, lengths)
 
 
 class _BoxSolver:
@@ -70,7 +83,16 @@ class _BoxSolver:
 
     @classmethod
     def of(cls, op):
-        """The solver of ``op``'s B, or None when B is no box Kronecker sum."""
+        """The solver of ``op``'s B, or None when B is no box Kronecker sum.
+
+        B is one when max|B - K| <= _KRON_RTOL max|B|, with K the Kronecker
+        sum built from B's first diagonal entry and its first leg along
+        each axis.  That maximum is read off B's CSR arrays: each stored
+        entry is compared with K's value on its diagonal, which is 0 off
+        K's diagonals and on the legs from the end of one line to the start
+        of the next, and where B lacks some of K's entries on a diagonal,
+        K's value there counts too.
+        """
         mask = op.mask
         idx = np.unravel_index(mask.interior_flat, mask.grid.shape)
         shape = tuple(int(i.max() - i.min()) + 1 for i in idx)
@@ -78,18 +100,41 @@ class _BoxSolver:
         # as the C-order raveling of that block
         if int(np.prod(shape)) != mask.n_interior:
             return None
-        B = (-op.interior_matrix).tocsr()
+        B = -op.interior_matrix
+        B.sum_duplicates()
+        n, indptr = B.shape[0], B.indptr
+        # each entry's offset from the diagonal, plus n
+        offset = B.indices - np.repeat(np.arange(-n, 0), np.diff(indptr))
+        # row 0, at a corner of the block, holds the diagonal and every leg
+        first = dict(zip((offset[: indptr[1]] - n).tolist(), B.data[: indptr[1]]))
+        diag = first.get(0, 0.0)
         strides = [int(np.prod(shape[k + 1:])) for k in range(len(shape))]
-        weights = [-B[0, s] if n > 1 else 0.0 for s, n in zip(strides, shape)]
-        diag = B[0, 0]
-        kron = sp.csr_matrix((1, 1))
-        for n, w in zip(shape, weights):
-            second = sp.diags([-w, -w], [-1, 1], shape=(n, n))
-            # the new axis varies fastest, as in C order
-            kron = sp.kronsum(second, kron, format="csr")
-        kron = kron + diag * sp.identity(mask.n_interior, format="csr")
-        scale = float(abs(B).max())
-        if float(abs(B - kron).max()) > _KRON_RTOL * scale:
+        weights = [-first.get(s, 0.0) if m > 1 else 0.0 for s, m in zip(strides, shape)]
+        # K's diagonals, numbered from 1: offsets, values and entry counts
+        offsets, values, sizes = [0], [0.0, diag], [n]
+        for s, m, w in zip(strides, shape, weights):
+            if m > 1:
+                offsets += [s, -s]
+                values += [-w, -w]
+                sizes += [(m - 1) * (n // m)] * 2
+        number = np.zeros(2 * n + 1, dtype=np.intp)
+        number[n + np.array(offsets)] = np.arange(1, len(offsets) + 1)
+        # the diagonal of K that each entry of B lies on, 0 for none: K has
+        # no leg from the end of one line to the start of the next
+        on = number[offset]
+        block = np.arange(n)
+        for s, m in zip(strides, shape):
+            if m > 1:
+                lines = block.reshape(-1, m, s)
+                for rows, t in ((lines[:, -1], s), (lines[:, 0], -s)):
+                    at = _entries(indptr, rows.ravel())
+                    on[at[offset[at] == n + t]] = 0
+        gaps = np.abs(B.data - np.array(values)[on])
+        # and the value of each diagonal of K on which B lacks entries
+        found = np.bincount(on, minlength=len(values))[1:]
+        lacking = [abs(v) for v, size, f in zip(values[1:], sizes, found) if f < size]
+        gap = float(np.max(np.concatenate([gaps, lacking]), initial=0.0))
+        if gap > _KRON_RTOL * float(np.max(np.abs(B.data), initial=0.0)):
             return None
         return cls(shape, diag, weights)
 
@@ -208,11 +253,20 @@ class EllipticityReport:
     messages: list = field(default_factory=list)
 
 
-def check_ellipticity(coeffs, mask):
-    """Verify a(x) symmetric positive definite and c(x) <= 0 on the interior."""
-    pts = mask.interior_points()
-    a = coeffs.a_at(pts, mask.grid.dim)
-    c = coeffs.c_at(pts)
+def check_ellipticity(coeffs, mask, _at=None):
+    """Verify a(x) symmetric positive definite and c(x) <= 0 on the interior.
+
+    An a that is not callable is one matrix, audited once.  ``assemble``
+    passes the a and c it evaluated at the interior points as ``_at``, so
+    a callable coefficient is not evaluated twice.
+    """
+    dim = mask.grid.dim
+    if _at is None:
+        pts = mask.interior_points()
+        _at = (coeffs.a_at(pts, dim) if callable(coeffs.a) else None, coeffs.c_at(pts))
+    a, c = _at
+    if not callable(coeffs.a):
+        a = coeffs.a_at(mask.grid.points()[mask.interior_flat[:1]], dim)
     messages = []
     sym_err = float(np.max(np.abs(a - np.transpose(a, (0, 2, 1))))) if len(a) else 0.0
     symmetric = sym_err <= 1e-12 * max(1.0, float(np.max(np.abs(a))))
@@ -295,8 +349,9 @@ class AssembledOperator:
         On a full box whose B is the Kronecker sum of 1D second
         differences, two DST-I transforms (``_BoxSolver``, B symmetric
         there); otherwise the cached factor of :meth:`factor`.  Whether the
-        box path applies is decided once per operator, by comparing B with
-        the Kronecker sum rebuilt from B's own entries.
+        box path applies is decided once per operator, by comparing B's
+        entries with those of the Kronecker sum of its first diagonal entry
+        and legs (``_BoxSolver.of``).
         """
         if self._box is not None:
             return self._box.solve(rhs)
@@ -334,32 +389,27 @@ class AssembledOperator:
         b = self._b_int
         c = self._c_int
         rows_idx = mask.interior_flat
-        row_ids = np.arange(nI)
 
         diag = c.copy()
-        entries_r = []
-        entries_c = []
-        entries_v = []
+        # per stencil leg: its flat offset, columns, weights, and where it
+        # has an entry
+        legs = []
 
         def add(offset_flat, weights):
             """Append one stencil leg; reject nonzero reach into exterior."""
             nz = np.abs(weights) > 0.0
             if not nz.any():
                 return
-            nbr = rows_idx[nz] + offset_flat
-            cols = col_of[nbr]
-            bad = cols < 0
+            cols = col_of[rows_idx + offset_flat]
+            bad = nz & (cols < 0)
             if bad.any():
-                where = np.flatnonzero(nz)[bad][0]
-                pt = grid.points()[rows_idx[where]]
+                pt = grid.points()[rows_idx[np.flatnonzero(bad)[0]]]
                 raise StencilError(
                     "stencil reaches an exterior point with a nonzero weight "
                     f"near {np.array2string(pt, precision=6)}; "
                     "the mixed-derivative term does not fit this domain shape"
                 )
-            entries_r.append(row_ids[nz])
-            entries_c.append(cols)
-            entries_v.append(weights[nz])
+            legs.append((offset_flat, cols, weights, nz))
 
         # residual axis coefficients; the tilted scheme shifts mass onto
         # the diagonal legs and reduces these
@@ -411,20 +461,26 @@ class AssembledOperator:
             add(strides[k], plus)
             add(-strides[k], minus)
 
-        entries_r.append(row_ids)
-        entries_c.append(col_of[rows_idx])
-        entries_v.append(diag)
+        legs.append((0, col_of[rows_idx], diag, np.ones(nI, dtype=bool)))
+        # no two legs share an offset, and the columns of each block ascend
+        # with the flat index, so legs in the order of their offsets give
+        # each row's entries in canonical CSR order
+        legs.sort(key=lambda leg: leg[0])
+        _, cols, vals, has = zip(*legs)
+        inner = [h & (c < nI) for c, h in zip(cols, has)]
+        outer = [h & (c >= nI) for c, h in zip(cols, has)]
+        cols, vals = np.stack(cols, axis=1), np.stack(vals, axis=1)
+        self._A_II = _csr_of_legs(cols, vals, inner, 0, nI)
+        self._A_IB = _csr_of_legs(cols, vals, outer, nI, nB)
 
-        A = sp.coo_matrix(
-            (
-                np.concatenate(entries_v),
-                (np.concatenate(entries_r), np.concatenate(entries_c)),
-            ),
-            shape=(nI, nI + nB),
-        ).tocsr()
-        A.sum_duplicates()
-        self._A_II = A[:, :nI].tocsr()
-        self._A_IB = A[:, nI:].tocsr()
+
+def _csr_of_legs(cols, vals, on, shift, width):
+    """The CSR matrix, ``width`` columns, of the (rows, legs) table of
+    columns and values where the per-leg masks ``on`` hold, its columns
+    less ``shift``."""
+    starts = np.concatenate([[0], np.cumsum(sum(m.astype(np.intp) for m in on))])
+    on = np.stack(on, axis=1)
+    return sp.csr_matrix((vals[on], cols[on] - shift, starts), shape=(len(cols), width))
 
 
 def assemble(mask, coeffs=None, scheme=None, validate=True):
@@ -444,7 +500,7 @@ def assemble(mask, coeffs=None, scheme=None, validate=True):
     b = coeffs.b_at(pts, dim)
     c = coeffs.c_at(pts)
     if validate:
-        rep = check_ellipticity(coeffs, mask)
+        rep = check_ellipticity(coeffs, mask, (a, c))
         if not rep.ok:
             raise EllipticityError("; ".join(rep.messages))
     return AssembledOperator(mask, coeffs, scheme, a, b, c)

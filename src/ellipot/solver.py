@@ -33,11 +33,15 @@ other input, a signed p or centered drift at a cell Peclet number above
 2, raises ``ValueError`` before any work is done.
 
 Hierarchy.  It is built by the first solve on an operator and kept on
-it, so later solves, such as the boundary sweep of one cube, rebuild
-only the restricted density p (``_FasHierarchy``, ``_FasCycle``).  It
-lies on the bounding block of the interior: each coarser level
-re-assembles the operator's coefficients and scheme on a block of about
-half the side, until every side is at most _COARSEST_SIDE.  An odd side
+it, with the audit of B's sign pattern and symmetry above, so later
+solves, such as the boundary sweep of one cube, rebuild only the
+restricted density p (``_FasHierarchy``, ``_FasCycle``).  Its set-up is
+a fixed handful of array operations per level: each transfer is one CSR
+matrix written from the 1D weights, and each colour's slice of B's
+off-diagonal part is cut from B's own CSR arrays.  It lies on the
+bounding block of the interior: each coarser level re-assembles the
+operator's coefficients and scheme on a block of about half the side,
+until every side is at most _COARSEST_SIDE.  An odd side
 m keeps every other point, (m - 1) / 2 of them over the same bounds;
 residuals restrict by full weighting and iterates by injection.  An even
 side keeps the midpoints of fine pairs, cell-centred style (Trottenberg,
@@ -82,7 +86,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import NonConvergenceError, SolverBreakdownError
-from .geometry import BOUNDARY, INTERIOR, DomainMask, build_grid, values_at
+from .geometry import BOUNDARY, INTERIOR, DomainMask, build_grid
 from .operators import _sign_pattern, _sparse_lu, assemble
 from .potentials import Field, boundary_values, interior_values
 
@@ -202,32 +206,50 @@ class SolveReport:
         return asdict(self)
 
 
-def _lattice_colours(mask, off):
+def _lattice_colours(mask, row, col):
     """Colour of each interior point such that no two points of one colour
-    are coupled by the off-diagonal part ``off`` of B.
+    are coupled by the off-diagonal entries (``row``, ``col``) of B.
 
     Red-black (parity of the index sum) when that suffices, else the
     parity vector sum_k (i_k mod 2) 2^k, which separates every pair of
     points within one lattice step per axis, cross legs included.
     """
-    parity = [i % 2 for i in np.unravel_index(mask.interior_flat, mask.grid.shape)]
-    coo = off.tocoo()
-    colours = sum(parity) % 2
-    if np.any(colours[coo.row] == colours[coo.col]):
+    parity = [i & 1 for i in np.unravel_index(mask.interior_flat, mask.grid.shape)]
+    colours = sum(parity) & 1
+    if np.any(colours[row] == colours[col]):
         colours = sum(bit << k for k, bit in enumerate(parity))
     return colours
 
 
 def _colour_rows(mask, B):
     """Per colour of ``_lattice_colours``: its rows, their slice of the
-    off-diagonal part of B and their diagonal, what ``_GaussSeidelSweep`` needs
-    of one level."""
+    off-diagonal part of the CSR matrix B and their diagonal, what
+    ``_GaussSeidelSweep`` needs of one level.
+
+    The slices are cut from B's own arrays: the nonzero entries off the
+    diagonal, in B's order, so that each is the canonical CSR matrix of
+    its rows.
+    """
+    B.sum_duplicates()
+    n = B.shape[0]
+    row = np.repeat(np.arange(n), np.diff(B.indptr))
+    # the positions of the off-diagonal entries in B's arrays
+    off = np.flatnonzero((B.indices != row) & (B.data != 0.0))
+    row = row[off]
+    colours = _lattice_colours(mask, row, B.indices.astype(np.intp)[off])
+    entry_colours = colours[row]
+    per_row = np.bincount(row, minlength=n)
     diag = B.diagonal()
-    off = sp.csr_matrix(B - sp.diags(diag))
-    off.eliminate_zeros()
-    colours = _lattice_colours(mask, off)
-    rows = [np.flatnonzero(colours == c) for c in np.unique(colours)]
-    return [(r, off[r], diag[r]) for r in rows]
+    out = []
+    for c in np.flatnonzero(np.bincount(colours)):
+        rows = np.flatnonzero(colours == c)
+        at = off[entry_colours == c]
+        indptr = np.concatenate([[0], np.cumsum(per_row[rows])])
+        part = sp.csr_matrix(
+            (B.data.take(at), B.indices.take(at), indptr), shape=(rows.size, n)
+        )
+        out.append((rows, part, diag[rows]))
+    return out
 
 
 def _pointwise_root(b, p, rho, s, t0, eps, forcing=0.0):
@@ -412,20 +434,23 @@ def _axis_transfer(m, m_coarse):
     shift of its bounds in fine steps (positive inward).
 
     Returns the residual restriction, the iterate restriction and the
-    shift.  An odd m keeps every other point, 2j + 1 counted from 0: full
-    weighting 1/4, 1/2, 1/4 for residuals and injection, weights exactly
-    1.0, for iterates, with the bounds unchanged.  For an even m each
-    coarse point lies midway between fine points s + 2j and s + 2j + 1,
-    s = m / 2 - m_coarse (0 widens the bounds by half a step, 1 narrows
-    them): residuals restrict by the transpose of linear interpolation
-    over 2, weights 1/8, 3/8, 3/8, 1/8, and iterates by the pair mean.  In
-    both cases twice the transpose of the residual restriction is linear
-    interpolation.  Both are the identity where the axis does not coarsen.
+    shift.  A restriction is given per coarse point as the fine points it
+    reads and their weights, (m_coarse, w) arrays, where a point outside
+    0..m - 1 is no entry.  An odd m keeps every other point, 2j + 1
+    counted from 0: full weighting 1/4, 1/2, 1/4 for residuals and
+    injection, weights exactly 1.0, for iterates, with the bounds
+    unchanged.  For an even m each coarse point lies midway between fine
+    points s + 2j and s + 2j + 1, s = m / 2 - m_coarse (0 widens the bounds
+    by half a step, 1 narrows them): residuals restrict by the transpose of
+    linear interpolation over 2, weights 1/8, 3/8, 3/8, 1/8, and iterates
+    by the pair mean.  In both cases twice the transpose of the residual
+    restriction is linear interpolation.  Both are the identity where the
+    axis does not coarsen.
     """
-    if m_coarse == m:
-        eye = sp.identity(m, format="csr")
-        return eye, eye, 0.0
     j = np.arange(m_coarse)[:, None]
+    if m_coarse == m:
+        eye = (j, np.ones((m, 1)))
+        return eye, eye, 0.0
     if m % 2:
         legs, weights = 2 * j + np.arange(3), [0.25, 0.5, 0.25]
         kept, means, shift = 2 * j + 1, [1.0], 0.0
@@ -433,14 +458,60 @@ def _axis_transfer(m, m_coarse):
         s = m // 2 - m_coarse
         legs, weights = s + 2 * j + np.arange(-1, 3), [0.125, 0.375, 0.375, 0.125]
         kept, means, shift = s + 2 * j + np.arange(2), [0.5, 0.5], s - 0.5
+    return (
+        (legs, np.broadcast_to(weights, legs.shape)),
+        (kept, np.broadcast_to(means, kept.shape)),
+        shift,
+    )
 
-    def restriction(cols, vals):
-        rows = np.broadcast_to(j, cols.shape)
-        on = (cols >= 0) & (cols < m)
-        vals = np.broadcast_to(vals, cols.shape)
-        return sp.csr_matrix((vals[on], (rows[on], cols[on])), shape=(m_coarse, m))
 
-    return restriction(legs, weights), restriction(kept, means), shift
+def _tensor_csr(axes, fine):
+    """The Kronecker product of 1D restrictions, given as ``_axis_transfer``
+    gives them, from the block of sides ``fine`` to the coarse block, as a
+    CSR matrix.
+
+    It is built row by row in C order, each row's entries in C order of
+    their 1D entries, so its columns ascend and the matrix is canonical;
+    the weights are dyadic, so their products are exact.
+    """
+    d = len(axes)
+    col, val, on, count = 0, 1.0, True, np.ones(1, dtype=np.int64)
+    for k, ((c, v), m) in enumerate(zip(axes, fine)):
+        shape = [1] * (2 * d)
+        shape[k], shape[d + k] = c.shape
+        has = (c >= 0) & (c < m)
+        count = np.multiply.outer(count, np.count_nonzero(has, axis=1)).ravel()
+        col = col * m + c.reshape(shape)
+        val = val * v.reshape(shape)
+        on = on & has.reshape(shape)
+    on = np.broadcast_to(on, np.broadcast_shapes(col.shape, val.shape, on.shape))
+    indices = np.broadcast_to(col, on.shape)[on]
+    data = np.broadcast_to(val, on.shape)[on]
+    indptr = np.concatenate([[0], np.cumsum(count)])
+    return sp.csr_matrix((data, indices, indptr), shape=(count.size, int(np.prod(fine))))
+
+
+def _sweep_hypotheses(B):
+    """Whether B has the M-matrix sign pattern and weak diagonal dominance.
+
+    Raises ``ValueError`` where the sweep may not converge (module
+    docstring): where B's diagonal is not positive, or where B has neither
+    that pattern nor symmetry.  A nonsingular B with the pattern also has
+    B^-1 >= 0 (``check_m_matrix`` audits the same pattern), which carries
+    the error bound (see ``SolveReport``).
+    """
+    positive_diagonal, max_off, rowsum, sign_tol = _sign_pattern(B)
+    monotone = max_off <= sign_tol and float(rowsum.min(initial=0.0)) >= -sign_tol
+    if not positive_diagonal:
+        raise ValueError("B = -A_II must have a positive diagonal")
+    if not monotone and float(np.max(abs(B - B.T).data, initial=0.0)) > sign_tol:
+        raise ValueError(
+            "B = -A_II must have the M-matrix sign pattern or be symmetric; it has "
+            f"positive off-diagonal entries up to {max_off:.3e} and is not symmetric "
+            "(centered drift at a cell Peclet number above 2 does this; upwind "
+            "drift keeps the sign pattern)"
+        )
+    return monotone
 
 
 class _FasHierarchy:
@@ -456,7 +527,7 @@ class _FasHierarchy:
     moved by half a fine step on an axis of even side (``_axis_transfer``).
     Residuals restrict by a Kronecker product of 1D weightings on the
     blocks, and iterates and p by a Kronecker product of injections and
-    pair means.  A coarse point is interior when every fine point that its
+    pair means, each written as one CSR matrix (``_tensor_csr``).  A coarse point is interior when every fine point that its
     iterate restriction reads is interior; both restrictions are sliced to
     coarse-interior rows and fine-interior columns, which on a box are all
     of them.  Every other point of a coarse block is a boundary point.
@@ -466,12 +537,15 @@ class _FasHierarchy:
     ``levels`` holds per level its B (None on level 0), its
     ``_colour_rows`` and, but on the coarsest, its transfers (full
     weighting, iterate restriction, the weighting's transpose as a view on
-    its arrays, and the prolongation's scale); ``seconds`` is the build
-    time.
+    its arrays, and the prolongation's scale); ``monotone`` is the
+    operator's sign audit (``_sweep_hypotheses``, which raises before any
+    level is built), and ``seconds`` is the build time.
     """
 
     def __init__(self, op):
         t_start = time.perf_counter()
+        B = -op.interior_matrix
+        self.monotone = _sweep_hypotheses(B)
         grid = op.mask.grid
         sides = _fas_sides(op.mask)
         idx = np.unravel_index(op.mask.interior_flat, grid.shape)
@@ -483,17 +557,14 @@ class _FasHierarchy:
         ]
         inside = np.ravel_multi_index(tuple(i - i.min() for i in idx), sides[0])
         self.levels = []
-        mask, B = op.mask, -op.interior_matrix
+        mask = op.mask
         for fine, coarse in zip(sides, sides[1:] + [None]):
             colours = _colour_rows(mask, B)
             # level 0 keeps no B: each solve brings the operator's own
             kept = B if self.levels else None
             if coarse is not None:
                 axes = [_axis_transfer(m, mc) for m, mc in zip(fine, coarse)]
-                full, restrict = axes[0][:2]
-                for weights, means, _ in axes[1:]:
-                    full = sp.kron(full, weights, format="csr")
-                    restrict = sp.kron(restrict, means, format="csr")
+                full, restrict = (_tensor_csr([a[i] for a in axes], fine) for i in (0, 1))
                 # a coarse point is interior when every fine point that its
                 # iterate restriction reads is interior
                 outside = np.ones(restrict.shape[1])
@@ -535,20 +606,21 @@ class _FasHierarchy:
 class _FasCycle:
     """FAS V-cycles of one solve on the levels of a ``_FasHierarchy``.
 
-    Level 0 has the solve's own B and reaction ``react``, bound to its
-    points; each coarser level has the hierarchy's B and the reaction on
-    the density p restricted from the level above by the iterate
-    restriction (``ProductPhi._on``).  ``_GaussSeidelSweep`` smooths on
+    Level 0 has the solve's own B and reaction ``react``, ``phi`` bound to
+    its points; each coarser level has the hierarchy's B and the reaction
+    on the density p restricted from the level above by the iterate
+    restriction (``ProductPhi._on``), starting from the density values
+    ``react.p`` that the binding evaluated.  ``_GaussSeidelSweep`` smooths on
     every level.  Corrections prolong by the scaled transpose of the full
     weighting, the d-linear interpolation with zero correction off the
     interior, and a corrected iterate is clamped to ``lower`` before its
     post-sweeps.
     """
 
-    def __init__(self, hierarchy, B, phi, points, p, rhs, eps, lower):
+    def __init__(self, hierarchy, B, phi, react, rhs, eps, lower):
         self.rhs, self.lower = rhs, lower
         self.levels = []
-        self.react = react = phi.bind(points)
+        p = react.p
         for level, (B_level, colours, transfers) in enumerate(hierarchy.levels):
             if level:
                 B = B_level
@@ -606,25 +678,16 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
 
     B = -op.interior_matrix
     rhs_b = op.boundary_matrix @ f
-    p_vals = values_at(phi.p, pts)
-    # the hypotheses under which the exact sweep converges (module
-    # docstring); B nonsingular with the M-matrix sign pattern and weak
-    # diagonal dominance also has B^-1 >= 0 (check_m_matrix audits the same
-    # pattern), which carries the error bound (see SolveReport)
-    positive_diagonal, max_off, rowsum, sign_tol = _sign_pattern(B)
-    monotone = max_off <= sign_tol and float(rowsum.min(initial=0.0)) >= -sign_tol
-    p_min = float(p_vals.min(initial=0.0))
+    # the solve's one evaluation of the density: level 0 reacts through
+    # phi.bind, and the cycle reads p off the bound reaction
+    phi_b = phi.bind(pts)
+    p_min = float(phi_b.p.min(initial=0.0))
     if p_min < 0.0:
         raise ValueError(f"the reaction density p must be nonnegative (min {p_min:.3e})")
-    if not positive_diagonal:
-        raise ValueError("B = -A_II must have a positive diagonal")
-    if not monotone and float(np.max(abs(B - B.T).data, initial=0.0)) > sign_tol:
-        raise ValueError(
-            "B = -A_II must have the M-matrix sign pattern or be symmetric; it has "
-            f"positive off-diagonal entries up to {max_off:.3e} and is not symmetric "
-            "(centered drift at a cell Peclet number above 2 does this; upwind "
-            "drift keeps the sign pattern)"
-        )
+    built = op._fas is None
+    if built:
+        op._fas = _FasHierarchy(op)
+    monotone = op._fas.monotone
 
     fresh = not op.is_factored
     harm = op.solve(rhs_b)
@@ -645,11 +708,7 @@ def solve_semilinear_dirichlet(op, phi, boundary, params=None):
     # removes sub-floor negative excursions at the reaction's zero set
     lower = min(0.0, float(f.min())) if f.size else 0.0
     eps = params.tol / _ROOT_SHARE
-    built = op._fas is None
-    if built:
-        op._fas = _FasHierarchy(op)
-    cycle = _FasCycle(op._fas, B, phi, pts, p_vals, rhs_b, eps, lower)
-    phi_b = cycle.react
+    cycle = _FasCycle(op._fas, B, phi, phi_b, rhs_b, eps, lower)
 
     u = harm.copy()
     inc = np.inf

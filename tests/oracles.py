@@ -257,3 +257,189 @@ def domination_gap(phi, majorant, points):
     upper = majorant.bind(points)
     lower = phi.bind(points)
     return min(float((upper(t) - lower(t)).min()) for t in majorant.t_grid)
+
+
+# operator set-up by scipy's generic sparse routines ------------------------
+#
+# The package builds its matrices, colourings and transfers from the
+# stencil and CSR arrays directly; these build the same objects the generic
+# way (COO assembly, Kronecker products and sums, sparse differences and
+# fancy indexing, a breadth-first search), so that tests can require the
+# two to agree byte for byte.
+
+def bfs_connected(flags):
+    """Whether the set marked by ``flags`` is axis-connected (or empty),
+    by a breadth-first search that grows one lattice step per pass."""
+    from ellipot.geometry import _neighbor_or
+
+    total = int(flags.sum())
+    if total == 0:
+        return True
+    seen = np.zeros_like(flags)
+    seen[np.unravel_index(np.flatnonzero(flags.ravel())[0], flags.shape)] = True
+    frontier, reached = seen.copy(), 1
+    while True:
+        grown = _neighbor_or(frontier) & flags & ~seen
+        if not grown.any():
+            return reached == total
+        seen |= grown
+        frontier = grown
+        reached += int(grown.sum())
+
+
+def ellipticity_report(coeffs, mask):
+    """``check_ellipticity`` with a and c evaluated and a's eigenvalues
+    taken at every interior point."""
+    from ellipot.operators import EllipticityReport
+
+    pts = mask.interior_points()
+    a = coeffs.a_at(pts, mask.grid.dim)
+    c = coeffs.c_at(pts)
+    messages = []
+    sym_err = float(np.max(np.abs(a - np.transpose(a, (0, 2, 1))))) if len(a) else 0.0
+    symmetric = sym_err <= 1e-12 * max(1.0, float(np.max(np.abs(a))))
+    if not symmetric:
+        messages.append(f"a is not symmetric (max asymmetry {sym_err:.3e})")
+    eigs = np.linalg.eigvalsh(0.5 * (a + np.transpose(a, (0, 2, 1))))
+    lo, hi = float(eigs.min()), float(eigs.max())
+    if lo <= 0.0:
+        messages.append(f"a is not positive definite (min eigenvalue {lo:.3e})")
+    cmax = float(c.max()) if c.size else 0.0
+    if cmax > 0.0:
+        messages.append(f"c is positive somewhere (max {cmax:.3e})")
+    ok = symmetric and lo > 0.0 and cmax <= 0.0
+    return EllipticityReport(lo, hi, cmax, symmetric, ok, messages)
+
+
+def coo_blocks(op):
+    """The interior and boundary blocks of ``op`` rebuilt from its entries,
+    shuffled, as one COO matrix converted to CSR, its duplicates summed and
+    its columns sliced."""
+    nI = op.n_interior
+    both = sp.hstack([op.interior_matrix, op.boundary_matrix]).tocoo()
+    order = np.random.default_rng(7).permutation(both.nnz)
+    A = sp.coo_matrix(
+        (both.data[order], (both.row[order], both.col[order])), shape=both.shape
+    ).tocsr()
+    A.sum_duplicates()
+    return A[:, :nI].tocsr(), A[:, nI:].tocsr()
+
+
+def kronsum_box(op):
+    """(shape, diagonal, leg weights) of the DST-I box solver of ``op``'s
+    B = -A_II, or None: B must fill a block and differ from the Kronecker
+    sum of 1D second differences rebuilt from its first diagonal entry and
+    legs by at most 1e-12 of max|B|."""
+    mask = op.mask
+    idx = np.unravel_index(mask.interior_flat, mask.grid.shape)
+    shape = tuple(int(i.max() - i.min()) + 1 for i in idx)
+    if int(np.prod(shape)) != mask.n_interior:
+        return None
+    B = (-op.interior_matrix).tocsr()
+    strides = [int(np.prod(shape[k + 1:])) for k in range(len(shape))]
+    weights = [-B[0, s] if n > 1 else 0.0 for s, n in zip(strides, shape)]
+    diag = B[0, 0]
+    kron = sp.csr_matrix((1, 1))
+    for n, w in zip(shape, weights):
+        second = sp.diags([-w, -w], [-1, 1], shape=(n, n))
+        kron = sp.kronsum(second, kron, format="csr")
+    kron = kron + diag * sp.identity(mask.n_interior, format="csr")
+    if float(abs(B - kron).max()) > 1e-12 * float(abs(B).max()):
+        return None
+    return shape, diag, weights
+
+
+def colour_rows(colours, B):
+    """Per colour of ``colours``, in increasing order: its rows, their
+    slice of B minus its diagonal (zeros eliminated) and their diagonal."""
+    diag = B.diagonal()
+    off = sp.csr_matrix(B - sp.diags(diag))
+    off.eliminate_zeros()
+    rows = [np.flatnonzero(colours == c) for c in np.unique(colours)]
+    return [(r, off[r], diag[r]) for r in rows]
+
+
+def axis_restrictions(m, m_coarse):
+    """The 1D full weighting and iterate restriction from m points to
+    m_coarse as CSR matrices: odd m keeps 2j + 1 (weights 1/4, 1/2, 1/4
+    and injection), even m the midpoints of s + 2j and s + 2j + 1,
+    s = m / 2 - m_coarse (weights 1/8, 3/8, 3/8, 1/8 and the pair mean);
+    the identity where the axis does not coarsen."""
+    if m_coarse == m:
+        eye = sp.identity(m, format="csr")
+        return eye, eye
+    j = np.arange(m_coarse)[:, None]
+    if m % 2:
+        legs, weights, kept, means = 2 * j + np.arange(3), [0.25, 0.5, 0.25], 2 * j + 1, [1.0]
+    else:
+        s = m // 2 - m_coarse
+        legs, weights = s + 2 * j + np.arange(-1, 3), [0.125, 0.375, 0.375, 0.125]
+        kept, means = s + 2 * j + np.arange(2), [0.5, 0.5]
+
+    def restriction(cols, vals):
+        rows = np.broadcast_to(j, cols.shape)
+        on = (cols >= 0) & (cols < m)
+        vals = np.broadcast_to(vals, cols.shape)
+        return sp.csr_matrix((vals[on], (rows[on], cols[on])), shape=(m_coarse, m))
+
+    return restriction(legs, weights), restriction(kept, means)
+
+
+def fas_levels(op):
+    """The levels of the FAS hierarchy of ``op``, built the generic way:
+    per level its B (canonicalized through ``coo_blocks``; level 0's is
+    -A_II), colour slices (``colour_rows`` on the package's colouring) and,
+    but on the coarsest, the full weighting and iterate restriction as
+    ``sp.kron`` chains of ``axis_restrictions``, fancy-indexed to the
+    interiors.  Coarse levels are assembled by ``ellipot.assemble`` on the
+    blocks and bounds of ``_fas_sides``, as the package does."""
+    import ellipot as ep
+    from ellipot.geometry import BOUNDARY, INTERIOR, DomainMask
+    from ellipot.solver import _fas_sides, _lattice_colours
+
+    def colouring(mask, B):
+        off = (B - sp.diags(B.diagonal())).tocoo()
+        off.eliminate_zeros()
+        return colour_rows(_lattice_colours(mask, off.row, off.col), B)
+
+    grid = op.mask.grid
+    sides = _fas_sides(op.mask)
+    idx = np.unravel_index(op.mask.interior_flat, grid.shape)
+    bounds = [(grid.axis(k)[i.min() - 1], grid.axis(k)[i.max() + 1]) for k, i in enumerate(idx)]
+    inside = np.ravel_multi_index(tuple(i - i.min() for i in idx), sides[0])
+    mask, B = op.mask, sp.csr_matrix(-op.interior_matrix)
+    levels = []
+    for fine, coarse in zip(sides, sides[1:] + [None]):
+        level = {"B": B, "colours": colouring(mask, B)}
+        levels.append(level)
+        if coarse is None:
+            break
+        axes = [axis_restrictions(m, mc) for m, mc in zip(fine, coarse)]
+        full, restrict = axes[0]
+        for weights, means in axes[1:]:
+            full = sp.kron(full, weights, format="csr")
+            restrict = sp.kron(restrict, means, format="csr")
+        outside = np.ones(restrict.shape[1])
+        outside[inside] = 0.0
+        coarse_inside = np.flatnonzero(restrict @ outside == 0.0)
+        if not coarse_inside.size:
+            break
+        if coarse_inside.size < restrict.shape[0] or inside.size < restrict.shape[1]:
+            full = full[coarse_inside][:, inside]
+            restrict = restrict[coarse_inside][:, inside]
+        level["full"], level["restrict"] = full, restrict
+        for k, (m, mc) in enumerate(zip(fine, coarse)):
+            if mc < m and m % 2 == 0:
+                shift = m // 2 - mc - 0.5
+                lo, hi = bounds[k]
+                h = (hi - lo) / (m + 1)
+                bounds[k] = (lo + shift * h, hi - shift * h)
+        classes = np.full([m + 2 for m in coarse], BOUNDARY, dtype=np.int8)
+        classes[tuple(i + 1 for i in np.unravel_index(coarse_inside, coarse))] = INTERIOR
+        mask = DomainMask(ep.build_grid(grid.dim, classes.shape, bounds), classes,
+                          _validated=True)
+        inside = coarse_inside
+        coarse_op = ep.assemble(mask, op.coeffs, op.scheme, validate=False)
+        B = sp.csr_matrix(-coo_blocks(coarse_op)[0])
+    return levels
+

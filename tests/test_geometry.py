@@ -1,10 +1,15 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ellipot as ep
 from ellipot.errors import MaskError, NestingError
-from ellipot.geometry import BOUNDARY, EXTERIOR, INTERIOR, interior_depth
+from ellipot.geometry import BOUNDARY, EXTERIOR, INTERIOR, _connected, interior_depth
+
+import oracles
 
 
 def test_grid_axes_and_points():
@@ -116,3 +121,15 @@ def test_exhaustion_union_property(disc_mask):
     target = np.zeros_like(union)
     target[disc_mask.interior_flat] = True
     npt.assert_array_equal(union, target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(
+        bool,
+        hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=8),
+        elements=st.booleans(),
+    )
+)
+def test_connected_agrees_with_breadth_first_search(flags):
+    assert _connected(flags) == oracles.bfs_connected(flags)

@@ -5,6 +5,9 @@ import scipy.sparse.linalg as spla
 
 import ellipot as ep
 from ellipot.errors import EllipticityError, StencilError
+from ellipot.operators import _BoxSolver
+
+import oracles
 
 
 def _interior_coords(mask):
@@ -180,18 +183,18 @@ def _solve_error(op, rng):
 _ANISO_3D = ([9, 11, 13], [(0.0, 1.0), (-2.0, 3.0), (0.0, 0.5)])
 
 
-@pytest.mark.parametrize(
-    "mask, coeffs",
-    [
-        (_box(1, 65, (0.0, 1.0)), None),
-        (_box(2, [17, 25], [(0.0, 1.0), (-2.0, 3.0)]),
-         ep.CoefficientSet(a=np.array([1.0, 3.0]), c=-2.5)),
-        (_box(3, *_ANISO_3D), ep.CoefficientSet(a=np.array([2.0, 1.0, 0.5]), c=-1.0)),
-        (ep.build_exhaustion(_box(3, *_ANISO_3D), 3).levels[0],
-         ep.CoefficientSet(a=np.array([2.0, 1.0, 0.5]))),
-    ],
-    ids=["1d", "2d-aniso-c", "3d-aniso-c", "3d-exhaustion-sub-box"],
-)
+_DST_BOXES = [
+    (_box(1, 65, (0.0, 1.0)), None),
+    (_box(2, [17, 25], [(0.0, 1.0), (-2.0, 3.0)]),
+     ep.CoefficientSet(a=np.array([1.0, 3.0]), c=-2.5)),
+    (_box(3, *_ANISO_3D), ep.CoefficientSet(a=np.array([2.0, 1.0, 0.5]), c=-1.0)),
+    (ep.build_exhaustion(_box(3, *_ANISO_3D), 3).levels[0],
+     ep.CoefficientSet(a=np.array([2.0, 1.0, 0.5]))),
+]
+_DST_BOX_IDS = ["1d", "2d-aniso-c", "3d-aniso-c", "3d-exhaustion-sub-box"]
+
+
+@pytest.mark.parametrize("mask, coeffs", _DST_BOXES, ids=_DST_BOX_IDS)
 def test_box_solve_by_dst_matches_the_factor(rng, mask, coeffs):
     op = ep.assemble(mask, coeffs)
     err, used_factor = _solve_error(op, rng)
@@ -204,22 +207,135 @@ _DISC = ep.mask_from_predicate(ep.build_grid(2, 25, (-1.0, 1.0)),
 _SQUARE = _box(2, 17, (-1.0, 1.0))
 
 
-@pytest.mark.parametrize(
-    "mask, coeffs, scheme",
-    [
-        (_DISC, None, None),
-        (_SQUARE, ep.CoefficientSet(b=np.array([1.0, 0.0])), None),
-        (_SQUARE, ep.CoefficientSet(c=lambda pts: -1.0 - pts[:, 0] ** 2), None),
-        (_SQUARE, ep.CoefficientSet(a=lambda pts: 1.0 + pts[:, 0] ** 2), None),
-        (_SQUARE, ep.CoefficientSet(a=np.array([[1.0, 0.3], [0.3, 1.0]])), None),
-        (_SQUARE, ep.CoefficientSet(a=np.array([[1.0, 0.3], [0.3, 1.0]])),
-         ep.SchemeOptions(cross="tilted")),
-    ],
-    ids=["disc", "upwind-drift", "variable-c", "variable-a", "cross-corner",
-         "cross-tilted"],
-)
+_FACTORED = [
+    (_DISC, None, None),
+    (_SQUARE, ep.CoefficientSet(b=np.array([1.0, 0.0])), None),
+    (_SQUARE, ep.CoefficientSet(c=lambda pts: -1.0 - pts[:, 0] ** 2), None),
+    (_SQUARE, ep.CoefficientSet(a=lambda pts: 1.0 + pts[:, 0] ** 2), None),
+    (_SQUARE, ep.CoefficientSet(a=np.array([[1.0, 0.3], [0.3, 1.0]])), None),
+    (_SQUARE, ep.CoefficientSet(a=np.array([[1.0, 0.3], [0.3, 1.0]])),
+     ep.SchemeOptions(cross="tilted")),
+]
+_FACTORED_IDS = ["disc", "upwind-drift", "variable-c", "variable-a", "cross-corner",
+                 "cross-tilted"]
+
+
+@pytest.mark.parametrize("mask, coeffs, scheme", _FACTORED, ids=_FACTORED_IDS)
 def test_solve_falls_back_to_the_factor(rng, mask, coeffs, scheme):
     op = ep.assemble(mask, coeffs, scheme)
     err, used_factor = _solve_error(op, rng)
     assert used_factor
     assert err == 0.0
+
+
+def _nudged(op):
+    """``op`` with one off-diagonal entry of B, in a row inside the block,
+    moved by 1e-10 of itself."""
+    A = op.interior_matrix
+    row = op.n_interior // 2
+    at = A.indptr[row] + int(np.flatnonzero(A.indices[A.indptr[row]:A.indptr[row + 1]] != row)[0])
+    A.data[at] *= 1.0 + 1e-10
+    return op
+
+
+def _wrapped(op):
+    """``op`` with a leg of B from the end of its first line to the start
+    of the next, equal to the legs within lines."""
+    A = op.interior_matrix.tolil()
+    line = op.mask.grid.shape[-1] - 2
+    A[line - 1, line] = A[0, 1]
+    op._A_II = A.tocsr()
+    return op
+
+
+def _dropped(op):
+    """``op`` with one leg of B, in a row inside the block, removed from
+    its matrix."""
+    A = op.interior_matrix.tolil()
+    row = op.n_interior // 2
+    A[row, row + 1] = 0.0
+    op._A_II = A.tocsr()
+    op._A_II.eliminate_zeros()
+    return op
+
+
+@pytest.mark.parametrize(
+    "make_op",
+    [lambda mask=mask, coeffs=coeffs: ep.assemble(mask, coeffs) for mask, coeffs in _DST_BOXES]
+    + [lambda mask=mask, coeffs=coeffs, scheme=scheme: ep.assemble(mask, coeffs, scheme)
+       for mask, coeffs, scheme in _FACTORED]
+    + [
+        lambda: _nudged(ep.assemble(*_DST_BOXES[1])),
+        lambda: ep.assemble(_SQUARE, ep.CoefficientSet(a=lambda pts: np.full(len(pts), 2.0))),
+        lambda: _wrapped(ep.assemble(_SQUARE)),
+        lambda: _dropped(ep.assemble(_SQUARE)),
+    ],
+    ids=[f"box-{i}" for i in _DST_BOX_IDS] + [f"factored-{i}" for i in _FACTORED_IDS]
+    + ["nudged-leg", "constant-callable-a", "leg-across-lines", "leg-missing"],
+)
+def test_box_decision_matches_the_kronecker_sum(make_op):
+    # deciding from B's CSR arrays agrees with comparing B with the
+    # Kronecker sum rebuilt from its entries, and on a box builds the same
+    # eigenvalues
+    op = make_op()
+    box, want = _BoxSolver.of(op), oracles.kronsum_box(op)
+    assert (box is None) == (want is None)
+    if box is not None:
+        assert box.shape == want[0]
+        assert box.eigenvalues.tobytes() == _BoxSolver(*want).eigenvalues.tobytes()
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        ep.CoefficientSet(a=2.5),
+        ep.CoefficientSet(a=np.array([1.0, 1e-3])),
+        ep.CoefficientSet(a=np.array([[1.0, 0.3], [0.3, 2.0]])),
+        ep.CoefficientSet(a=np.array([[1.0, 2.0], [2.0, 1.0]])),
+        ep.CoefficientSet(a=np.array([[1.0, 0.3], [0.1, 1.0]])),
+        ep.CoefficientSet(c=lambda pts: pts[:, 0] - 0.5),
+        ep.CoefficientSet(a=lambda pts: 1.0 + pts[:, 0] ** 2, c=-1.0),
+    ],
+    ids=["scalar-a", "vector-a", "matrix-a", "indefinite-a", "asymmetric-a", "signed-c",
+         "callable-a"],
+)
+def test_ellipticity_report_matches_the_pointwise_audit(unit_square_17, coeffs):
+    # a constant a is audited as one matrix, with the report of auditing
+    # it at every interior point
+    want = repr(oracles.ellipticity_report(coeffs, unit_square_17))
+    assert repr(ep.check_ellipticity(coeffs, unit_square_17)) == want
+
+
+def test_assemble_evaluates_callable_coefficients_once(unit_square_17):
+    calls = {"a": 0, "c": 0}
+
+    def a(pts):
+        calls["a"] += 1
+        return 1.0 + pts[:, 0] ** 2
+
+    def c(pts):
+        calls["c"] += 1
+        return -1.0 - pts[:, 1] ** 2
+
+    ep.assemble(unit_square_17, ep.CoefficientSet(a=a, c=c))
+    assert calls == {"a": 1, "c": 1}
+
+
+@pytest.mark.parametrize(
+    "mask, coeffs, scheme",
+    _FACTORED + [
+        (_box(3, *_ANISO_3D), ep.CoefficientSet(a=np.array([2.0, 1.0, 0.5]), c=-1.0), None),
+        (_box(2, 17, (-1.0, 1.0)), ep.CoefficientSet(b=np.array([300.0, -1.0])),
+         ep.SchemeOptions(drift="centered")),
+    ],
+    ids=_FACTORED_IDS + ["3d-aniso-c", "centered-drift"],
+)
+def test_blocks_are_the_canonical_csr_of_their_entries(mask, coeffs, scheme):
+    # built straight from the stencil legs, A_II and A_IB equal the CSR
+    # blocks that COO conversion and column slicing give, byte for byte
+    op = ep.assemble(mask, coeffs, scheme)
+    for got, want in zip((op.interior_matrix, op.boundary_matrix), oracles.coo_blocks(op)):
+        assert got.shape == want.shape
+        for x, y in ((got.indptr, want.indptr), (got.indices, want.indices),
+                     (got.data, want.data)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()

@@ -384,7 +384,7 @@ def test_no_colour_couples_to_itself(make_op, n_colours):
     B = sp.csr_matrix(-op.interior_matrix)
     off = (B - sp.diags(B.diagonal())).tocoo()
     off.eliminate_zeros()
-    colours = _lattice_colours(op.mask, off)
+    colours = _lattice_colours(op.mask, off.row, off.col)
     assert off.nnz > 0
     assert not np.any(colours[off.row] == colours[off.col])
     assert len(np.unique(colours)) == n_colours
@@ -1002,7 +1002,7 @@ def _fas_cycle(op):
     rhs = op.boundary_matrix @ np.ones(mask.n_boundary)
     return _FasCycle(
         _FasHierarchy(op), sp.csc_matrix(-op.interior_matrix), phi,
-        mask.interior_points(), np.ones(mask.n_interior), rhs, 1e-12, 0.0,
+        phi.bind(mask.interior_points()), rhs, 1e-12, 0.0,
     )
 
 
@@ -1127,3 +1127,94 @@ def test_a_solved_operator_is_freed_with_its_hierarchy():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# ------------------------------------------- set-up against generic builds
+
+def _same_csr(a, b):
+    """Equal shapes and equal bytes of indptr, indices and data."""
+    return a.shape == b.shape and all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data))
+    )
+
+
+def _box_of(dim, shape, half_width=1.0):
+    return ep.box_mask(ep.build_grid(dim, shape, (-half_width, half_width)))
+
+
+def _with_a_stored_zero(op):
+    """``op`` with one off-diagonal entry of A_II set to a stored 0."""
+    A = op.interior_matrix
+    A.data[np.flatnonzero(A.indices[A.indptr[5]:A.indptr[6]] != 5)[0] + A.indptr[5]] = 0.0
+    return op
+
+
+@pytest.mark.parametrize(
+    "make_op",
+    [
+        lambda: ep.assemble(_box_of(3, 25, 2.0)),
+        lambda: ep.assemble(_box_of(2, 129, 16.0), ep.CoefficientSet(c=-1.0)),
+        lambda: ep.assemble(ep.build_exhaustion(_box_of(2, 129, 16.0), 2).levels[0]),
+        lambda: ep.assemble(ep.build_exhaustion(_box_of(3, 25, 2.0), 3).levels[1]),
+        lambda: ep.assemble(ep.box_mask(ep.build_grid(2, (66, 41), (-1.0, 1.0)))),
+        lambda: ep.assemble(_disc_of(34)),
+        lambda: ep.assemble(ep.mask_from_predicate(
+            ep.build_grid(3, 17, (-1.0, 1.0)), lambda q: np.sum(q**2, axis=1) < 0.8)),
+        lambda: ep.assemble(_box_of(2, 33), ep.CoefficientSet(b=np.array([3.0, -1.0]))),
+        lambda: ep.assemble(_box_of(2, 33), ep.CoefficientSet(a=np.array([[1.0, 0.3], [0.3, 1.0]])),
+                            ep.SchemeOptions(cross="tilted")),
+        lambda: _with_a_stored_zero(ep.assemble(_box_of(2, 17))),
+    ],
+    ids=["box-23^3", "box-127^2", "exhaustion-2d", "exhaustion-3d", "even-66x41", "disc",
+         "ball", "upwind-drift", "tilted-cross", "stored-zero"],
+)
+def test_hierarchy_levels_match_the_generic_sparse_builds(make_op):
+    # coarse B, colour slices, full weighting and iterate restriction of
+    # every level equal those of COO assembly, B - diag(B), sp.kron chains
+    # and fancy indexing, byte for byte
+    op = make_op()
+    levels, want = _FasHierarchy(op).levels, oracles.fas_levels(op)
+    assert len(levels) == len(want) >= 3
+    for k, ((B, colours, transfers), ref) in enumerate(zip(levels, want)):
+        assert B is None if k == 0 else _same_csr(B, ref["B"])
+        assert len(colours) == len(ref["colours"])
+        for (rows, off, diag), (rows_ref, off_ref, diag_ref) in zip(colours, ref["colours"]):
+            assert rows.tobytes() == rows_ref.tobytes()
+            assert diag.tobytes() == diag_ref.tobytes()
+            assert _same_csr(off, off_ref)
+        assert (transfers is None) == ("full" not in ref)
+        if transfers is not None:
+            full, restrict, prolong, _ = transfers
+            assert _same_csr(full, ref["full"])
+            assert _same_csr(restrict, ref["restrict"])
+            assert _same_csr(prolong.T, ref["full"])
+
+
+def test_a_solve_evaluates_its_density_once():
+    # the p >= 0 check, level 0 and the restricted coarse densities all
+    # read the one evaluation that phi.bind makes
+    sizes = []
+
+    def p(points):
+        sizes.append(len(points))
+        return 1.0 + points[:, 0] ** 2
+
+    op = ep.assemble(_box_of(2, 17))
+    phi = ep.power_phi(p, 0.5)
+    for _ in range(2):
+        sizes.clear()
+        ep.solve_semilinear_dirichlet(op, phi, 1.0)
+        assert sizes == [op.n_interior]
+
+
+def test_the_sign_audit_runs_once_per_operator(monkeypatch):
+    # B's sign pattern depends on the operator only, so the second solve
+    # reuses the first one's audit along with its hierarchy
+    audits = []
+    sign_pattern = solver._sign_pattern
+    monkeypatch.setattr(solver, "_sign_pattern", lambda B: audits.append(B.shape) or sign_pattern(B))
+    op = ep.assemble(_disc_of(33))
+    ep.solve_semilinear_dirichlet(op, ep.power_phi(1.0, 0.5), 1.0)
+    ep.solve_semilinear_dirichlet(op, ep.power_phi(2.0, 0.5), 3.0)
+    assert audits == [(op.n_interior,) * 2]

@@ -20,8 +20,12 @@ there.  Per seed, a file holds its side's runs (the
 detail and result lines of ``run.py``), the pair list, its own summary
 (median, quartiles and IQR per metric, and the check counts), the other
 side's summary, and the comparison: pairs won and lost by the change,
-the change of the medians, absolute and relative to the parent's, and
-the parent's IQR.
+the change of the medians, absolute and relative to the parent's, the
+parent's IQR, and two verdicts.  ``gain_shown``: the change won at least
+nine pairs in ten, and its median beats the parent's by more than the
+parent's IQR.  ``within_bound``: the change's median is worse than the
+parent's by at most the metric's ``bound`` in ``BENCHMARK.json``, a
+fraction of the parent's median.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ def summary(values):
 
 def side_summary(runs, metrics):
     out = {name: summary([r["result"]["metrics"][name]["value"] for r in runs])
-           for name, _ in metrics}
+           for name, *_ in metrics}
     out["correct_runs"] = sum(bool(r["result"]["correct"]) for r in runs)
     out["failed_checks"] = sum(r["result"]["failed"] for r in runs)
     out["attempted_checks"] = sum(r["result"]["attempted"] for r in runs)
@@ -79,19 +83,25 @@ def side_summary(runs, metrics):
 
 
 def comparison(pairs, summaries, metrics):
+    """Per metric (name, better, bound): the pairs the change won and lost,
+    the change of the medians, and the verdicts ``gain_shown`` and
+    ``within_bound`` (module docstring)."""
     out = {}
-    for name, better in metrics:
+    for name, better, bound in metrics:
         sign = 1.0 if better == "lower" else -1.0
         gains = [sign * (p[name]["parent"] - p[name]["change"]) for p in pairs]
         parent, change = summaries["parent"][name], summaries["change"][name]
         diff = change["median"] - parent["median"]
+        wins = sum(g > 0 for g in gains)
         out[name] = {
-            "change_wins": sum(g > 0 for g in gains),
+            "change_wins": wins,
             "change_losses": sum(g < 0 for g in gains),
             "pairs": len(pairs),
             "median_change_minus_parent": diff,
             "relative": diff / parent["median"] if parent["median"] else 0.0,
             "parent_iqr": parent["iqr"],
+            "gain_shown": 10 * wins >= 9 * len(pairs) and -sign * diff > parent["iqr"],
+            "within_bound": sign * diff <= bound * abs(parent["median"]),
         }
     return out
 
@@ -121,7 +131,7 @@ def main(argv=None):
             for side, rev in zip(SIDES, (args.parent, args.change))}
     revs = {side: git("rev-parse", "--short=7", sha, cwd=repo) for side, sha in shas.items()}
     spec = json.loads((repo / "BENCHMARK.json").read_text())
-    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    metrics = [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
 
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     try:
@@ -141,7 +151,7 @@ def main(argv=None):
                     print(f"{args.workload} seed {seed} pair {k} {side}: wall_s "
                           f"{result['metrics']['wall_s']['value']:.4f}", flush=True)
                 pair = {"pair": k, "first": order[0]}
-                for name, _ in metrics:
+                for name, *_ in metrics:
                     pair[name] = {side: runs[side][-1]["result"]["metrics"][name]["value"]
                                   for side in SIDES}
                 pairs.append(pair)
