@@ -190,8 +190,8 @@ def _build_phi(cfg, dim):
     """Reaction and its density from the [phi] section.
 
     Returns (phi, p) where p is the configured density, which the Kato
-    scan, the majorant's tables and the Green sums read: phi's own, except
-    for the zero family, whose reaction has density 0.
+    scan and the Green sums read: phi's own, except for the zero family,
+    whose reaction has density 0.
     """
     family = cfg.get("phi", "family", default="zero", kind="str")
     p = _scalar_or_expr(cfg.get("phi", "p", default=1.0), dim, "[phi] p")
@@ -394,7 +394,7 @@ def cmd_exhaust(cfg, emit):
 def cmd_majorant(cfg, emit):
     mask = _build_mask(cfg)
     dim = mask.grid.dim
-    phi, p = _build_phi(cfg, dim)
+    phi, _ = _build_phi(cfg, dim)
     moll = Mollifier()
     maj = build_concave_majorant(phi, mollifier=moll)
     # the active points, interior and boundary, in flat-index order
@@ -405,11 +405,11 @@ def cmd_majorant(cfg, emit):
     bound_c = maj.linear_bound_constant()
     zero_row = abs(float(maj.psi[0]))
 
-    # eight evenly strided active points; their psi columns are p(x)
-    # times the majorant's profile
+    # eight evenly strided active points; their psi columns are the
+    # majorant's density p(x) (0 for the zero family) times its profile
     n_pts = len(pts)
     sample = pts[:: max(1, n_pts // 8)][:8]
-    pv = values_at(p, sample)
+    pv = values_at(maj.p, sample)
     header = ["t"] + [f"psi_point{j + 1}" for j in range(len(sample))]
     rows = [[float(t)] + list(pv * psi) for t, psi in zip(maj.t_grid, maj.psi)]
     emit.write_csv("psi_table.csv", header, rows)

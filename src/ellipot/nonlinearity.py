@@ -60,9 +60,10 @@ class Phi:
 class ProductPhi(Phi):
     """Separable reaction p(x) * rho(t) with rho(0) = 0 expected."""
 
-    # (b, p, s) -> the t > 0 with b t + p rho(t) = s, per entry, where rho
-    # has a closed-form inverse there (``power_phi`` at gamma = 1/2); the
-    # solver's sweep takes it in place of its iterative root
+    # (b, p, s, 4 b, p^2) -> the t > 0 with b t + p rho(t) = s, per entry,
+    # where rho has a closed-form inverse there (``power_phi`` at gamma =
+    # 1/2); the solver's sweep takes it in place of its iterative root and
+    # keeps 4 b and p^2 for the whole solve
     _inverse = None
 
     def __init__(self, p, rho, name="p*rho"):
@@ -79,8 +80,13 @@ class ProductPhi(Phi):
         n, rho = len(pv), self.rho
 
         def call(t):
-            tt = np.broadcast_to(np.asarray(t, dtype=float), (n,))
+            tt = np.asarray(t, dtype=float)
+            if tt.shape != (n,):
+                tt = np.broadcast_to(tt, (n,))
             pos = tt > 0.0
+            if pos.all():
+                # every point reacts: no gathers and no scatter
+                return pv * rho(tt)
             out = np.zeros(n)
             if pos.any():
                 out[pos] = pv[pos] * rho(tt[pos])
@@ -101,14 +107,22 @@ class AffinePhi(ProductPhi):
         super().__init__(p, lambda t: self.slope * t, name)
 
 
-def _sqrt_inverse(b, p, s):
+def _sqrt_inverse(b, p, s, b4, pp):
     """The t > 0 with b t + p sqrt(t) = s, per entry, for b > 0, p >= 0 and
-    s > 0: sqrt(t) is the positive root of b y^2 + p y = s, written
+    s > 0, given b4 = 4 b and pp = p^2, which the sweep computes once per
+    solve: sqrt(t) is the positive root of b y^2 + p y = s, written
     2 s / (p + sqrt(p^2 + 4 b s)) so that no difference cancels, and
     t = s / (b + p / sqrt(t)), which is s / b to the last bit where p = 0
-    (squaring sqrt(t) is not)."""
-    y = 2.0 * s / (p + np.sqrt(p * p + 4.0 * b * s))
-    return s / (b + p / y)
+    (squaring sqrt(t) is not).  4 b s rounds as (4 b) s, so b4 changes no
+    bit; the root is evaluated in one buffer."""
+    y = b4 * s
+    y += pp
+    np.sqrt(y, out=y)
+    y += p
+    np.divide(2.0 * s, y, out=y)
+    np.divide(p, y, out=y)
+    y += b
+    return np.divide(s, y, out=y)
 
 
 def power_phi(p, gamma):

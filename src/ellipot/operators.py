@@ -531,7 +531,7 @@ def _sign_pattern(B):
     off = B.data[major != B.indices]
     off = off[off != 0.0]
     max_off = float(off.max()) if off.size else 0.0
-    rowsum = np.asarray(B.sum(axis=1)).ravel()
+    rowsum = B @ np.ones(B.shape[1])
     return bool(np.all(B.diagonal() > 0)), max_off, rowsum, tol
 
 

@@ -280,8 +280,14 @@ def save_field(field, path):
             [field.mask.interior_flat, field.mask.boundary_flat]
         )
         active.sort()
-        row = ",".join(["%.17g"] * g.dim + ["%d", "%s", "%.17g"]) + "\r\n"
-        cols = g.points()[active].T.tolist() + [
+        # a point's coordinates are its axes' values, so each axis value
+        # is formatted once and the rows take its string
+        coords = [
+            np.array([f"{x:.17g}" for x in g.axis(k).tolist()], dtype=object)[i].tolist()
+            for k, i in enumerate(np.unravel_index(active, g.shape))
+        ]
+        row = ",".join(["%s"] * g.dim + ["%d", "%s", "%.17g"]) + "\r\n"
+        cols = coords + [
             active.tolist(),
             np.where(classes[active] == INTERIOR, "i", "b").tolist(),
             vals[active].tolist(),

@@ -70,11 +70,24 @@ type-I discrete sine transforms; elsewhere the operator's cached SuperLU
 factor (minimum-degree ordering of A^T + A, see ``operators._sparse_lu``),
 so an operator reused across solves is factored at most once.  A cycle
 needs no solve: a sweep is, per colour, one matrix-vector product with
-the colour's rows of B's off-diagonal part.  The report counts the
-factorizations a solve built, at most the operator's own, and their
-fill, and each solve logs one DEBUG line on the ``ellipot.solver``
-logger, which also says whether the solve built the hierarchy or reused
-it, and what it cost to build.
+the colour's rows of B's off-diagonal part and one vectorized root.  The
+report counts the factorizations a solve built, at most the operator's
+own, and their fill, and each solve logs one DEBUG line on the
+``ellipot.solver`` logger, which also says whether the solve built the
+hierarchy or reused it, and what it cost to build.
+
+Cost of a cycle.  A cycle costs its arithmetic, since on the small levels
+a call's fixed overhead would otherwise exceed its work, and every
+iterate is the one the plain formulation gives, to the bit.  Every sparse
+product in a cycle goes straight to the kernel that scipy's ``A @ x``
+calls (``_product``); the prolongation stays the CSC transpose view of
+the full weighting.  A sweep takes its right side already gathered per
+colour: level 0's right side A_IB f once per solve, a coarse level's once
+per visit, so the pre- and post-sweeps and the coarsest level's sweeps
+share one gather.  The closed-form root reads 4 B_ii and p_i^2, computed
+once per solve, and evaluates in one buffer (``nonlinearity._sqrt_inverse``),
+and a reaction whose arguments are all positive skips its gathers and
+scatter (``ProductPhi._on``).
 """
 from __future__ import annotations
 
@@ -84,6 +97,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import NonConvergenceError, SolverBreakdownError
 from .geometry import BOUNDARY, INTERIOR, DomainMask, build_grid
@@ -348,39 +362,63 @@ def _pointwise_root(b, p, rho, s, t0, eps, forcing=0.0):
     return out
 
 
+def _product(A, x):
+    """A @ x for the CSR or CSC matrix A and a float vector x: the kernel
+    that scipy's own product calls, writing into fresh zeros as it does, so
+    the same bits without the dispatch around it, which on a coarse level
+    costs more than the product itself."""
+    m, n = A.shape
+    out = np.zeros(m)
+    kernel = _sparsetools.csr_matvec if A.format == "csr" else _sparsetools.csc_matvec
+    kernel(m, n, A.indptr, A.indices, A.data, x, out)
+    return out
+
+
 class _GaussSeidelSweep:
     """One nonlinear Gauss-Seidel sweep of  B u + p rho(u) = A_IB f.
 
     Colour by colour, every point solves its own scalar equation
     B_ii t + p_i rho(t) = s_i, s_i = (A_IB f - B_off u)_i.  Where the
     reaction has a closed-form inverse (``ProductPhi._inverse``, set by
-    ``power_phi`` at gamma = 1/2 only) the point takes it; every other rho
-    takes a root forced with _FORCING (``_pointwise_root``): exact to eps
-    once the point's updates are small, within a tenth of its last step
-    before that.  On both, a point with 0 < s_i <= eps takes t = 0, so a
+    ``power_phi`` at gamma = 1/2 only) the point takes it, with the
+    constants 4 B_ii and p_i^2 that it reads computed once per solve;
+    every other rho takes a root forced with _FORCING
+    (``_pointwise_root``): exact to eps once the point's updates are
+    small, within a tenth of its last step before that.  On both, a point with 0 < s_i <= eps takes t = 0, so a
     dead core holds exact zeros, and one with s_i <= 0 takes s_i / B_ii.
     Points of one colour never couple, so a colour is one row-slice matvec
     and one vectorized root.  The colours come from the level's
     ``_colour_rows`` and only p is the solve's own.  The right side is
-    given per call, so one sweep serves every right side of its level.
-    The result is clamped to ``lower``.  Needs p >= 0, so that every scalar
-    equation is monotone.
+    given per call, as its colours' rows (``gather``), so one sweep serves
+    every right side of its level and the sweeps of one right side gather
+    it once.  The result is clamped to ``lower``.  Needs p >= 0, so that
+    every scalar equation is monotone.
     """
 
     def __init__(self, colours, phi, p, eps):
         self.rho = phi.rho
         self.eps = eps
         self.inverse = phi._inverse
-        self.parts = [(rows, off, diag, p[rows]) for rows, off, diag in colours]
+        self.parts = []
+        for rows, off, diag in colours:
+            pc = p[rows]
+            consts = (4.0 * diag, pc * pc) if self.inverse is not None else ()
+            self.parts.append((rows, off, diag, pc, consts))
+
+    def gather(self, rhs):
+        """The right side ``rhs`` as a sweep reads it: its rows per colour."""
+        return [rhs[rows] for rows, *_ in self.parts]
 
     def __call__(self, u, rhs, lower):
-        """Sweep ``u`` in place for the right side ``rhs``."""
-        for rows, off, diag, p in self.parts:
-            s = rhs[rows] - off @ u
+        """Sweep ``u`` in place for the right side ``rhs``, given per
+        colour as ``gather`` gives it."""
+        for (rows, off, diag, p, consts), rhs_c in zip(self.parts, rhs):
+            s = _product(off, u)
+            np.subtract(rhs_c, s, out=s)
             pos = s > self.eps
             if pos.all():
                 # no point to exclude, so no copies of the colour's arrays
-                t = self._root(diag, p, s, u, rows)
+                t = self._root(diag, p, s, consts, u, rows)
             else:
                 # rho vanishes at t <= 0: t = s / B_ii solves a point with
                 # s <= 0 exactly, and t = 0 one with 0 < s <= eps to within
@@ -388,14 +426,17 @@ class _GaussSeidelSweep:
                 # dead core may have no point left to solve
                 t = np.minimum(s, 0.0) / diag
                 if pos.any():
-                    t[pos] = self._root(diag[pos], p[pos], s[pos], u, rows[pos])
-            u[rows] = np.maximum(t, lower)
+                    t[pos] = self._root(
+                        diag[pos], p[pos], s[pos], [c[pos] for c in consts], u, rows[pos]
+                    )
+            np.maximum(t, lower, out=t)
+            u[rows] = t
 
-    def _root(self, b, p, s, u, rows):
+    def _root(self, b, p, s, consts, u, rows):
         """The points' roots: the reaction's closed-form inverse where it
         has one, else a forced root warm-started at ``u[rows]``."""
         if self.inverse is not None:
-            return self.inverse(b, p, s)
+            return self.inverse(b, p, s, *consts)
         return _pointwise_root(b, p, self.rho, s, u[rows], self.eps, _FORCING)
 
 
@@ -629,35 +670,47 @@ class _FasCycle:
             self.levels.append((B, react, sweep, transfers))
             if transfers is not None:
                 p = transfers[1] @ p
+        # level 0's right side, A_IB f, is the same in every cycle
+        self.rhs_parts = self.levels[0][2].gather(rhs)
 
     def __call__(self, u, k):
         u = u.copy()
-        self._cycle(0, u, self.rhs)
+        self._cycle(0, u, self.rhs, self.rhs_parts)
         if not np.all(np.isfinite(u)):
             raise SolverBreakdownError(f"non-finite iterate at cycle {k}")
         return u
 
-    def _cycle(self, level, u, rhs):
+    def _cycle(self, level, u, rhs, rhs_parts):
+        """One V-cycle from ``level`` down on ``u`` in place, for the right
+        side ``rhs``, which ``rhs_parts`` gives per colour of the sweep."""
         B, react, sweep, transfers = self.levels[level]
         if transfers is None:
             for _ in range(_COARSEST_SWEEPS):
-                sweep(u, rhs, self.lower)
+                sweep(u, rhs_parts, self.lower)
             return
         for _ in range(_PRE_SWEEPS):
-            sweep(u, rhs, self.lower)
+            sweep(u, rhs_parts, self.lower)
         full, restrict, prolong, scale = transfers
-        B_c, react_c = self.levels[level + 1][:2]
-        u_c = restrict @ u
+        B_c, react_c, sweep_c = self.levels[level + 1][:3]
+        u_c = _product(restrict, u)
         # the FAS coarse right side: the restricted residual plus the coarse
         # operator at the restricted iterate, so the coarse solve moves u_c
         # by the correction the fine level needs
-        rhs_c = B_c @ u_c + react_c(u_c) + full @ (rhs - B @ u - react(u))
+        rhs_c = _product(B_c, u_c)
+        rhs_c += react_c(u_c)
+        r = _product(B, u)
+        np.subtract(rhs, r, out=r)
+        r -= react(u)
+        rhs_c += _product(full, r)
         v = u_c.copy()
-        self._cycle(level + 1, v, rhs_c)
-        u += (prolong @ (v - u_c)) * scale
+        self._cycle(level + 1, v, rhs_c, sweep_c.gather(rhs_c))
+        v -= u_c
+        d = _product(prolong, v)
+        d *= scale
+        u += d
         np.maximum(u, self.lower, out=u)
         for _ in range(_POST_SWEEPS):
-            sweep(u, rhs, self.lower)
+            sweep(u, rhs_parts, self.lower)
 
 
 def solve_semilinear_dirichlet(op, phi, boundary, params=None):

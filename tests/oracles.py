@@ -443,3 +443,134 @@ def fas_levels(op):
         B = sp.csr_matrix(-coo_blocks(coarse_op)[0])
     return levels
 
+
+
+def save_field_by_points(field, path):
+    """``save_field`` as it was first written: every coordinate of every
+    active point formatted on its own, from the grid's point array."""
+    from ellipot.geometry import INTERIOR
+
+    g = field.mask.grid
+    classes = field.mask.classes.ravel()
+    vals = field.values.ravel()
+    with open(path, "w", newline="") as fh:
+        fh.write("# field v1\n")
+        fh.write(f"# dim {g.dim}\n")
+        fh.write("# shape " + " ".join(str(n) for n in g.shape) + "\n")
+        fh.write("# bounds " + " ".join(f"{v:.17g}" for pair in g.bounds for v in pair) + "\n")
+        head = [f"x{k + 1}" for k in range(g.dim)] + ["index", "class", "value"]
+        fh.write(",".join(head) + "\r\n")
+        active = np.concatenate([field.mask.interior_flat, field.mask.boundary_flat])
+        active.sort()
+        row = ",".join(["%.17g"] * g.dim + ["%d", "%s", "%.17g"]) + "\r\n"
+        cols = g.points()[active].T.tolist() + [
+            active.tolist(),
+            np.where(classes[active] == INTERIOR, "i", "b").tolist(),
+            vals[active].tolist(),
+        ]
+        fh.write("".join([row % rec for rec in zip(*cols)]))
+
+
+# -- the FAS smoother and cycle as first written, every product through
+# scipy's ``@`` and every right side gathered per sweep ---------------------
+
+def sqrt_inverse(b, p, s):
+    """The t > 0 with b t + p sqrt(t) = s, one temporary per operation."""
+    y = 2.0 * s / (p + np.sqrt(p * p + 4.0 * b * s))
+    return s / (b + p / y)
+
+
+def product_on(phi, pv):
+    """``ProductPhi._on`` with gathers and a scatter in every call: t ->
+    pv * rho(t) where t > 0 and 0 elsewhere."""
+    n, rho = len(pv), phi.rho
+
+    def call(t):
+        tt = np.broadcast_to(np.asarray(t, dtype=float), (n,))
+        pos = tt > 0.0
+        out = np.zeros(n)
+        if pos.any():
+            out[pos] = pv[pos] * rho(tt[pos])
+        return out
+
+    call.p = pv
+    return call
+
+
+class GaussSeidelSweep:
+    """``solver._GaussSeidelSweep`` with the right side given whole and
+    gathered per colour in every sweep, and ``sqrt_inverse`` for the one
+    reaction with a closed-form inverse."""
+
+    def __init__(self, colours, phi, p, eps):
+        self.rho = phi.rho
+        self.eps = eps
+        self.inverse = sqrt_inverse if phi._inverse is not None else None
+        self.parts = [(rows, off, diag, p[rows]) for rows, off, diag in colours]
+
+    def __call__(self, u, rhs, lower):
+        for rows, off, diag, p in self.parts:
+            s = rhs[rows] - off @ u
+            pos = s > self.eps
+            if pos.all():
+                t = self._root(diag, p, s, u, rows)
+            else:
+                t = np.minimum(s, 0.0) / diag
+                if pos.any():
+                    t[pos] = self._root(diag[pos], p[pos], s[pos], u, rows[pos])
+            u[rows] = np.maximum(t, lower)
+
+    def _root(self, b, p, s, u, rows):
+        from ellipot import solver
+
+        if self.inverse is not None:
+            return self.inverse(b, p, s)
+        return solver._pointwise_root(b, p, self.rho, s, u[rows], self.eps, solver._FORCING)
+
+
+class FasCycle:
+    """``solver._FasCycle`` with ``GaussSeidelSweep``, ``product_on`` for
+    the coarse reactions and ``@`` for every product."""
+
+    def __init__(self, hierarchy, B, phi, react, rhs, eps, lower):
+        self.rhs, self.lower = rhs, lower
+        self.levels = []
+        p = react.p
+        for level, (B_level, colours, transfers) in enumerate(hierarchy.levels):
+            if level:
+                B = B_level
+                react = product_on(phi, p)
+            sweep = GaussSeidelSweep(colours, phi, p, eps)
+            self.levels.append((B, react, sweep, transfers))
+            if transfers is not None:
+                p = transfers[1] @ p
+
+    def __call__(self, u, k):
+        from ellipot.errors import SolverBreakdownError
+
+        u = u.copy()
+        self._cycle(0, u, self.rhs)
+        if not np.all(np.isfinite(u)):
+            raise SolverBreakdownError(f"non-finite iterate at cycle {k}")
+        return u
+
+    def _cycle(self, level, u, rhs):
+        from ellipot import solver
+
+        B, react, sweep, transfers = self.levels[level]
+        if transfers is None:
+            for _ in range(solver._COARSEST_SWEEPS):
+                sweep(u, rhs, self.lower)
+            return
+        for _ in range(solver._PRE_SWEEPS):
+            sweep(u, rhs, self.lower)
+        full, restrict, prolong, scale = transfers
+        B_c, react_c = self.levels[level + 1][:2]
+        u_c = restrict @ u
+        rhs_c = B_c @ u_c + react_c(u_c) + full @ (rhs - B @ u - react(u))
+        v = u_c.copy()
+        self._cycle(level + 1, v, rhs_c)
+        u += (prolong @ (v - u_c)) * scale
+        np.maximum(u, self.lower, out=u)
+        for _ in range(solver._POST_SWEEPS):
+            sweep(u, rhs, self.lower)

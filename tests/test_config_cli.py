@@ -545,6 +545,24 @@ class TestCliCommands:
         assert report["value_at_zero"] == 0.0
         assert (out / "psi_table.csv").exists()
 
+    def test_majorant_tables_read_the_majorants_own_density(self, tmp_path):
+        # the zero family's majorant is 0 * rho1 whatever [phi] p says, so
+        # both tables list p = 0 and a psi table of zeros (no -0 entries)
+        text = (MAJORANT_CFG.replace("use_majorant = true\n", "")
+                .replace("family = power", "family = zero")
+                .replace('p = "1/(1 + x1^2+x2^2)"', 'p = "x1 - 0.2"')
+                .replace("shape = 17", "shape = 33"))
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["majorant", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["phi"] == "zero" and report["domination_defect"] == 0.0
+        for name, column in (("psi_table.csv", slice(1, None)), ("psi_points.csv", -1)):
+            with open(out / name, newline="") as fh:
+                rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+            entries = [cell for row in rows[1:] for cell in np.atleast_1d(row[column])]
+            assert len(entries) >= 8 and set(entries) == {"0"}, name
+
     def test_use_majorant_runs_in_every_command(self, tmp_path):
         cfg = _write(tmp_path, MAJORANT_CFG)
         codes = {

@@ -339,3 +339,18 @@ def test_blocks_are_the_canonical_csr_of_their_entries(mask, coeffs, scheme):
         for x, y in ((got.indptr, want.indptr), (got.indices, want.indices),
                      (got.data, want.data)):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("dim, shape", [(2, 129), (3, 25)], ids=["127^2", "23^3"])
+@pytest.mark.parametrize("fmt", ["csr", "csc"])
+def test_sign_pattern_row_sums_are_the_bytes_of_the_matrix_sum(dim, shape, fmt):
+    # the row sums are one product with a vector of ones; they are the
+    # bytes of scipy's B.sum(axis=1) through np.matrix, for CSR and CSC
+    from ellipot.operators import _sign_pattern
+
+    op = ep.assemble(ep.box_mask(ep.build_grid(dim, shape, (-1.0, 1.0))))
+    B = (-op.interior_matrix).asformat(fmt)
+    want = np.asarray(B.copy().sum(axis=1)).ravel()
+    positive, max_off, rowsum, tol = _sign_pattern(B)
+    assert rowsum.tobytes() == want.tobytes()
+    assert positive and max_off <= tol and rowsum.min() >= -tol

@@ -300,3 +300,28 @@ def test_field_csv_rows_match_csv_writer(tmp_path, disc_mask, dim):
     with open(path, newline="") as fh:
         body = "".join(line for line in fh if not line.startswith("#"))
     assert body == oracles.field_csv_rows(f)
+
+
+@pytest.mark.parametrize(
+    "make_mask",
+    [
+        lambda: ep.box_mask(ep.build_grid(1, 65, (-8.0, 8.0))),
+        lambda: ep.box_mask(ep.build_grid(2, 33, (-1.0, 1.0))),
+        lambda: ep.box_mask(ep.build_grid(3, 25, (-0.25, 0.25))),
+        lambda: ep.box_mask(ep.build_grid(2, (34, 20), (-1.0, 3.0))),
+        lambda: ep.mask_from_predicate(ep.build_grid(2, 33, (-1.0, 1.0)),
+                                       lambda q: np.sum(q**2, axis=1) < 0.81),
+        lambda: ep.mask_from_predicate(ep.build_grid(3, 17, (0.0, 1.0)),
+                                       lambda q: (q[:, 0] + 2.0 * q[:, 1]) * (1.0 - q[:, 2]) < 0.9),
+    ],
+    ids=["box-1d", "box-2d", "box-3d", "even-sided", "disc", "predicate"],
+)
+def test_field_writer_formats_each_axis_value_once_to_the_same_bytes(tmp_path, make_mask):
+    # the writer formats an axis value once for all points on it; the file
+    # is the one that formatting every coordinate of every point writes
+    mask = make_mask()
+    q = mask.grid.points()
+    f = ep.Field(mask, np.cos(5.0 * q[:, 0]) * 1e-9 + np.sum(q, axis=1) ** 3)
+    ep.save_field(f, tmp_path / "new.csv")
+    oracles.save_field_by_points(f, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -466,7 +466,9 @@ def test_sqrt_inverse_is_the_exact_root():
     # the closed form of b t + p sqrt(t) = s against the exact iterative
     # root, on the sqrt profile's inputs (every 7th has p = 0)
     b, p, s, t0, eps = _root_inputs(np.sqrt)
-    t = _sqrt_inverse(b, p, s)
+    t = _sqrt_inverse(b, p, s, 4.0 * b, p * p)
+    # one buffer and the prepared 4 b and p^2 give the formula's bits
+    assert t.tobytes() == oracles.sqrt_inverse(b, p, s).tobytes()
     floor = np.maximum(eps, solver._ROUNDING * s)
     assert np.all(np.abs(b * t + p * np.sqrt(t) - s) <= floor)
     # both lie within floor / b of the true root, on either side of it
@@ -477,8 +479,9 @@ def test_sqrt_inverse_is_the_exact_root():
     assert zero.sum() == 58
     assert np.array_equal(t[zero], s[zero] / b[zero])
     for scale in (1e-300, 1e12):
-        t = _sqrt_inverse(b, p, np.full(s.size, scale))
+        t = _sqrt_inverse(b, p, np.full(s.size, scale), 4.0 * b, p * p)
         assert np.all(np.isfinite(t) & (t >= 0.0))
+        assert t.tobytes() == oracles.sqrt_inverse(b, p, np.full(s.size, scale)).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -498,7 +501,7 @@ def test_sweep_holds_exact_zeros(phi, forcing):
     sweep = _GaussSeidelSweep([(rows, sp.csr_matrix((n, n)), diag)], phi, np.ones(n), eps)
     rhs = np.array([eps, 0.5 * eps, 1e-300, -2.0, 1.0, 3.0])
     u = np.full(n, 0.7)
-    sweep(u, rhs, -10.0)
+    sweep(u, sweep.gather(rhs), -10.0)
     assert np.array_equal(u[:3], np.zeros(3))
     assert u[3] == -0.5
     g = diag[4:] * u[4:] + np.sqrt(u[4:]) - rhs[4:]
@@ -1150,7 +1153,7 @@ def _with_a_stored_zero(op):
     return op
 
 
-@pytest.mark.parametrize(
+_HIERARCHY_CASES = pytest.mark.parametrize(
     "make_op",
     [
         lambda: ep.assemble(_box_of(3, 25, 2.0)),
@@ -1169,6 +1172,9 @@ def _with_a_stored_zero(op):
     ids=["box-23^3", "box-127^2", "exhaustion-2d", "exhaustion-3d", "even-66x41", "disc",
          "ball", "upwind-drift", "tilted-cross", "stored-zero"],
 )
+
+
+@_HIERARCHY_CASES
 def test_hierarchy_levels_match_the_generic_sparse_builds(make_op):
     # coarse B, colour slices, full weighting and iterate restriction of
     # every level equal those of COO assembly, B - diag(B), sp.kron chains
@@ -1189,6 +1195,67 @@ def test_hierarchy_levels_match_the_generic_sparse_builds(make_op):
             assert _same_csr(full, ref["full"])
             assert _same_csr(restrict, ref["restrict"])
             assert _same_csr(prolong.T, ref["full"])
+
+
+@_HIERARCHY_CASES
+def test_product_matches_scipy_on_every_level_matrix(make_op):
+    # the cycle's products call scipy's own kernel: every level's B, colour
+    # slices, full weighting, iterate restriction and the CSC prolongation
+    # view give the bytes of A @ x, on data of mixed signs and magnitudes
+    op = make_op()
+    rng = np.random.default_rng(3)
+    matrices = []
+    for k, (B, colours, transfers) in enumerate(_FasHierarchy(op).levels):
+        matrices.append(-op.interior_matrix if k == 0 else B)
+        matrices += [off for _, off, _ in colours]
+        if transfers is not None:
+            full, restrict, prolong, _ = transfers
+            assert prolong.format == "csc"
+            matrices += [full, restrict, prolong]
+    for A in matrices:
+        x = rng.standard_normal(A.shape[1]) * 10.0 ** rng.integers(-8, 8, A.shape[1])
+        assert solver._product(A, x).tobytes() == (A @ x).tobytes()
+
+
+def _cycle_cases():
+    def box(dim, shape, half_width=1.0):
+        return ep.box_mask(ep.build_grid(dim, shape, (-half_width, half_width)))
+
+    def weight(q):
+        return 1.0 / (1.0 + np.sum(q**2, axis=1))
+
+    corner = ep.SchemeOptions(cross="corner")
+    return {
+        "box-25^3": (lambda: ep.assemble(box(3, 25, 2.0)), ep.power_phi(weight, 0.5), 1.0),
+        "deadcore-129^2": (lambda: ep.assemble(box(2, 129, 16.0)), ep.power_phi(1.0, 0.5), 1.0),
+        "disc": (lambda: ep.assemble(_disc_of(33)), ep.power_phi(2.0, 0.5), 1.0),
+        "ball": (lambda: ep.assemble(_ball()), ep.power_phi(3.0, 0.5), 1.0),
+        "upwind-drift": (lambda: ep.assemble(box(2, 33), ep.CoefficientSet(b=np.array([3.0, -1.0]))),
+                         ep.power_phi(1.0, 0.5), 1.0),
+        "gamma-0.9": (lambda: ep.assemble(box(2, 33, 4.0)), ep.power_phi(weight, 0.9), 1.0),
+        "corner-cross": (lambda: _cross_operator("corner"), ep.power_phi(1.0, 0.5), 1.0),
+        "c=-1/2": (lambda: ep.assemble(box(2, 33), ep.CoefficientSet(c=-0.5)),
+                   ep.power_phi(1.0, 0.5), 1.0),
+        "box-1d": (lambda: ep.assemble(box(1, 257, 8.0)), ep.power_phi(1.0, 0.5), 1.0),
+        "boundary-1e6": (lambda: ep.assemble(box(2, 33)), ep.power_phi(1.0, 0.5), 1e6),
+    }
+
+
+@pytest.mark.parametrize("case", list(_cycle_cases()))
+def test_cycles_match_the_first_written_cycle(monkeypatch, case):
+    # every iterate of the cycle is the first-written cycle's to the bit:
+    # the solves end in equal bytes and equal reports, including the
+    # forced root (gamma 0.9), a non-M-matrix B (corner cross), 1D and
+    # large boundary data; the first-written reaction rule is patched in
+    # for the reference run, so the final residuals test it too
+    make_op, phi, boundary = _cycle_cases()[case]
+    u, rep = ep.solve_semilinear_dirichlet(make_op(), phi, boundary)
+    monkeypatch.setattr(solver, "_FasCycle", oracles.FasCycle)
+    monkeypatch.setattr(ep.ProductPhi, "_on", oracles.product_on)
+    u_ref, rep_ref = ep.solve_semilinear_dirichlet(make_op(), phi, boundary)
+    assert rep.iterations >= 3
+    assert u.values.tobytes() == u_ref.values.tobytes()
+    assert repr(rep.as_dict()) == repr(rep_ref.as_dict())
 
 
 def test_a_solve_evaluates_its_density_once():
